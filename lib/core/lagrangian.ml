@@ -48,44 +48,143 @@ let dual_bound r =
          (fun acc it -> Float.min acc it.relaxed_objective)
          infinity history)
 
-let max_gains (problem : Problem.t) ~gains =
-  let intervals = problem.Problem.intervals in
-  let n = Array.length intervals in
-  let num_pins = Problem.num_pins problem in
-  let npins id = List.length intervals.(id).Access_interval.pins in
-  let order = Array.init n (fun i -> i) in
-  (* non-increasing gain; ties broken by same-net pins served (prefer
-     intra-panel connections), then id for determinism *)
-  Array.sort
-    (fun a b ->
-      let c = Float.compare gains.(b) gains.(a) in
-      if c <> 0 then c
-      else
-        let c = Int.compare (npins b) (npins a) in
-        if c <> 0 then c else Int.compare a b)
-    order;
-  let assignment = Array.make num_pins (-1) in
-  let remaining = ref num_pins in
-  let select id =
-    let slots =
-      List.map
-        (fun pid -> Problem.slot_of_pin problem pid)
-        intervals.(id).Access_interval.pins
-    in
-    if List.for_all (fun slot -> assignment.(slot) < 0) slots then begin
-      List.iter (fun slot -> assignment.(slot) <- id) slots;
-      remaining := !remaining - List.length slots
-    end
+(* Per-solve scratch of [max_gains], allocated once so an iteration
+   allocates nothing. *)
+type scratch = {
+  best_single : int array;  (* per slot, its top-ranked one-pin candidate *)
+  order : int array;  (* the surviving candidates, then sorted *)
+  tmp : int array;  (* merge buffer *)
+  assignment : int array;
+  multi : int array;  (* ids of the intervals serving several pins *)
+}
+
+let scratch (problem : Problem.t) =
+  let npins = problem.Problem.npins in
+  let multi =
+    Array.of_list
+      (List.filter (fun id -> npins.(id) > 1) (List.init (Array.length npins) Fun.id))
   in
-  (try
-     Array.iter
-       (fun id ->
-         if !remaining = 0 then raise Exit;
-         select id)
-       order
-   with Exit -> ());
-  assert (!remaining = 0);
-  assignment
+  let num_pins = Problem.num_pins problem in
+  let room = num_pins + Array.length multi in
+  {
+    best_single = Array.make num_pins (-1);
+    order = Array.make room 0;
+    tmp = Array.make room 0;
+    assignment = Array.make num_pins (-1);
+    multi;
+  }
+
+(* In-place merge sort of [a.(lo) .. a.(hi-1)] under the strict order
+   [before]; [tmp] is as long as [a].  The order is total, so the
+   result is the unique sorted permutation whatever the algorithm. *)
+let rec sort_range before a tmp lo hi =
+  if hi - lo <= 16 then
+    for i = lo + 1 to hi - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && before x a.(!j) do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let mid = (lo + hi) / 2 in
+    sort_range before a tmp lo mid;
+    sort_range before a tmp mid hi;
+    Array.blit a lo tmp lo (hi - lo);
+    let i = ref lo and j = ref mid in
+    for k = lo to hi - 1 do
+      if !i < mid && (!j >= hi || not (before tmp.(!j) tmp.(!i))) then begin
+        a.(k) <- tmp.(!i);
+        incr i
+      end
+      else begin
+        a.(k) <- tmp.(!j);
+        incr j
+      end
+    done
+  end
+
+(* The greedy visits intervals by non-increasing gain, ties broken by
+   same-net pins served (prefer intra-panel connections), then id for
+   determinism.  Only a slot's top-ranked one-pin candidate [s_p] can
+   ever take it alone: every other one-pin candidate of the slot comes
+   after [s_p], by which time the slot is taken.  Likewise a multi-pin
+   interval ranked after [s_p] for any of its slots finds that slot
+   taken.  So the greedy over the survivors — each slot's [s_p] plus
+   the multi-pin intervals ranked ahead of [s_p] on every slot they
+   serve — makes exactly the choices of the greedy over all
+   intervals. *)
+let max_gains_into ws (problem : Problem.t) ~gains =
+  let npins = problem.Problem.npins in
+  let slot_start = problem.Problem.slot_start in
+  let slot_ids = problem.Problem.slot_ids in
+  let before a b =
+    let c = Float.compare gains.(b) gains.(a) in
+    if c <> 0 then c < 0
+    else
+      let c = Int.compare npins.(b) npins.(a) in
+      if c <> 0 then c < 0 else a < b
+  in
+  let best = ws.best_single in
+  Array.fill best 0 (Array.length best) (-1);
+  for id = 0 to Array.length npins - 1 do
+    if npins.(id) = 1 then begin
+      let slot = slot_ids.(slot_start.(id)) in
+      let b = best.(slot) in
+      if b < 0 || before id b then best.(slot) <- id
+    end
+  done;
+  let order = ws.order in
+  let len = ref 0 in
+  Array.iter
+    (fun id ->
+      if id >= 0 then begin
+        order.(!len) <- id;
+        incr len
+      end)
+    best;
+  Array.iter
+    (fun id ->
+      let ok = ref true and k = ref slot_start.(id) in
+      while !ok && !k < slot_start.(id + 1) do
+        let b = best.(slot_ids.(!k)) in
+        if b >= 0 && not (before id b) then ok := false;
+        incr k
+      done;
+      if !ok then begin
+        order.(!len) <- id;
+        incr len
+      end)
+    ws.multi;
+  sort_range before order ws.tmp 0 !len;
+  let assignment = ws.assignment in
+  Array.fill assignment 0 (Array.length assignment) (-1);
+  let remaining = ref (Array.length assignment) in
+  let i = ref 0 in
+  while !remaining > 0 && !i < !len do
+    let id = order.(!i) in
+    let lo = slot_start.(id) and hi = slot_start.(id + 1) in
+    let free = ref true and k = ref lo in
+    while !free && !k < hi do
+      if assignment.(slot_ids.(!k)) >= 0 then free := false;
+      incr k
+    done;
+    if !free then begin
+      for k = lo to hi - 1 do
+        assignment.(slot_ids.(k)) <- id
+      done;
+      remaining := !remaining - (hi - lo)
+    end;
+    incr i
+  done;
+  assert (!remaining = 0)
+
+let max_gains (problem : Problem.t) ~gains =
+  let ws = scratch problem in
+  max_gains_into ws problem ~gains;
+  ws.assignment
 
 let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
     =
@@ -116,6 +215,18 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
     cliques;
   let gains = Array.make n 0.0 in
   let chosen = Array.make n false in
+  let ws = scratch problem in
+  let counts = Array.make (Array.length cliques) 0 in
+  let clique_start = problem.Problem.clique_start in
+  let clique_ids = problem.Problem.clique_ids in
+  let common_len =
+    Array.map
+      (fun (clique : Conflict.clique) ->
+        float_of_int (Geometry.Interval.length clique.Conflict.common))
+      cliques
+  in
+  let step_size = Obs.Metrics.recorder m_step_size in
+  let violations = Obs.Metrics.recorder m_violations in
   let best_assignment = ref None in
   let best_gains = Array.make n 0.0 in
   let min_vio = ref max_int in
@@ -127,21 +238,24 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
      factors below are exactly 1.0, so the computed step is bit-equal
      to the paper's [L_m / k^alpha] *)
   let warm_factor = if warm_start = None then 1.0 else config.warm_scale in
-  let step k (clique : Conflict.clique) =
-    let common_len =
-      float_of_int (Geometry.Interval.length clique.Conflict.common)
-    in
-    let base =
-      match config.constant_step with
-      | Some t -> t *. common_len
-      | None -> common_len /. Float.pow (float_of_int k) config.alpha
-    in
-    let halved =
+  (* the step of clique [m] at iteration [k]: every factor but
+     [common_len.(m)] is fixed for the whole iteration *)
+  let step_of k =
+    let halving =
       if config.stall_halving && !since_best >= 10 then
-        base *. Float.pow 0.5 (float_of_int (!since_best / 10))
-      else base
+        Some (Float.pow 0.5 (float_of_int (!since_best / 10)))
+      else None
     in
-    warm_factor *. halved
+    let finish base =
+      match halving with
+      | Some h -> warm_factor *. (base *. h)
+      | None -> warm_factor *. base
+    in
+    match config.constant_step with
+    | Some t -> fun m -> finish (t *. common_len.(m))
+    | None ->
+      let denom = Float.pow (float_of_int k) config.alpha in
+      fun m -> finish (common_len.(m) /. denom)
   in
   let stalled () =
     match config.plateau_exit with
@@ -159,19 +273,27 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
     for i = 0 to n - 1 do
       gains.(i) <- profits.(i) -. penalties.(i)
     done;
-    let assignment = max_gains problem ~gains in
+    max_gains_into ws problem ~gains;
+    let assignment = ws.assignment in
     Array.fill chosen 0 n false;
-    Array.iter (fun id -> chosen.(id) <- true) assignment;
-    (* penalize: walk every clique, count selections, move multipliers
-       along the subgradient (Eq. 3) *)
+    Array.fill counts 0 (Array.length counts) 0;
+    Array.iter
+      (fun id ->
+        if not chosen.(id) then begin
+          chosen.(id) <- true;
+          for k = clique_start.(id) to clique_start.(id + 1) - 1 do
+            let m = clique_ids.(k) in
+            counts.(m) <- counts.(m) + 1
+          done
+        end)
+      assignment;
+    (* penalize: walk every clique in order, move multipliers along the
+       subgradient (Eq. 3) *)
+    let step = step_of !k in
     let vio = ref 0 in
     Array.iteri
       (fun m (clique : Conflict.clique) ->
-        let cnt =
-          Array.fold_left
-            (fun acc id -> if chosen.(id) then acc + 1 else acc)
-            0 clique.Conflict.members
-        in
+        let cnt = counts.(m) in
         let cap = clique.Conflict.cap in
         let g = float_of_int (cnt - cap) in
         if cnt > cap then incr vio;
@@ -180,8 +302,8 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
           else cnt > cap
         in
         if update then begin
-          let s = step !k clique in
-          Obs.Metrics.observe m_step_size s;
+          let s = step m in
+          Obs.Metrics.record step_size s;
           let lam' = Float.max 0.0 (lambda.(m) +. (s *. g)) in
           let delta = lam' -. lambda.(m) in
           if delta <> 0.0 then begin
@@ -203,7 +325,7 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
         lambda;
       !acc
     in
-    Obs.Metrics.observe m_violations (float_of_int !vio);
+    Obs.Metrics.record violations (float_of_int !vio);
     history :=
       { iteration = !k; violations = !vio; relaxed_objective = relaxed }
       :: !history;

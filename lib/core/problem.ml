@@ -9,8 +9,25 @@ type t = {
   pin_candidates : int array array;
   cliques : Conflict.clique array;
   profits : float array;
-  mutable clique_index : int list array option;
+  npins : int array;
+  slot_start : int array;
+  slot_ids : int array;
+  clique_start : int array;
+  clique_ids : int array;
 }
+
+(* CSR layout: row [i] of a table is [ids.(start.(i)) .. ids.(start.(i+1)-1)] *)
+let csr rows ~length ~fill =
+  let start = Array.make (rows + 1) 0 in
+  for i = 0 to rows - 1 do
+    start.(i + 1) <- start.(i) + length i
+  done;
+  let ids = Array.make start.(rows) 0 in
+  let next = Array.sub start 0 rows in
+  fill (fun i v ->
+      ids.(next.(i)) <- v;
+      next.(i) <- next.(i) + 1);
+  (start, ids)
 
 let of_intervals config design intervals =
   let pin_set = Hashtbl.create 256 in
@@ -48,6 +65,31 @@ let of_intervals config design intervals =
   let profits =
     Array.map (Objective.profit config.Interval_gen.weighting) intervals
   in
+  let n = Array.length intervals in
+  let npins =
+    Array.map (fun (iv : Access_interval.t) -> List.length iv.pins) intervals
+  in
+  (* per interval, the slots of its pins in [pins] order *)
+  let slot_start, slot_ids =
+    csr n ~length:(Array.get npins) ~fill:(fun push ->
+        Array.iter
+          (fun (iv : Access_interval.t) ->
+            List.iter (fun pid -> push iv.id (Hashtbl.find pin_slot pid)) iv.pins)
+          intervals)
+  in
+  (* per interval, the indices of the cliques containing it, ascending *)
+  let clique_start, clique_ids =
+    let degree = Array.make n 0 in
+    Array.iter
+      (fun (clique : Conflict.clique) ->
+        Array.iter (fun id -> degree.(id) <- degree.(id) + 1) clique.Conflict.members)
+      cliques;
+    csr n ~length:(Array.get degree) ~fill:(fun push ->
+        Array.iteri
+          (fun m (clique : Conflict.clique) ->
+            Array.iter (fun id -> push id m) clique.Conflict.members)
+          cliques)
+  in
   {
     design;
     config;
@@ -57,7 +99,11 @@ let of_intervals config design intervals =
     pin_candidates;
     cliques;
     profits;
-    clique_index = None;
+    npins;
+    slot_start;
+    slot_ids;
+    clique_start;
+    clique_ids;
   }
 
 let build_panel config design ~panel =
@@ -109,21 +155,9 @@ let minimum_interval t ~slot =
       t.pin_ids.(slot)
 
 let cliques_of_interval t id =
-  let index =
-    match t.clique_index with
-    | Some index -> index
-    | None ->
-      let index = Array.make (Array.length t.intervals) [] in
-      Array.iteri
-        (fun m (clique : Conflict.clique) ->
-          Array.iter
-            (fun member -> index.(member) <- m :: index.(member))
-            clique.Conflict.members)
-        t.cliques;
-      t.clique_index <- Some index;
-      index
-  in
-  index.(id)
+  List.init
+    (t.clique_start.(id + 1) - t.clique_start.(id))
+    (fun i -> t.clique_ids.(t.clique_start.(id) + i))
 
 let summary t =
   Printf.sprintf "%d pins, %d intervals, %d conflict sets" (num_pins t)

@@ -12,9 +12,17 @@ type t = {
       (** [S_j] per pin slot: interval ids, each serving that pin *)
   cliques : Conflict.clique array;
   profits : float array;  (** objective coefficient per interval *)
-  mutable clique_index : int list array option;
-      (** lazy interval -> clique-indices map; use
-          [cliques_of_interval] *)
+  npins : int array;  (** per interval, the number of pins it serves *)
+  slot_start : int array;
+  slot_ids : int array;
+      (** flat per-interval slot table: the pin slots of interval [i],
+          in [Access_interval.pins] order, are
+          [slot_ids.(slot_start.(i)) .. slot_ids.(slot_start.(i+1) - 1)] *)
+  clique_start : int array;
+  clique_ids : int array;
+      (** flat interval -> clique index, laid out like the slot table:
+          the indices into [cliques] of the conflict sets containing
+          interval [i], ascending *)
 }
 
 val of_intervals :
@@ -48,6 +56,6 @@ val minimum_intervals : t -> slot:int -> int list
 
 val cliques_of_interval : t -> int -> int list
 (** Indices into [cliques] of the conflict sets containing the
-    interval (computed lazily, then cached). *)
+    interval, ascending (a list view of [clique_ids]). *)
 
 val summary : t -> string

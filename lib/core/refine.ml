@@ -6,30 +6,64 @@ let remove_conflicts ?gains (sol : Solution.t) =
   let gains = Option.value ~default:problem.Problem.profits gains in
   let assignment = Array.copy sol.Solution.assignment in
   let shrinks = ref 0 in
+  let slot_start = problem.Problem.slot_start in
+  let slot_ids = problem.Problem.slot_ids in
+  let cliques = problem.Problem.cliques in
+  let clique_start = problem.Problem.clique_start in
+  let clique_ids = problem.Problem.clique_ids in
+  (* per interval, the number of slots assigned to it, kept in step
+     with [assignment] by [assign] *)
+  let sel_count = Array.make (Problem.num_intervals problem) 0 in
+  Array.iter (fun id -> sel_count.(id) <- sel_count.(id) + 1) assignment;
+  let assign slot id =
+    let old = assignment.(slot) in
+    sel_count.(old) <- sel_count.(old) - 1;
+    sel_count.(id) <- sel_count.(id) + 1;
+    assignment.(slot) <- id
+  in
+  let is_selected id = sel_count.(id) > 0 in
+  (* the selected members of a clique, ascending *)
+  let selected_members (clique : Conflict.clique) =
+    List.filter is_selected (Array.to_list clique.Conflict.members)
+  in
+  let violated () =
+    List.filter
+      (fun (clique : Conflict.clique) ->
+        Array.fold_left
+          (fun acc id -> if is_selected id then acc + 1 else acc)
+          0 clique.Conflict.members
+        > clique.Conflict.cap)
+      (Array.to_list cliques)
+  in
+  (* the slots of interval [id], in [pins] order *)
+  let iter_slots f id =
+    for k = slot_start.(id) to slot_start.(id + 1) - 1 do
+      f slot_ids.(k)
+    done
+  in
   (* how much selecting [candidate] would overflow its cliques: for
      each clique through the candidate, the members beyond capacity
-     once the candidate joins the already-selected ones.  With every
-     cap at 1 this is exactly the old "selected members sharing a
-     clique" count. *)
+     once the candidate joins the already-selected ones (the selection
+     of every slot but [slot]).  With every cap at 1 this is exactly
+     the old "selected members sharing a clique" count. *)
   let conflict_count candidate ~slot =
-    let selected = Hashtbl.create 8 in
-    Array.iteri
-      (fun s id -> if s <> slot then Hashtbl.replace selected id ())
-      assignment;
-    List.fold_left
-      (fun acc m ->
-        let clique = problem.Problem.cliques.(m) in
-        let others =
-          Array.fold_left
-            (fun acc member ->
-              if member <> candidate && Hashtbl.mem selected member then
-                acc + 1
-              else acc)
-            0 clique.Conflict.members
-        in
-        acc + max 0 (others + 1 - clique.Conflict.cap))
-      0
-      (Problem.cliques_of_interval problem candidate)
+    let at_slot = assignment.(slot) in
+    let selected_elsewhere id =
+      sel_count.(id) - (if id = at_slot then 1 else 0) > 0
+    in
+    let total = ref 0 in
+    for k = clique_start.(candidate) to clique_start.(candidate + 1) - 1 do
+      let clique = cliques.(clique_ids.(k)) in
+      let others =
+        Array.fold_left
+          (fun acc member ->
+            if member <> candidate && selected_elsewhere member then acc + 1
+            else acc)
+          0 clique.Conflict.members
+      in
+      total := !total + max 0 (others + 1 - clique.Conflict.cap)
+    done;
+    !total
   in
   (* shrink to the pin's least-conflicting minimum (the primary-track
      minimum on ties), so repairs spread across the pin's tracks rather
@@ -47,7 +81,7 @@ let remove_conflicts ?gains (sol : Solution.t) =
     in
     match best with
     | Some (min_id, _) when assignment.(slot) <> min_id ->
-      assignment.(slot) <- min_id;
+      assign slot min_id;
       incr shrinks;
       true
     | Some _ | None -> false
@@ -61,18 +95,10 @@ let remove_conflicts ?gains (sol : Solution.t) =
   let progress = ref true in
   while !progress do
     progress := false;
-    let current = Solution.make problem ~assignment in
-    let violated = Solution.violated_cliques current in
     List.iter
       (fun (clique : Conflict.clique) ->
         (* recompute against the evolving assignment *)
-        let live = Hashtbl.create 8 in
-        Array.iter (fun id -> Hashtbl.replace live id ()) clique.Conflict.members;
-        let selected =
-          Array.to_list assignment
-          |> List.filter (fun id -> Hashtbl.mem live id)
-          |> List.sort_uniq Int.compare
-        in
+        let selected = selected_members clique in
         if List.length selected > clique.Conflict.cap then begin
           let is_min id =
             Access_interval.is_minimum problem.Problem.intervals.(id)
@@ -96,15 +122,14 @@ let remove_conflicts ?gains (sol : Solution.t) =
           List.iter
             (fun id ->
               if (not (List.mem id keep)) && not (is_min id) then
-                List.iter
-                  (fun pid ->
-                    let slot = Problem.slot_of_pin problem pid in
+                iter_slots
+                  (fun slot ->
                     if assignment.(slot) = id && shrink_pin slot then
                       progress := true)
-                  problem.Problem.intervals.(id).Access_interval.pins)
+                  id)
             selected
         end)
-      violated
+      (violated ())
   done;
   (* Residual repair: cliques that shrinking could not fix (their
      members are all minimums) sometimes dissolve by moving one of the
@@ -112,34 +137,23 @@ let remove_conflicts ?gains (sol : Solution.t) =
      against the current selection. *)
   let conflict_free candidate ~slot = conflict_count candidate ~slot = 0 in
   let repair_pass () =
-    let current = Solution.make problem ~assignment in
     let repaired = ref false in
+    let single id = problem.Problem.npins.(id) = 1 in
     List.iter
       (fun (clique : Conflict.clique) ->
-        let selected_members =
-          Array.to_list clique.Conflict.members
-          |> List.filter (fun id -> Array.exists (fun a -> a = id) assignment)
-        in
-        if List.length selected_members > clique.Conflict.cap then
+        let selected = selected_members clique in
+        if List.length selected > clique.Conflict.cap then
           List.iter
             (fun id ->
-              List.iter
-                (fun pid ->
-                  let slot = Problem.slot_of_pin problem pid in
+              iter_slots
+                (fun slot ->
                   if
-                    assignment.(slot) = id
-                    && problem.Problem.intervals.(id).Access_interval.pins
-                       = [ pid ]
+                    assignment.(slot) = id && single id
                     && not (conflict_free id ~slot)
                   then begin
                     let candidates =
                       Array.to_list problem.Problem.pin_candidates.(slot)
-                      |> List.filter (fun c ->
-                             c <> id
-                             && List.length
-                                  problem.Problem.intervals.(c)
-                                    .Access_interval.pins
-                                = 1)
+                      |> List.filter (fun c -> c <> id && single c)
                       |> List.sort (fun a b ->
                              Float.compare problem.Problem.profits.(b)
                                problem.Problem.profits.(a))
@@ -148,13 +162,13 @@ let remove_conflicts ?gains (sol : Solution.t) =
                       List.find_opt (fun c -> conflict_free c ~slot) candidates
                     with
                     | Some c ->
-                      assignment.(slot) <- c;
+                      assign slot c;
                       repaired := true
                     | None -> ()
                   end)
-                problem.Problem.intervals.(id).Access_interval.pins)
-            selected_members)
-      (Solution.violated_cliques current);
+                id)
+            selected)
+      (violated ());
     !repaired
   in
   let rounds = ref 0 in

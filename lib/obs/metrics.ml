@@ -83,26 +83,41 @@ let add c n =
 let incr c = add c 1
 let value c = c.count
 
+let buffer_cells b name =
+  match Hashtbl.find_opt b.bh name with
+  | Some cells -> cells
+  | None ->
+    let cells = Float.Array.create 4 in
+    empty_cells cells;
+    Hashtbl.replace b.bh name cells;
+    cells
+
+let observe_direct h v =
+  observe_cells h.cells v;
+  match h.reservoir with
+  | Some r when h.retained < Float.Array.length r ->
+    Float.Array.set r h.retained v;
+    h.retained <- h.retained + 1
+  | _ -> ()
+
 let observe h v =
   match Domain.DLS.get local_key with
-  | None ->
-    observe_cells h.cells v;
-    (match h.reservoir with
-    | Some r when h.retained < Float.Array.length r ->
-      Float.Array.set r h.retained v;
-      h.retained <- h.retained + 1
-    | _ -> ())
+  | None -> observe_direct h v
+  | Some b -> observe_cells (buffer_cells b h.h_name) v
+
+(* A recorder is a histogram record over the cells the current scope
+   observes into: the histogram itself outside [buffered] (reservoir
+   included), else a reservoir-less view of the buffer's cells, created
+   empty if absent — an empty entry merges as a no-op at [flush]. *)
+type recorder = histogram
+
+let recorder h =
+  match Domain.DLS.get local_key with
+  | None -> h
   | Some b ->
-    let cells =
-      match Hashtbl.find_opt b.bh h.h_name with
-      | Some cells -> cells
-      | None ->
-        let cells = Float.Array.create 4 in
-        empty_cells cells;
-        Hashtbl.replace b.bh h.h_name cells;
-        cells
-    in
-    observe_cells cells v
+    { h with cells = buffer_cells b h.h_name; reservoir = None; retained = 0 }
+
+let record = observe_direct
 
 let buffered f =
   let b = { bc = Hashtbl.create 8; bh = Hashtbl.create 8 } in

@@ -54,6 +54,19 @@ val value : counter -> int
 val observe : histogram -> float -> unit
 (** Record one sample (count/sum/min/max, no binning). *)
 
+type recorder
+(** A histogram resolved to the cells the current scope observes into. *)
+
+val recorder : histogram -> recorder
+(** [recorder h] looks up, once, where {!observe} on [h] would land
+    right now: the registry outside {!buffered}, the enclosing buffer
+    inside it.  Use it for many samples within one scope (say, one
+    solve); it must not outlive that scope. *)
+
+val record : recorder -> float -> unit
+(** [record (recorder h) v] has exactly the effect of [observe h v]
+    made in the recorder's scope, without the per-sample lookup. *)
+
 type buffer
 (** A detached batch of metric bumps, private to the task that
     produced it. *)

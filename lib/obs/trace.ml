@@ -116,9 +116,17 @@ let with_span name f =
       raise e
   end
 
+(* events are recorded at depths relative to the task, so the task
+   starts at depth 0 even when the calling domain runs it inside its
+   own spans; [replay] adds the replaying domain's depth once *)
 let buffered f =
   let sink, events = collect () in
-  let v = with_sink sink f in
+  let st = Domain.DLS.get state_key in
+  let d = st.depth in
+  st.depth <- 0;
+  let v =
+    Fun.protect ~finally:(fun () -> st.depth <- d) (fun () -> with_sink sink f)
+  in
   (v, events ())
 
 let replay events =

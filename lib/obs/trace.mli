@@ -70,7 +70,8 @@ val with_span : string -> (unit -> 'a) -> 'a
 val buffered : (unit -> 'a) -> 'a * event list
 (** [buffered f] runs [f] with this domain's spans collected in memory
     (the previous sink is restored afterwards) and returns the events,
-    oldest first, with depths relative to [f]'s own root.  This is the
+    oldest first, with depths relative to [f]'s own root — also when
+    the calling domain runs [f] inside spans of its own.  This is the
     worker-domain half of tracing under a pool; on an exception the
     events are dropped and the exception propagates. *)
 

@@ -180,6 +180,275 @@ let test_objective_close_to_ilp () =
       (lr_obj >= 0.75 *. ilp.Pinaccess.Ilp.objective)
   end
 
+(* ------------------------------------------------------------------ *)
+(* Bit-identity guards                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The greedy maxGains exactly as first written: a full sort of every
+   interval per call.  The solver's own [max_gains] must agree with it
+   on every input. *)
+let reference_max_gains (problem : P.t) ~gains =
+  let intervals = problem.P.intervals in
+  let n = Array.length intervals in
+  let num_pins = P.num_pins problem in
+  let npins id = List.length intervals.(id).Pinaccess.Access_interval.pins in
+  let order = Array.init n (fun i -> i) in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare gains.(b) gains.(a) in
+      if c <> 0 then c
+      else
+        let c = Int.compare (npins b) (npins a) in
+        if c <> 0 then c else Int.compare a b)
+    order;
+  let assignment = Array.make num_pins (-1) in
+  let remaining = ref num_pins in
+  let select id =
+    let slots =
+      List.map
+        (fun pid -> P.slot_of_pin problem pid)
+        intervals.(id).Pinaccess.Access_interval.pins
+    in
+    if List.for_all (fun slot -> assignment.(slot) < 0) slots then begin
+      List.iter (fun slot -> assignment.(slot) <- id) slots;
+      remaining := !remaining - List.length slots
+    end
+  in
+  (try
+     Array.iter
+       (fun id ->
+         if !remaining = 0 then raise Exit;
+         select id)
+       order
+   with Exit -> ());
+  assert (!remaining = 0);
+  assignment
+
+let multi_pin problem =
+  Array.exists
+    (fun iv -> List.length iv.Pinaccess.Access_interval.pins > 1)
+    problem.P.intervals
+
+(* panels with multi-pin intervals, small to mid-size *)
+let property_pool =
+  lazy
+    (let suite id scale = Workloads.Suite.design ~scale (Workloads.Suite.find id) in
+     let ecc = suite "ecc" 0.05 and div = suite "div" 0.05 in
+     let pool =
+       P.build_panel cfg (fig3_design ()) ~panel:0
+       :: List.map (fun panel -> P.build_panel cfg ecc ~panel) [ 0; 1; 2 ]
+       @ List.map (fun panel -> P.build_panel cfg div ~panel) [ 0; 3 ]
+     in
+     Array.of_list (List.filter multi_pin pool))
+
+(* gains with forced ties, zeros (both signs) and negatives *)
+let random_gains (problem : P.t) ~mode st =
+  let n = P.num_intervals problem in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  match mode with
+  | 0 -> Array.copy problem.P.profits
+  | 1 -> Array.init n (fun _ -> Random.State.float st 20.0 -. 10.0)
+  | 2 -> Array.init n (fun _ -> pick [| -2.0; -1.0; -0.0; 0.0; 1.0; 2.0 |])
+  | 3 -> Array.make n 0.0
+  | 4 ->
+    Array.map
+      (fun p -> p -. (0.5 *. float_of_int (Random.State.int st 8)))
+      problem.P.profits
+  | _ ->
+    Array.map
+      (fun p -> if Random.State.bool st then p else pick [| 0.0; -1.0; p |])
+      problem.P.profits
+
+let prop_max_gains_matches_reference =
+  QCheck.Test.make ~name:"max_gains equals the full-sort reference" ~count:300
+    QCheck.(triple small_nat (int_range 0 5) int)
+    (fun (which, mode, seed) ->
+      let pool = Lazy.force property_pool in
+      let problem = pool.(which mod Array.length pool) in
+      let gains = random_gains problem ~mode (Random.State.make [| seed |]) in
+      LR.max_gains problem ~gains = reference_max_gains problem ~gains)
+
+(* Digests of what a solve reports, floats by their exact bits, plus
+   the lr.* and refine.* metrics it emitted into the (reset) registry. *)
+let digest_with_metrics b =
+  let snap = Obs.Metrics.snapshot () in
+  let ours name =
+    String.starts_with ~prefix:"lr." name
+    || String.starts_with ~prefix:"refine." name
+  in
+  List.iter
+    (fun (name, v) -> if ours name then Printf.bprintf b "%s=%d;" name v)
+    snap.Obs.Metrics.counters;
+  List.iter
+    (fun (name, (s : Obs.Metrics.histogram_stats)) ->
+      if ours name then
+        Printf.bprintf b "%s=%d/%h/%h/%h;" name s.Obs.Metrics.count s.sum s.min
+          s.max)
+    snap.Obs.Metrics.histograms;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let result_digest (r : LR.result) =
+  let b = Buffer.create 4096 in
+  let add fmt = Printf.bprintf b fmt in
+  Array.iter (add "%d,") r.LR.solution.Sol.assignment;
+  add "|%d|%d|%d|%b|" r.LR.iterations r.LR.best_violations r.LR.shrinks
+    r.LR.budget_expired;
+  List.iter
+    (fun (it : LR.iterate) ->
+      add "%d:%d:%h," it.LR.iteration it.LR.violations it.LR.relaxed_objective)
+    r.LR.history;
+  Array.iter (add "%h,") r.LR.multipliers;
+  digest_with_metrics b
+
+(* refinement alone, from the conflict-heavy start where every pin takes
+   its highest-profit candidate *)
+let refine_digest (problem : P.t) =
+  let assignment =
+    Array.map
+      (fun candidates ->
+        Array.fold_left
+          (fun best id ->
+            if problem.P.profits.(id) > problem.P.profits.(best) then id
+            else best)
+          candidates.(0) candidates)
+      problem.P.pin_candidates
+  in
+  let sol, shrinks =
+    Pinaccess.Refine.remove_conflicts (Sol.make problem ~assignment)
+  in
+  let b = Buffer.create 1024 in
+  Array.iter (Printf.bprintf b "%d,") sol.Sol.assignment;
+  Printf.bprintf b "|%d|" shrinks;
+  digest_with_metrics b
+
+let suite_design id scale = Workloads.Suite.design ~scale (Workloads.Suite.find id)
+
+let largest_panel d =
+  let pins p = List.length (Netlist.Design.pins_of_panel d p) in
+  let best = ref 0 in
+  for p = 1 to Netlist.Design.num_panels d - 1 do
+    if pins p > pins !best then best := p
+  done;
+  !best
+
+(* (name, digest) pairs: Suite circuits, mega panels, a TPL deck, warm
+   starts, a truncated solve and every step-schedule option.  Each runs
+   on a freshly reset registry. *)
+let golden_cases () =
+  let lr ?(config = LR.default_config) ?warm_start problem () =
+    result_digest (LR.solve ~config ?warm_start problem)
+  in
+  let panel ?(cfg = cfg) d p = P.build_panel cfg d ~panel:p in
+  let suite =
+    List.concat_map
+      (fun (c : Workloads.Suite.circuit) ->
+        let d = Workloads.Suite.design ~scale:0.05 c in
+        List.map
+          (fun p ->
+            let name = Printf.sprintf "%s@0.05/p%d" c.Workloads.Suite.id p in
+            [
+              (name, lr (panel d p));
+              ("refine:" ^ name, fun () -> refine_digest (panel d p));
+            ])
+          [ 0; Netlist.Design.num_panels d / 2 ]
+        |> List.concat)
+      Workloads.Suite.circuits
+  in
+  let mega = Workloads.Suite.design ~scale:0.02 Workloads.Suite.mega in
+  let ecc = suite_design "ecc" 0.1 in
+  let warm ?(config = LR.default_config) () =
+    let problem = panel ecc 0 in
+    let cold = LR.solve problem in
+    Obs.Metrics.reset ();
+    lr ~config ~warm_start:cold.LR.multipliers problem ()
+  in
+  let tpl =
+    { cfg with Pinaccess.Interval_gen.tpl = Some (Solver.Color_graph.default ~colors:3) }
+  in
+  let d = LR.default_config in
+  suite
+  @ List.map
+      (fun p -> (Printf.sprintf "mega@0.02/p%d" p, lr (panel mega p)))
+      [ 0; 12; largest_panel mega ]
+  @ [
+      ("ecc@0.1/tpl3/p0", lr (panel ~cfg:tpl ecc 0));
+      ("ecc@0.1/tpl3/p1", lr (panel ~cfg:tpl ecc 1));
+      ("refine:ecc@0.1/tpl3/p1", fun () -> refine_digest (panel ~cfg:tpl ecc 1));
+      ("ecc@0.1/warm", warm ~config:LR.default_config);
+      ("ecc@0.1/warm-scaled", warm ~config:{ d with LR.warm_scale = 0.5 });
+      ( "ctl@0.05/max5",
+        lr ~config:{ d with LR.max_iterations = 5 } (panel (suite_design "ctl" 0.05) 1) );
+      ( "alu@0.05/literal",
+        lr ~config:{ d with LR.full_subgradient = false }
+          (panel (suite_design "alu" 0.05) 0) );
+      ( "efc@0.05/constant-step",
+        lr ~config:{ d with LR.constant_step = Some 0.5 }
+          (panel (suite_design "efc" 0.05) 0) );
+      ( "div@0.05/stall-halving",
+        lr ~config:{ d with LR.stall_halving = true; plateau_exit = None }
+          (panel (suite_design "div" 0.05) 0) );
+      ( "ecc@0.1/clearance0",
+        lr (panel ~cfg:{ cfg with Pinaccess.Interval_gen.clearance = 0 } ecc 1) );
+      ("ecc@0.1/panels01", lr (P.build_panels cfg ecc ~panels:[ 0; 1 ]));
+    ]
+
+(* recorded before the candidate reduction; CPR_LR_GOLDEN=print prints
+   the table afresh *)
+let golden =
+  [
+    ("ecc@0.05/p0", "3ae866bb0cc68b7a6d3da2b9e3e4455a");
+    ("refine:ecc@0.05/p0", "c5de3767ac452d17d6106809b5dc5044");
+    ("ecc@0.05/p2", "d91942e9368de378e1f2553a07e198c7");
+    ("refine:ecc@0.05/p2", "f49c401a12e9c534755b58da42428e70");
+    ("efc@0.05/p0", "8cc5a6613b956a0b981b5e2695331391");
+    ("refine:efc@0.05/p0", "5786d84dbb3fdd37b9340b47fb2a32d8");
+    ("efc@0.05/p2", "c2e0ad9769e8bd91944a7f4a7f20861c");
+    ("refine:efc@0.05/p2", "21809812560ad62ee34f0214f35a6c96");
+    ("ctl@0.05/p0", "0ab942ca2ec50df658035bab21678f56");
+    ("refine:ctl@0.05/p0", "6ba2b47256f28ba17eba862f7dbad6f4");
+    ("ctl@0.05/p2", "0dadd81fa97cc8ee01b065138b902ff8");
+    ("refine:ctl@0.05/p2", "2a2265811f2c1a63c8a16a2cb98d9559");
+    ("alu@0.05/p0", "22c3da7d830f83c6c6c724fdda6474c9");
+    ("refine:alu@0.05/p0", "684be563f80ad693f89aa0d67531a90b");
+    ("alu@0.05/p2", "2820e5f34873aee89c10c5118a9dc413");
+    ("refine:alu@0.05/p2", "540ddf0525994d29803a78553cf0168b");
+    ("div@0.05/p0", "95753500e8d087f04228f2597a230c2f");
+    ("refine:div@0.05/p0", "2121732d01f1f55c8df4e96fabb69f6b");
+    ("div@0.05/p3", "f443c12c5aaf53586940c8d0605552af");
+    ("refine:div@0.05/p3", "5c318d0fcfb2b47a14d04b29a4315169");
+    ("top@0.05/p0", "df2c25d8b898b78efefd2e8fa1c6597e");
+    ("refine:top@0.05/p0", "d7fa3fa23ca7b2fbbef85ff633435633");
+    ("top@0.05/p6", "c1b55ad962ccc385b11a2ccca43c3204");
+    ("refine:top@0.05/p6", "23b0174e506125dc9f5ce3e9fb10f584");
+    ("mega@0.02/p0", "b00816dc23dff2c62579971c432c5b53");
+    ("mega@0.02/p12", "fc36d6e621d1a27b148c515fcbb0db0a");
+    ("mega@0.02/p4", "9a87a44d6cfacd73b859c9e89a27353f");
+    ("ecc@0.1/tpl3/p0", "fc44e3e2bdb867a28ab11aed0bbb4f51");
+    ("ecc@0.1/tpl3/p1", "91b62196eed93d99b692d7d7f868a1cd");
+    ("refine:ecc@0.1/tpl3/p1", "2610595774e0cffa7a1881dbfa8e94eb");
+    ("ecc@0.1/warm", "d65f593baf817b65c7f74d71fdc6a056");
+    ("ecc@0.1/warm-scaled", "587954ce614e305dae1978bcdf475b92");
+    ("ctl@0.05/max5", "da0eb9a213a1ffcb1bab0dd71295aa87");
+    ("alu@0.05/literal", "76ffbbfbd9410647bf3ebffefeb35f72");
+    ("efc@0.05/constant-step", "92b49886368550b982557d5fdbc04cd9");
+    ("div@0.05/stall-halving", "05ba4f56f90b912406ead812a1d0f653");
+    ("ecc@0.1/clearance0", "fc34aafc92b5f3ddb0001ece3d87b1eb");
+    ("ecc@0.1/panels01", "c65e4cb4f326731b97b5b4d4d595c014");
+  ]
+
+let test_golden_digests () =
+  let record = Sys.getenv_opt "CPR_LR_GOLDEN" = Some "print" in
+  List.iter
+    (fun (name, run) ->
+      Obs.Metrics.reset ();
+      let digest = run () in
+      if record then Printf.printf "    (%S, %S);\n%!" name digest
+      else
+        Alcotest.(check string) name
+          (Option.value ~default:"<missing>" (List.assoc_opt name golden))
+          digest)
+    (golden_cases ())
+
 let () =
   Alcotest.run "lagrangian"
     [
@@ -200,5 +469,10 @@ let () =
           Alcotest.test_case "warm start length mismatch" `Quick
             test_warm_start_length_mismatch;
           Alcotest.test_case "LR close to ILP" `Slow test_objective_close_to_ilp;
+        ] );
+      ( "identity",
+        [
+          Alcotest.test_case "golden result digests" `Quick test_golden_digests;
+          QCheck_alcotest.to_alcotest prop_max_gains_matches_reference;
         ] );
     ]

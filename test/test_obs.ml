@@ -73,6 +73,29 @@ let test_sink_restored () =
    with Failure _ -> ());
   check "disabled after raise" false (Obs.Trace.enabled ())
 
+(* a pool task that runs on the calling domain, inside one of its spans,
+   replays one level under that span, not two *)
+let test_buffered_on_caller () =
+  let sink, events = Obs.Trace.collect () in
+  Obs.Trace.with_sink sink (fun () ->
+      Obs.Trace.with_span "fanout" (fun () ->
+          let (), task =
+            Obs.Trace.buffered (fun () ->
+                Obs.Trace.with_span "task" (fun () ->
+                    Obs.Trace.with_span "step" ignore))
+          in
+          Obs.Trace.replay task;
+          (* the caller's own depth survives the buffered scope *)
+          Obs.Trace.with_span "after" ignore));
+  let depth name =
+    match List.find_opt (fun e -> e.Obs.Trace.name = name) (events ()) with
+    | Some e -> e.Obs.Trace.depth
+    | None -> Alcotest.failf "no %s event" name
+  in
+  check_int "task at caller depth + 1" (depth "fanout" + 1) (depth "task");
+  check_int "step under task" (depth "task" + 1) (depth "step");
+  check_int "after" (depth "fanout" + 1) (depth "after")
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -105,6 +128,44 @@ let test_histogram () =
   check_float "min" 1.0 s.min;
   check_float "max" 3.0 s.max;
   check_float "mean" 2.0 s.mean
+
+(* a recorder records exactly what [observe] would, into the registry
+   (reservoir included) or into the enclosing buffer *)
+let test_recorder_matches_observe () =
+  let samples = [ 0.5; -0.0; 3.25; 1e-3; 7.0; 0.1; 0.2 ] in
+  let stats_of name = List.assoc name (Obs.Metrics.snapshot ()).histograms in
+  let run ~buffered use =
+    Obs.Metrics.reset ();
+    let h = Obs.Metrics.sampled ~reservoir:4 "test.rec" in
+    let go () = use h in
+    (if buffered then Obs.Metrics.flush (snd (Obs.Metrics.buffered go))
+     else go ());
+    (stats_of "test.rec", Obs.Metrics.percentile h 50.0)
+  in
+  let plain h = List.iter (Obs.Metrics.observe h) samples in
+  let recorded h =
+    let r = Obs.Metrics.recorder h in
+    List.iter (Obs.Metrics.record r) samples
+  in
+  let same label (a, pa) (b, pb) =
+    let bits (s : Obs.Metrics.histogram_stats) =
+      ( s.count,
+        Int64.bits_of_float s.sum,
+        Int64.bits_of_float s.min,
+        Int64.bits_of_float s.max )
+    in
+    check label true (bits a = bits b);
+    check (label ^ " p50") true (Int64.bits_of_float pa = Int64.bits_of_float pb)
+  in
+  same "unbuffered" (run ~buffered:false plain) (run ~buffered:false recorded);
+  same "buffered" (run ~buffered:true plain) (run ~buffered:true recorded);
+  (* a recorder that records nothing leaves no trace *)
+  Obs.Metrics.reset ();
+  let h = Obs.Metrics.histogram "test.rec.unused" in
+  Obs.Metrics.flush
+    (snd (Obs.Metrics.buffered (fun () -> ignore (Obs.Metrics.recorder h))));
+  check "unused recorder" false
+    (List.mem_assoc "test.rec.unused" (Obs.Metrics.snapshot ()).histograms)
 
 let test_snapshot () =
   Obs.Metrics.reset ();
@@ -372,11 +433,15 @@ let () =
           Alcotest.test_case "span finishes on exception" `Quick
             test_span_exception;
           Alcotest.test_case "with_sink restores" `Quick test_sink_restored;
+          Alcotest.test_case "buffered on the calling domain" `Quick
+            test_buffered_on_caller;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "counter" `Quick test_counter;
           Alcotest.test_case "histogram" `Quick test_histogram;
+          Alcotest.test_case "recorder matches observe" `Quick
+            test_recorder_matches_observe;
           Alcotest.test_case "snapshot and jsonl" `Quick test_snapshot;
           Alcotest.test_case "diff windows" `Quick test_diff_window;
           Alcotest.test_case "sampled percentiles" `Quick
