@@ -527,11 +527,11 @@ let fig6 () =
           List.init (Netlist.Design.num_panels design) (fun i -> i)
         in
         let lr, lr_time =
-          Pinaccess.Unix_time.time (fun () ->
+          Obs.Clock.time (fun () ->
               PA.optimize_combined ~kind:PA.Lr design ~panels)
         in
         let ilp, ilp_time =
-          Pinaccess.Unix_time.time (fun () ->
+          Obs.Clock.time (fun () ->
               PA.optimize_combined
                 ~budget:(Pinaccess.Budget.start ~seconds:ilp_budget ())
                 ~kind:PA.Ilp design
@@ -953,9 +953,9 @@ let parallel_exp () =
 
 (* The [mega] circuit is an order of magnitude past the paper's suite
    (222k nets at scale 1.0), big enough that materializing every panel
-   problem is the memory bottleneck: this experiment runs the PAO
-   stage with [~stream:true] (panels built as they are solved),
-   sequential vs parallel, and checks bit-identity.  Routing is out of
+   problem is the memory bottleneck (the PAO walk builds each panel
+   as it is solved): this experiment runs the PAO stage sequential vs
+   parallel and checks bit-identity.  Routing is out of
    scope here — the point is panel throughput on a workload deep
    enough that the work-stealing pool has something worth stealing. *)
 let mega_exp () =
@@ -970,11 +970,11 @@ let mega_exp () =
   let panels = Netlist.Design.num_panels design in
   pf "  %s: %d nets, %d panels@." c.Suite.id nets panels;
   let pao_seq, seq_wall =
-    wall (fun () -> PA.optimize ~kind:PA.Lr ~stream:true design)
+    wall (fun () -> PA.optimize ~kind:PA.Lr design)
   in
   let sched0 = sched_stats () in
   let pao_par, par_wall =
-    wall (fun () -> PA.optimize ~kind:PA.Lr ~j:jobs ~stream:true design)
+    wall (fun () -> PA.optimize ~kind:PA.Lr ~j:jobs design)
   in
   let chunks, steals, misses, depth = sched_delta sched0 (sched_stats ()) in
   let identical =

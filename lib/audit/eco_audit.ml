@@ -11,7 +11,8 @@ module Delta = Eco.Delta
 let stream_seed design =
   Int64.of_int (Hashtbl.hash (Netlist.Design_io.to_string design))
 
-let default_config = { Engine.default_config with warm_start = false }
+let default_config =
+  { Engine.default_config with warm_policy = Engine.Warm_never }
 
 (* The assignment by physical identity: interval ids are re-densified
    by cache materialization, so the comparison keys each pin by its
@@ -66,7 +67,7 @@ let check ?(tolerance = 1e-6) ?(config = default_config) design batches =
             (Engine.design engine)
         in
         certify ~tolerance ~what:"from-scratch reference" ~step scratch;
-        if not config.Engine.warm_start then begin
+        if config.Engine.warm_policy = Engine.Warm_never then begin
           if pao.PA.objective <> scratch.PA.objective then
             failwith
               (Printf.sprintf

@@ -29,7 +29,7 @@ val check :
   (unit, string) result
 (** Run the differential over one stream; [Error] names the first
     violated invariant and the batch it died on.  [config] defaults to
-    {!Eco.Engine.default_config} with [warm_start = false] (the
+    {!Eco.Engine.default_config} with [warm_policy = Warm_never] (the
     bit-identity mode).  A stream that does not apply to the design
     ({!Eco.Delta.Invalid}) is vacuously [Ok] — the shrinker relies on
     this to discard invalid sub-streams as non-failing. *)

@@ -7,14 +7,14 @@ type t = {
 
 let unlimited () =
   {
-    started = Unix_time.now ();
+    started = Obs.Clock.now ();
     deadline = infinity;
     work_limit = max_int;
     work = ref 0;
   }
 
 let start ?seconds ?work_units () =
-  let now = Unix_time.now () in
+  let now = Obs.Clock.now () in
   {
     started = now;
     deadline = (match seconds with Some s -> now +. s | None -> infinity);
@@ -22,14 +22,17 @@ let start ?seconds ?work_units () =
     work = ref 0;
   }
 
+(* the clock is read only for a deadline share: the panel walk carves
+   a slice per panel, and most runs have no deadline *)
+let tighten t seconds =
+  match seconds with
+  | Some s -> Float.min t.deadline (Obs.Clock.now () +. s)
+  | None -> t.deadline
+
 let sub t ?seconds ?work_units () =
-  let now = Unix_time.now () in
   {
     t with
-    deadline =
-      (match seconds with
-      | Some s -> Float.min t.deadline (now +. s)
-      | None -> t.deadline);
+    deadline = tighten t seconds;
     work_limit =
       (match work_units with
       | Some w -> min t.work_limit (!(t.work) + w)
@@ -37,17 +40,13 @@ let sub t ?seconds ?work_units () =
   }
 
 let isolated t ?seconds ?work_units () =
-  let now = Unix_time.now () in
   let remaining =
     if t.work_limit = max_int then max_int
     else max 0 (t.work_limit - !(t.work))
   in
   {
     started = t.started;
-    deadline =
-      (match seconds with
-      | Some s -> Float.min t.deadline (now +. s)
-      | None -> t.deadline);
+    deadline = tighten t seconds;
     work_limit =
       (match work_units with
       | Some w -> min remaining w
@@ -58,15 +57,15 @@ let isolated t ?seconds ?work_units () =
 let is_unlimited t = t.deadline = infinity && t.work_limit = max_int
 let spend t n = t.work := !(t.work) + n
 let work_spent t = !(t.work)
-let elapsed t = Unix_time.now () -. t.started
+let elapsed t = Obs.Clock.now () -. t.started
 
 let exhausted t =
   !(t.work) >= t.work_limit
-  || (t.deadline < infinity && Unix_time.now () >= t.deadline)
+  || (t.deadline < infinity && Obs.Clock.now () >= t.deadline)
 
 let remaining_seconds t =
   if t.deadline = infinity then None
-  else Some (Float.max 0.0 (t.deadline -. Unix_time.now ()))
+  else Some (Float.max 0.0 (t.deadline -. Obs.Clock.now ()))
 
 let remaining_work t =
   if t.work_limit = max_int then None

@@ -1,0 +1,49 @@
+let run ~pool ~budget ~over ~join f tasks =
+  let n = Array.length tasks in
+  assert (over >= n);
+  let slices =
+    let work = Budget.remaining_work budget in
+    Array.init n (fun i ->
+        let work_units =
+          Option.map
+            (fun w -> (w / over) + if i < w mod over then 1 else 0)
+            work
+        in
+        Budget.isolated budget ?work_units ())
+  in
+  let started = Atomic.make 0 in
+  let run_task i x =
+    let budget =
+      match Budget.remaining_seconds budget with
+      | None -> slices.(i)
+      | Some s ->
+        let k = Atomic.fetch_and_add started 1 in
+        Budget.sub slices.(i) ~seconds:(s /. float_of_int (over - k)) ()
+    in
+    f ~budget x
+  in
+  let charge i = Budget.spend budget (Budget.work_spent slices.(i)) in
+  match pool with
+  | Some pool when Exec.domains pool > 1 && n > 1 ->
+    let trace_on = Obs.Trace.enabled () in
+    let buffered i x =
+      let task () = run_task i x in
+      Obs.Metrics.buffered (fun () ->
+          if trace_on then Obs.Trace.buffered task else (task (), []))
+    in
+    Array.mapi
+      (fun i ((r, events), mbuf) ->
+        join i (fun () ->
+            Obs.Metrics.flush mbuf;
+            Obs.Trace.replay events;
+            charge i;
+            r))
+      (Exec.mapi pool buffered tasks)
+  | _ ->
+    Array.mapi
+      (fun i x ->
+        join i (fun () ->
+            let r = run_task i x in
+            charge i;
+            r))
+      tasks

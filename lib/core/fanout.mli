@@ -1,0 +1,43 @@
+(** Budgeted fan-out of independent tasks: the one slice → run →
+    merge-and-spend discipline behind the panel walk of {!Pin_access}
+    and the library sweep.
+
+    The tasks of one call share [over] equal {!Budget.isolated} slices
+    of what [budget] has left (the call may run only a prefix of those
+    [over] tasks — a tuned wave — and leave the rest of the remainder
+    to later calls):
+
+    - work units are split exactly and up front: [w / over] each, plus
+      one more unit for the first [w mod over] tasks in order, so the
+      slices never sum past [w] and do not depend on scheduling.  A
+      0-unit slice is exhausted from the start;
+    - the deadline share is fixed when a task starts: an equal share
+      of the time left over the tasks not yet started, never past the
+      parent's deadline.
+
+    The parent is charged each slice's [work_spent] in task order.
+    With a work-unit budget the results therefore do not depend on
+    [pool]; with no budget at all they never do.
+
+    A call runs {e inline} — tasks directly on the caller, in order,
+    with no observability buffering — when there is no pool, the pool
+    has one domain, or there is at most one task.  Otherwise tasks run
+    on the pool with their metrics and spans buffered, and the buffers
+    are merged back in task order. *)
+
+val run :
+  pool:Exec.t option ->
+  budget:Budget.t ->
+  over:int ->
+  join:(int -> (unit -> 'b) -> 'c) ->
+  (budget:Budget.t -> 'a -> 'b) ->
+  'a array ->
+  'c array
+(** [run ~pool ~budget ~over ~join f tasks] applies [f] to every task
+    under its slice and returns the joined results in task order.
+    [join i step] is called on the caller in task order; [step ()]
+    lands task [i] — inline it runs the task, pooled it flushes the
+    task's metrics and replays its spans — then charges the parent
+    and returns [f]'s result.  So the metrics that change across
+    [step ()] are exactly task [i]'s.  Requires
+    [over >= Array.length tasks]. *)

@@ -35,6 +35,13 @@ type tpl_coloring = {
   tpl_residual : int;
 }
 
+type solved = {
+  assignments : (Netlist.Pin.id * Access_interval.t) list;
+  report : panel_report;
+  multipliers : float array;
+  warm_started : bool;
+}
+
 type t = {
   design : Netlist.Design.t;
   kind : solver_kind;
@@ -152,14 +159,13 @@ let solve_problem ?warm_start config ~budget kind ~panel
   Obs.Metrics.incr (tier_counter served_by);
   if served_by <> tier_of_kind kind || not complete then
     Obs.Metrics.incr m_degraded;
-  let objective = Solution.objective solution in
   let report =
     {
       panel;
       pins = Problem.num_pins problem;
       intervals = Problem.num_intervals problem;
       cliques = Problem.num_cliques problem;
-      objective;
+      objective = Solution.objective solution;
       lr_iterations;
       proven_optimal = complete;
       served_by;
@@ -173,85 +179,7 @@ let solve_problem ?warm_start config ~budget kind ~panel
            (problem.Problem.pin_ids.(slot), problem.Problem.intervals.(id)))
          solution.Solution.assignment)
   in
-  (assignments, objective, report, multipliers)
-
-(* Give each remaining panel an equal slice of what is left, so an
-   early pathological panel cannot starve the rest of the design. *)
-let panel_budget budget ~panels_left =
-  if Budget.is_unlimited budget || panels_left <= 1 then budget
-  else
-    let slice o n = Option.map (fun v -> v /. float_of_int n) o in
-    let seconds = slice (Budget.remaining_seconds budget) panels_left in
-    let work_units =
-      Option.map
-        (fun w -> max 1 (w / panels_left))
-        (Budget.remaining_work budget)
-    in
-    Budget.sub budget ?seconds ?work_units ()
-
-let solve_sequential config ~budget kind problems =
-  let panels_left =
-    ref
-      (List.length
-         (List.filter (fun (_, p) -> Problem.num_pins p > 0) problems))
-  in
-  List.fold_left
-    (fun (acc_a, acc_o, acc_r) (panel, problem) ->
-      if Problem.num_pins problem = 0 then (acc_a, acc_o, acc_r)
-      else begin
-        let sliced = panel_budget budget ~panels_left:!panels_left in
-        decr panels_left;
-        let a, o, r, _ =
-          solve_problem config ~budget:sliced kind ~panel problem
-        in
-        (List.rev_append a acc_a, acc_o +. o, r :: acc_r)
-      end)
-    ([], 0.0, []) problems
-
-(* Panels are independent subproblems (Sec. 3.4): fan them out over a
-   domain pool.  Each task gets an equal, *isolated* slice of the
-   remaining budget (private work counter — domains share no mutable
-   budget state) and runs with its metrics and spans buffered
-   domain-locally; the join below merges everything back in panel
-   order, so reports, assignments, counters and traces come out
-   identical to a sequential left-to-right run. *)
-let solve_parallel config ~budget ~j kind live =
-  let tasks = Array.of_list live in
-  let n = Array.length tasks in
-  let slices =
-    Array.map
-      (fun _ ->
-        if Budget.is_unlimited budget then Budget.isolated budget ()
-        else
-          let seconds =
-            Option.map
-              (fun s -> s /. float_of_int n)
-              (Budget.remaining_seconds budget)
-          in
-          let work_units =
-            Option.map (fun w -> max 1 (w / n)) (Budget.remaining_work budget)
-          in
-          Budget.isolated budget ?seconds ?work_units ())
-      tasks
-  in
-  let trace_on = Obs.Trace.enabled () in
-  let solve i (panel, problem) =
-    let task () = solve_problem config ~budget:slices.(i) kind ~panel problem in
-    Obs.Metrics.buffered (fun () ->
-        if trace_on then Obs.Trace.buffered task else (task (), []))
-  in
-  let results = Exec.mapi (Exec.shared ~domains:j) solve tasks in
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  Array.iteri
-    (fun i (((a, o, r, _), events), mbuf) ->
-      Obs.Metrics.flush mbuf;
-      Obs.Trace.replay events;
-      Budget.spend budget (Budget.work_spent slices.(i));
-      acc_a := List.rev_append a !acc_a;
-      acc_o := !acc_o +. o;
-      acc_r := r :: !acc_r)
-    results;
-  (!acc_a, !acc_o, !acc_r)
+  { assignments; report; multipliers; warm_started = warm_start <> None }
 
 type tune_hook = {
   tune_select : panel:int -> Problem.t -> config -> config * string;
@@ -263,76 +191,68 @@ type tune_hook = {
     unit;
 }
 
-(* Tuned fan-out (lib/tune): panels are processed in fixed-size waves.
-   Within a wave, policies are selected panel-ascending before any
-   solve runs; the wave then solves on the pool (or inline), and its
-   per-panel metric deltas are observed back panel-ascending.  A
-   panel's policy can therefore depend on the rewards of every earlier
-   wave but never on an in-flight solve — and since the wave size is a
-   constant and every merge walks ascending panel order, the policy
-   trace and the output bytes are independent of [j]. *)
+(* Under a tune hook the walk runs in waves of this many panels: a
+   wave's policies are selected panel-ascending before any of its
+   solves runs, and its per-panel metric windows are observed back
+   panel-ascending after it joins.  A policy can therefore depend on
+   the rewards of every earlier wave but never on an in-flight solve,
+   and since the wave size is a constant, the policy trace and the
+   output bytes do not depend on [j]. *)
 let tune_wave = 8
 
-let solve_tuned config ~budget ~j ~tune kind live =
-  let tasks = Array.of_list live in
-  let n = Array.length tasks in
-  let trace_on = Obs.Trace.enabled () in
-  let pool = if j > 1 then Some (Exec.shared ~domains:j) else None in
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  let start = ref 0 in
-  while !start < n do
-    let len = min tune_wave (n - !start) in
-    let left = n - !start in
-    (* equal isolated slices over the remaining live panels — the
-       solve_parallel discipline, re-sliced at each wave boundary *)
-    let slice () =
-      if Budget.is_unlimited budget then Budget.isolated budget ()
-      else
-        let seconds =
-          Option.map
-            (fun s -> s /. float_of_int left)
-            (Budget.remaining_seconds budget)
-        in
-        let work_units =
-          Option.map (fun w -> max 1 (w / left)) (Budget.remaining_work budget)
-        in
-        Budget.isolated budget ?seconds ?work_units ()
-    in
-    let slices = Array.init len (fun _ -> slice ()) in
-    let wave = Array.sub tasks !start len in
-    let chosen =
-      Array.map
-        (fun (panel, problem) -> tune.tune_select ~panel problem config)
-        wave
-    in
-    let solve i (panel, problem) =
-      let cfg, _ = chosen.(i) in
-      let task () = solve_problem cfg ~budget:slices.(i) kind ~panel problem in
-      Obs.Metrics.buffered (fun () ->
-          if trace_on then Obs.Trace.buffered task else (task (), []))
-    in
-    let results =
-      match pool with
-      | Some pool when len > 1 -> Exec.mapi pool solve wave
-      | _ -> Array.mapi solve wave
-    in
-    Array.iteri
-      (fun i (((a, o, r, _), events), mbuf) ->
+(* The one panel walk (panels are independent subproblems, Sec. 3.4).
+   [jobs] are the live panels in ascending order, each with the
+   builder of its problem.  The walk cuts them into waves — all of
+   them untuned, [tune_wave] under a hook — and fans each wave out
+   with [Fanout.run]: isolated equal slices of the remaining budget
+   over the remaining panels, merged back in panel order.  An untuned
+   task builds its own problem, so no more problems are resident than
+   are being solved; a tuned wave builds its problems first, since the
+   selector reads them.  [warm] runs in the task once the problem is
+   built and returns the LR warm start; [keep] packages whatever else
+   the caller needs from the problem before it is dropped. *)
+let walk ?tune ~pool ~budget config kind ~warm ~keep jobs =
+  let n = Array.length jobs in
+  let solve config ~budget (panel, problem) =
+    let warm_start = warm ~panel problem in
+    let s = solve_problem ?warm_start config ~budget kind ~panel problem in
+    (s, keep ~panel problem s)
+  in
+  let wave start len =
+    let over = n - start and jobs = Array.sub jobs start len in
+    match tune with
+    | None ->
+      Fanout.run ~pool ~budget ~over ~join:(fun _ step -> step ())
+        (fun ~budget (panel, build) -> solve config ~budget (panel, build ()))
+        jobs
+    | Some hook ->
+      let built = Array.map (fun (panel, build) -> (panel, build ())) jobs in
+      let chosen =
+        Array.map
+          (fun (panel, problem) -> hook.tune_select ~panel problem config)
+          built
+      in
+      let join i step =
         let before = Obs.Metrics.snapshot () in
-        Obs.Metrics.flush mbuf;
-        Obs.Trace.replay events;
+        let ((s, _) as r) = step () in
         let after = Obs.Metrics.snapshot () in
-        Budget.spend budget (Budget.work_spent slices.(i));
-        let panel, _ = wave.(i) in
-        tune.tune_observe ~panel ~policy:(snd chosen.(i)) ~objective:o
+        hook.tune_observe ~panel:(fst built.(i)) ~policy:(snd chosen.(i))
+          ~objective:s.report.objective
           ~delta:(Obs.Metrics.diff ~before ~after);
-        acc_a := List.rev_append a !acc_a;
-        acc_o := !acc_o +. o;
-        acc_r := r :: !acc_r)
-      results;
-    start := !start + len
-  done;
-  (!acc_a, !acc_o, !acc_r)
+        r
+      in
+      Fanout.run ~pool ~budget ~over ~join
+        (fun ~budget i -> solve (fst chosen.(i)) ~budget built.(i))
+        (Array.init len Fun.id)
+  in
+  let size = if tune = None then n else tune_wave in
+  let rec waves start acc =
+    if start >= n then List.concat (List.rev acc)
+    else
+      let len = min size (n - start) in
+      waves (start + len) (Array.to_list (wave start len) :: acc)
+  in
+  waves 0 []
 
 (* Global TPL coloring pass: one deterministic greedy coloring over the
    distinct selected intervals of the whole design, run after the panel
@@ -365,37 +285,23 @@ let color_assignments params assignments =
     tpl_residual = c.Solver.Color_graph.residual;
   }
 
-let tpl_of config assignments =
-  Option.map
-    (fun params -> color_assignments params assignments)
-    config.gen.Interval_gen.tpl
-
-let run ?(config = default_config) ?budget ?(j = 1) ?tune ~kind design
-    problems =
-  Obs.Trace.with_span "pao.optimize" @@ fun () ->
-  let start = Unix_time.now () in
-  let budget = Budget.of_option budget in
-  let live = List.filter (fun (_, p) -> Problem.num_pins p > 0) problems in
-  let assignments, objective, reports =
-    match tune with
-    | Some hook when live <> [] ->
-      solve_tuned config ~budget ~j ~tune:hook kind live
-    | _ ->
-      if j <= 1 || List.length live <= 1 then
-        solve_sequential config ~budget kind problems
-      else solve_parallel config ~budget ~j kind live
-  in
-  let reports = List.rev reports in
-  let assignments = List.rev assignments in
+let assemble config ~kind design ~started panels =
+  let assignments = List.concat_map fst panels in
+  let reports = List.map snd panels in
   {
     design;
     kind;
     assignments;
-    objective;
+    objective =
+      List.fold_left (fun acc (r : panel_report) -> acc +. r.objective) 0.0
+        reports;
     reports;
     degraded = List.exists (fun (r : panel_report) -> r.degraded) reports;
-    elapsed = Unix_time.now () -. start;
-    tpl = tpl_of config assignments;
+    elapsed = Obs.Clock.now () -. started;
+    tpl =
+      Option.map
+        (fun params -> color_assignments params assignments)
+        config.gen.Interval_gen.tpl;
   }
 
 let build_panel config design ~panel =
@@ -404,125 +310,47 @@ let build_panel config design ~panel =
     Cpr_error.infeasible ~panel
       "pin %d unreachable: its primary track is blocked" pid
 
-(* Streamed variants: build each panel's problem at the moment it is
-   solved instead of materializing every problem up front — the memory
-   contract the [mega] workload tier relies on (panel problems are the
-   dominant resident structure on large designs).  With an unlimited
-   budget the output is bit-identical to the resident path; under a
-   finite budget the slice denominator is the remaining *total* panel
-   count (pin-bearing panels are only discovered as they are built),
-   which can hand empty panels a share the resident walk reserves for
-   live ones. *)
-let solve_sequential_streamed config ~budget kind design ~num_panels =
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  for panel = 0 to num_panels - 1 do
-    let sliced = panel_budget budget ~panels_left:(num_panels - panel) in
-    let problem = build_panel config design ~panel in
-    if Problem.num_pins problem > 0 then begin
-      let a, o, r, _ = solve_problem config ~budget:sliced kind ~panel problem in
-      acc_a := List.rev_append a !acc_a;
-      acc_o := !acc_o +. o;
-      acc_r := r :: !acc_r
-    end
-  done;
-  (!acc_a, !acc_o, !acc_r)
+let panel_jobs config design panels =
+  Array.of_list
+    (List.map
+       (fun panel -> (panel, fun () -> build_panel config design ~panel))
+       panels)
 
-let solve_parallel_streamed config ~budget ~j kind design ~num_panels =
-  let tasks = Array.init num_panels (fun p -> p) in
-  let slices =
-    Array.map
-      (fun _ ->
-        if Budget.is_unlimited budget then Budget.isolated budget ()
-        else
-          let seconds =
-            Option.map
-              (fun s -> s /. float_of_int num_panels)
-              (Budget.remaining_seconds budget)
-          in
-          let work_units =
-            Option.map
-              (fun w -> max 1 (w / num_panels))
-              (Budget.remaining_work budget)
-          in
-          Budget.isolated budget ?seconds ?work_units ())
-      tasks
-  in
-  let trace_on = Obs.Trace.enabled () in
-  let solve i panel =
-    let task () =
-      let problem = build_panel config design ~panel in
-      if Problem.num_pins problem = 0 then None
-      else Some (solve_problem config ~budget:slices.(i) kind ~panel problem)
-    in
-    Obs.Metrics.buffered (fun () ->
-        if trace_on then Obs.Trace.buffered task else (task (), []))
-  in
-  let results = Exec.mapi (Exec.shared ~domains:j) solve tasks in
-  let acc_a = ref [] and acc_o = ref 0.0 and acc_r = ref [] in
-  Array.iteri
-    (fun i (r, mbuf) ->
-      Obs.Metrics.flush mbuf;
-      let solved, events = r in
-      Obs.Trace.replay events;
-      Budget.spend budget (Budget.work_spent slices.(i));
-      match solved with
-      | Some (a, o, r, _) ->
-        acc_a := List.rev_append a !acc_a;
-        acc_o := !acc_o +. o;
-        acc_r := r :: !acc_r
-      | None -> ())
-    results;
-  (!acc_a, !acc_o, !acc_r)
+let solve_panels config ~budget ~pool ~kind ~warm ~keep design panels =
+  walk ~pool ~budget config kind ~warm ~keep (panel_jobs config design panels)
 
-let optimize ?(config = default_config) ?budget ?j ?(stream = false) ?tune
-    ~kind design =
-  if (not stream) || tune <> None then
-    let problems =
-      List.init (Netlist.Design.num_panels design) (fun panel ->
-          (panel, build_panel config design ~panel))
-    in
-    run ~config ?budget ?j ?tune ~kind design problems
-  else begin
-    Obs.Trace.with_span "pao.optimize" @@ fun () ->
-    let start = Unix_time.now () in
-    let budget = Budget.of_option budget in
-    let num_panels = Netlist.Design.num_panels design in
-    let j = Option.value ~default:1 j in
-    let assignments, objective, reports =
-      if j <= 1 || num_panels <= 1 then
-        solve_sequential_streamed config ~budget kind design ~num_panels
-      else solve_parallel_streamed config ~budget ~j kind design ~num_panels
-    in
-    let reports = List.rev reports in
-    let assignments = List.rev assignments in
-    {
-      design;
-      kind;
-      assignments;
-      objective;
-      reports;
-      degraded = List.exists (fun (r : panel_report) -> r.degraded) reports;
-      elapsed = Unix_time.now () -. start;
-      tpl = tpl_of config assignments;
-    }
-  end
+(* [optimize] and [optimize_combined]: one walk, timed and assembled *)
+let run config ?budget ?(j = 1) ?tune ~kind design jobs =
+  Obs.Trace.with_span "pao.optimize" @@ fun () ->
+  let started = Obs.Clock.now () in
+  let pool = if j > 1 then Some (Exec.shared ~domains:j) else None in
+  walk ?tune ~pool ~budget:(Budget.of_option budget) config kind
+    ~warm:(fun ~panel:_ _ -> None)
+    ~keep:(fun ~panel:_ _ _ -> ())
+    jobs
+  |> List.map (fun ((s : solved), ()) -> (s.assignments, s.report))
+  |> assemble config ~kind design ~started
 
-(* Single-panel entry point for incremental callers (lib/eco): same
-   degradation ladder as [optimize], but on one already-built problem,
-   optionally warm-starting the LR tier from cached multipliers. *)
-let solve_panel ?(config = default_config) ?budget ?warm_start ~kind ~panel
-    problem =
-  let budget = Budget.of_option budget in
-  solve_problem ?warm_start config ~budget kind ~panel problem
+let optimize ?(config = default_config) ?budget ?j ?stream:_ ?tune ~kind
+    design =
+  List.init (Netlist.Design.num_panels design) Fun.id
+  |> List.filter (fun panel -> Netlist.Design.pins_of_panel design panel <> [])
+  |> panel_jobs config design
+  |> run config ?budget ?j ?tune ~kind design
 
 let optimize_combined ?(config = default_config) ?budget ~kind design ~panels =
-  let problem =
+  let build () =
     try Problem.build_panels config.gen design ~panels
     with Interval_gen.Pin_unreachable pid ->
       Cpr_error.infeasible "pin %d unreachable: its primary track is blocked"
         pid
   in
-  run ~config ?budget ~kind design [ (-1, problem) ]
+  let live =
+    List.exists
+      (fun panel -> Netlist.Design.pins_of_panel design panel <> [])
+      panels
+  in
+  run config ?budget ~kind design (if live then [| (-1, build) |] else [||])
 
 let interval_of_pin t pid =
   List.assoc_opt pid t.assignments

@@ -59,6 +59,16 @@ type tpl_coloring = {
 (** Result of the global TPL coloring pass run after the panel merge
     when the [tpl] deck of {!Interval_gen.config} is on. *)
 
+type solved = {
+  assignments : (Netlist.Pin.id * Access_interval.t) list;
+  report : panel_report;
+  multipliers : float array;
+      (** the LR tier's final vector, one entry per [Problem.cliques]
+          clique ([[||]] when another tier served the panel) *)
+  warm_started : bool;  (** the LR tier was offered a warm start *)
+}
+(** One panel as the walk solved it. *)
+
 type t = {
   design : Netlist.Design.t;
   kind : solver_kind;  (** the *requested* solver *)
@@ -105,39 +115,36 @@ val optimize :
   kind:solver_kind ->
   Netlist.Design.t ->
   t
-(** Solve every panel of the design independently.  Each panel gets an
-    equal slice of the remaining budget; once the budget is exhausted,
-    remaining panels are served directly by the minimum tier so the
-    call still returns promptly with a feasible result.
+(** Solve every panel of the design independently, in one walk over
+    the live (pin-bearing) panels.  Each panel's problem is built
+    inside its solve task and dropped once the panel is solved, so no
+    more problems are resident than are being solved — the memory
+    contract large ([mega]-tier) designs need.
 
-    [j] (default 1) is the number of domains panels are fanned out
+    The walk runs in waves: all live panels at once, or fixed-size
+    waves under [tune].  Each wave hands its panels equal, isolated
+    slices of the remaining budget over the remaining live panels
+    ({!Fanout.run}: work units split exactly, never more than the
+    remainder; a deadline shared out as panels start).  A panel whose
+    slice is already exhausted is served directly by the minimum tier,
+    so the call still returns promptly with a feasible result.
+
+    [j] (default 1) is the number of domains a wave is fanned out
     over, the paper's production-mode concurrency ([j > 1] reuses the
     process-wide {!Exec.shared} work-stealing pool — no domain spawns
-    per call).  Per-panel results, metrics and spans are merged back
-    in panel order, so without a budget [~j:n] returns bit-identical
-    assignments, reports and objective to [~j:1] for any [n].  Under a
-    finite budget the slicing differs slightly: the sequential walk
-    re-slices the remainder before each panel, while the parallel
-    fan-out hands every panel an equal {!Budget.isolated} slice up
-    front (a domain cannot observe what another has spent mid-flight),
-    reconciling the parent's work counter at join.
+    per call).  Per-panel results, metrics, spans and budget spend are
+    merged back in panel order, so with no budget or a work-unit
+    budget, [~j:n] returns bit-identical assignments, reports,
+    objective and coloring to [~j:1] for any [n].
 
-    [stream] (default false) builds each panel's problem at the moment
-    it is solved instead of materializing every problem up front — the
-    memory contract large ([mega]-tier) designs need, since panel
-    problems are the dominant resident structure.  Bit-identical to
-    the resident path with an unlimited budget at any [j]; under a
-    finite budget the per-panel slice denominator is the total panel
-    count rather than the live (pin-bearing) count, since liveness is
-    only discovered as panels are built.
+    [stream] is accepted and ignored: every run builds its panels in
+    the task.
 
-    [tune] (default absent) threads a {!tune_hook} through the
-    per-panel walk: panels run in fixed-size waves, each panel solving
-    under the config its selector returned, with per-panel metric
-    windows observed back in panel order.  Absent, the walk is the
-    untouched (bit-identical) default path; [tune] forces the resident
-    path even when [stream] is set and re-slices the budget at wave
-    boundaries, so pair it with [stream]/finite budgets knowingly.
+    [tune] (default absent) threads a {!tune_hook} through the walk:
+    panels run in waves of 8, each panel solving under the config its
+    selector returned, with per-panel metric windows observed back in
+    panel order.  Absent, no hook is called and the output is that of
+    the untuned walk.
     @raise Cpr_error.Error ([Infeasible_panel]) when a pin has no
     access interval at all (blocked primary track) — no tier can serve
     such a design. *)
@@ -158,41 +165,39 @@ val build_panel : config -> Netlist.Design.t -> panel:int -> Problem.t
     @raise Cpr_error.Error ([Infeasible_panel]) when a pin of the panel
     has no access interval at all (blocked primary track). *)
 
-val solve_panel :
-  ?config:config ->
-  ?budget:Budget.t ->
-  ?warm_start:float array ->
+(** {2 The walk for incremental callers} *)
+
+val solve_panels :
+  config ->
+  budget:Budget.t ->
+  pool:Exec.t option ->
   kind:solver_kind ->
-  panel:int ->
-  Problem.t ->
-  (Netlist.Pin.id * Access_interval.t) list * float * panel_report * float array
-(** Run the degradation ladder on one already-built problem, returning
-    [(assignments, objective, report, multipliers)].  With
-    [warm_start:None] this is exactly the per-panel step of {!optimize}
-    (bit-identical output); [warm_start] seeds the LR tier's multiplier
-    vector (one entry per [Problem.cliques] clique) from a previous
-    solve, typically re-converging in far fewer iterations.
-    [multipliers] is the LR tier's final vector ([[||]] when another
-    tier served the panel).  The single-panel entry point of the
-    incremental engine ([Eco.Engine]). *)
+  warm:(panel:int -> Problem.t -> float array option) ->
+  keep:(panel:int -> Problem.t -> solved -> 'a) ->
+  Netlist.Design.t ->
+  int list ->
+  (solved * 'a) list
+(** The untuned walk of {!optimize} over the given live panels
+    (ascending), on [pool] when it has more than one domain.  Inside
+    each panel's task, once the problem is built, [warm] returns the
+    LR warm start (one multiplier per clique, typically from a
+    previous solve) and, after the ladder, [keep] packages whatever
+    the caller needs from the problem before it is dropped.  The
+    incremental engine's ([Eco.Engine]) entry point: it hands the walk
+    its cache misses only. *)
 
-val color_assignments :
-  Solver.Color_graph.params ->
-  (Netlist.Pin.id * Access_interval.t) list ->
-  tpl_coloring
-(** The global TPL coloring pass on a merged assignment list: dedupe to
-    distinct [(track, lo, hi, net)] features, canonically sort, run the
-    deterministic greedy coloring of {!Solver.Color_graph.color}.
-    Exactly what {!optimize} runs when the deck is on; exported so
-    incremental callers ({!Eco.Engine}) recolor their merged
-    assignments in lockstep with the from-scratch path. *)
-
-val panel_budget : Budget.t -> panels_left:int -> Budget.t
-(** The per-panel slice [optimize]'s sequential walk hands each
-    remaining panel: an equal share of the remaining deadline and work
-    allowance (the budget itself when unlimited).  Exported so
-    incremental callers ({!Eco.Engine}) slice budgets in lockstep with
-    the from-scratch walk. *)
+val assemble :
+  config ->
+  kind:solver_kind ->
+  Netlist.Design.t ->
+  started:float ->
+  ((Netlist.Pin.id * Access_interval.t) list * panel_report) list ->
+  t
+(** The result of a walk: per-panel assignments and reports in panel
+    order, summed objective, and the global TPL coloring when the deck
+    is on.  [elapsed] counts from [started] ({!Obs.Clock.now}).
+    {!optimize} ends with it; incremental callers merging cached
+    panels with solved ones call it on the merge. *)
 
 val interval_of_pin : t -> Netlist.Pin.id -> Access_interval.t option
 

@@ -18,8 +18,7 @@ let warm_policy_to_string = function
 type config = {
   pao : PA.config;
   kind : PA.solver_kind;
-  warm_start : bool;
-  warm_policy : warm_policy option;
+  warm_policy : warm_policy;
   policy : string option;
   routing : bool;
   cost : Rgrid.Cost.t;
@@ -31,8 +30,7 @@ let default_config =
   {
     pao = PA.default_config;
     kind = PA.Lr;
-    warm_start = true;
-    warm_policy = None;
+    warm_policy = Warm_always;
     policy = None;
     routing = false;
     cost = Rgrid.Cost.default;
@@ -71,40 +69,23 @@ type pao_stats = {
   mutable warm : int;
 }
 
-(* One cache-miss panel to re-solve: its problem is built and its
-   warm-start vector resolved up front (phase 1), so the solve itself
-   (phase 2) reads no shared mutable state and can run on any domain. *)
-type miss = {
-  m_panel : int;
-  m_key : string;
-  m_problem : Pinaccess.Problem.t;
-  m_warm : float array option;
-}
-
-(* The per-panel walk of [PA.optimize], with the cache in front: clean
-   panels (key unchanged) re-serve their stored solution; dirty panels
-   re-solve, seeded from the previous entry's multipliers when warm
-   starting is on.  The walk runs in three phases — classify (cache
-   lookups, problem builds), solve (the misses; fanned over [pool]'s
-   domains when one is given, each with an isolated budget slice and
-   buffered metrics/spans), accumulate (panel-ascending, [acc +. o]) —
-   which together mirror the original sequential fold exactly: with
-   warm starting off the result is bit-equivalent to a from-scratch
-   run, pool or no pool.  [budget] meters the miss solves through the
-   same degradation ladder as [PA.optimize]; hits are free. *)
+(* The panel walk of [PA.optimize] with the cache in front.  Clean
+   panels (key unchanged) re-serve their stored solution, and so does a
+   panel whose key duplicates an earlier miss of the same round.  Only
+   the misses go to the walk ([PA.solve_panels]), with each miss's
+   previous entry peeked here, on the caller; the walk's task turns it
+   into a warm start once the problem is built.  Hits are free: [budget]
+   meters the misses alone.  With [Warm_never] the result is
+   bit-identical to a from-scratch [PA.optimize], pool or no pool. *)
 let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
     stats =
   Obs.Trace.with_span "eco.pao" @@ fun () ->
-  let started = Pinaccess.Unix_time.now () in
-  let budget = Pinaccess.Budget.of_option budget in
+  let started = Obs.Clock.now () in
   let num_panels = Design.num_panels design in
   let keys = Array.make num_panels "" in
-  (* phase 1: classify every non-empty panel as hit / miss / duplicate
-     of an in-flight miss (two panels can share a key; the sequential
-     walk would solve the first and hit on the second) *)
   let hit_entries = Hashtbl.create 16 in (* panel -> entry *)
-  let dup_keys = Hashtbl.create 4 in (* panel -> key of an in-flight miss *)
   let in_flight = Hashtbl.create 16 in (* key -> () *)
+  let prev_entries = Hashtbl.create 16 in (* miss panel -> previous entry *)
   let misses_rev = ref [] in
   for panel = 0 to num_panels - 1 do
     if Design.pins_of_panel design panel <> [] then begin
@@ -113,168 +94,81 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
           ~kind:config.kind design ~panel
       in
       keys.(panel) <- key;
-      if Hashtbl.mem in_flight key then Hashtbl.replace dup_keys panel key
-      else
+      if not (Hashtbl.mem in_flight key) then
         match Panel_cache.find cache key with
         | Some entry ->
           stats.hits <- stats.hits + 1;
           Hashtbl.replace hit_entries panel entry
         | None ->
           stats.solved <- stats.solved + 1;
-          let problem = PA.build_panel config.pao design ~panel in
-          (* multiplier-reuse policy (lib/tune): the legacy bool is the
-             always/never axis; [Warm_signature] additionally requires
-             enough clique signatures to survive the edit for the seed
-             to be worth anything.  [warm_policy = None] is the
-             pre-policy gate, bit-identical. *)
-          let reuse_allowed =
-            match config.warm_policy with
-            | Some Warm_never -> false
-            | Some (Warm_always | Warm_signature _) -> true
-            | None -> config.warm_start
-          in
-          let warm =
-            if not reuse_allowed then None
-            else
-              match Option.bind (prev_key panel) (Panel_cache.peek cache) with
-              | Some prev when Array.length prev.Panel_cache.multipliers > 0 ->
-                let gated =
-                  match config.warm_policy with
-                  | Some (Warm_signature threshold) ->
-                    Panel_cache.signature_overlap prev problem >= threshold
-                  | _ -> true
-                in
-                if gated then begin
-                  stats.warm <- stats.warm + 1;
-                  Some (Panel_cache.warm_start_for prev problem)
-                end
-                else None
-              | _ -> None
-          in
+          if config.warm_policy <> Warm_never then
+            Option.iter
+              (Hashtbl.replace prev_entries panel)
+              (Option.bind (prev_key panel) (Panel_cache.peek cache));
           Hashtbl.replace in_flight key ();
-          misses_rev :=
-            { m_panel = panel; m_key = key; m_problem = problem; m_warm = warm }
-            :: !misses_rev
+          misses_rev := panel :: !misses_rev
     end
   done;
-  let misses = Array.of_list (List.rev !misses_rev) in
-  (* phase 2: solve the misses.  [Fault.Worker] is the service layer's
-     injected worker-failure point — it trips per panel-solve task so a
-     supervisor above can observe a single task dying. *)
-  let solve_miss ~budget m =
+  (* In the walk's task: [Fault.Worker] is the service layer's injected
+     worker-failure point, tripped once per miss so a supervisor above
+     can observe a single task dying; then the multiplier-reuse policy
+     (lib/tune), where [Warm_signature] additionally requires enough
+     clique signatures to survive the edit for the seed to be worth
+     anything. *)
+  let warm ~panel problem =
     Pinaccess.Fault.trip Pinaccess.Fault.Worker;
-    PA.solve_panel ~config:config.pao ~budget ?warm_start:m.m_warm
-      ~kind:config.kind ~panel:m.m_panel m.m_problem
+    match Hashtbl.find_opt prev_entries panel with
+    | Some prev when Array.length prev.Panel_cache.multipliers > 0 ->
+      let reuse =
+        match config.warm_policy with
+        | Warm_signature threshold ->
+          Panel_cache.signature_overlap prev problem >= threshold
+        | Warm_always | Warm_never -> true
+      in
+      if reuse then Some (Panel_cache.warm_start_for prev problem) else None
+    | _ -> None
+  in
+  let keep ~panel problem (s : PA.solved) =
+    Panel_cache.entry_of_solution ~problem ~assignments:s.PA.assignments
+      ~report:s.PA.report ~multipliers:s.PA.multipliers design ~panel
   in
   let solved =
-    match pool with
-    | Some pool when Array.length misses > 1 && Exec.domains pool > 1 ->
-      (* equal isolated slices, domain-buffered metrics and spans,
-         merged back in miss (= panel) order — the [PA.optimize ~j]
-         discipline *)
-      let n = Array.length misses in
-      let slices =
-        Array.map
-          (fun _ ->
-            if Pinaccess.Budget.is_unlimited budget then
-              Pinaccess.Budget.isolated budget ()
-            else
-              let seconds =
-                Option.map
-                  (fun s -> s /. float_of_int n)
-                  (Pinaccess.Budget.remaining_seconds budget)
-              in
-              let work_units =
-                Option.map
-                  (fun w -> max 1 (w / n))
-                  (Pinaccess.Budget.remaining_work budget)
-              in
-              Pinaccess.Budget.isolated budget ?seconds ?work_units ())
-          misses
-      in
-      let trace_on = Obs.Trace.enabled () in
-      let task i m =
-        let run () = solve_miss ~budget:slices.(i) m in
-        Obs.Metrics.buffered (fun () ->
-            if trace_on then Obs.Trace.buffered run else (run (), []))
-      in
-      let results = Exec.mapi pool task misses in
-      Array.mapi
-        (fun i ((r, events), mbuf) ->
-          Obs.Metrics.flush mbuf;
-          Obs.Trace.replay events;
-          Pinaccess.Budget.spend budget
-            (Pinaccess.Budget.work_spent slices.(i));
-          r)
-        results
-    | _ ->
-      let panels_left = ref (Array.length misses) in
-      Array.map
-        (fun m ->
-          let sliced = PA.panel_budget budget ~panels_left:!panels_left in
-          decr panels_left;
-          solve_miss ~budget:sliced m)
-        misses
+    PA.solve_panels config.pao
+      ~budget:(Pinaccess.Budget.of_option budget)
+      ~pool ~kind:config.kind ~warm ~keep design (List.rev !misses_rev)
   in
   (* store fresh entries before accumulation so duplicate-key panels
-     can re-serve them, exactly as the sequential walk would *)
-  let solved_of_panel = Hashtbl.create 16 in
-  Array.iteri
-    (fun i m ->
-      let asg, _, report, multipliers = solved.(i) in
-      Panel_cache.store cache m.m_key
-        (Panel_cache.entry_of_solution ~problem:m.m_problem ~assignments:asg
-           ~report ~multipliers design ~panel:m.m_panel);
-      Hashtbl.replace solved_of_panel m.m_panel solved.(i))
-    misses;
-  (* phase 3: accumulate in panel-ascending order, as [optimize] does *)
-  let assignments = ref [] in
-  let reports = ref [] in
-  let objective = ref 0.0 in
-  for panel = 0 to num_panels - 1 do
-    if keys.(panel) <> "" then begin
-      match Hashtbl.find_opt solved_of_panel panel with
-      | Some (asg, obj, report, _) ->
-        assignments := List.rev_append asg !assignments;
-        reports := report :: !reports;
-        objective := !objective +. obj
-      | None ->
-        let entry =
-          match Hashtbl.find_opt hit_entries panel with
+     can re-serve them *)
+  let fresh = Hashtbl.create 16 in
+  List.iter
+    (fun ((s : PA.solved), entry) ->
+      let panel = s.PA.report.PA.panel in
+      if s.PA.warm_started then stats.warm <- stats.warm + 1;
+      Panel_cache.store cache keys.(panel) entry;
+      Hashtbl.replace fresh panel s)
+    solved;
+  let served panel =
+    match Hashtbl.find_opt fresh panel with
+    | Some (s : PA.solved) -> (s.PA.assignments, s.PA.report)
+    | None ->
+      let entry =
+        match Hashtbl.find_opt hit_entries panel with
+        | Some entry -> entry
+        | None -> (
+          (* duplicate of a miss solved this round: a fresh lookup,
+             counted as the hit a sequential walk would record *)
+          stats.hits <- stats.hits + 1;
+          match Panel_cache.find cache keys.(panel) with
           | Some entry -> entry
-          | None -> (
-            (* duplicate of a miss solved this round: a fresh lookup,
-               counted as the hit the sequential walk would record *)
-            stats.hits <- stats.hits + 1;
-            match Panel_cache.find cache (Hashtbl.find dup_keys panel) with
-            | Some entry -> entry
-            | None -> assert false (* just stored above *))
-        in
-        let asg, report = Panel_cache.materialize entry design ~panel in
-        assignments := List.rev_append asg !assignments;
-        reports := report :: !reports;
-        objective := !objective +. report.PA.objective
-    end
-  done;
-  let reports = List.rev !reports in
-  let assignments = List.rev !assignments in
+          | None -> assert false (* just stored above *))
+      in
+      Panel_cache.materialize entry design ~panel
+  in
   let pao =
-    {
-      PA.design;
-      kind = config.kind;
-      assignments;
-      objective = !objective;
-      reports;
-      degraded = List.exists (fun (r : PA.panel_report) -> r.PA.degraded) reports;
-      elapsed = Pinaccess.Unix_time.now () -. started;
-      (* same global recoloring the from-scratch path runs; the merged
-         assignment list is panel-ordered either way, and the pass
-         canonicalizes its input, so incremental == from-scratch *)
-      tpl =
-        Option.map
-          (fun params -> PA.color_assignments params assignments)
-          config.pao.PA.gen.Pinaccess.Interval_gen.tpl;
-    }
+    PA.assemble config.pao ~kind:config.kind design ~started
+      (List.filter_map
+         (fun panel -> if keys.(panel) = "" then None else Some (served panel))
+         (List.init num_panels Fun.id))
   in
   PA.validate pao;
   (pao, keys)
@@ -305,7 +199,7 @@ let cpr_config (config : config) =
 let route_incremental (config : config) ~before ~(old_pao : PA.t)
     ~(old_flow : Router.Flow.t) ~dirty_rects design new_pao =
   Obs.Trace.with_span "eco.route" @@ fun () ->
-  let started = Pinaccess.Unix_time.now () in
+  let started = Obs.Clock.now () in
   let grid = Grid.create design in
   let specs = Router.Spec_builder.build grid ~pao:(Some new_pao) in
   let n = Array.length specs in

@@ -17,7 +17,7 @@
       congestion as a fixed obstacle
       ({!Router.Negotiation.run}'s [frozen]/[initial]).
 
-    With [warm_start = false] the engine's pin access output is
+    With [warm_policy = Warm_never] the engine's pin access output is
     bit-identical to a from-scratch {!Pinaccess.Pin_access.optimize}
     of the edited design (the fuzz differential exploits this); with
     warm starting it is certified equivalent, not bit-equal — LR may
@@ -39,11 +39,9 @@ val warm_policy_to_string : warm_policy -> string
 type config = {
   pao : Pinaccess.Pin_access.config;
   kind : Pinaccess.Pin_access.solver_kind;
-  warm_start : bool;  (** warm-start dirty panels (default [true]) *)
-  warm_policy : warm_policy option;
-      (** refine the [warm_start] bool (which it overrides when
-          [Some]): the always/never/signature-gated axis of [lib/tune];
-          [None] (default) is the pre-policy gate, bit-identical *)
+  warm_policy : warm_policy;
+      (** how dirty panels reuse cached multipliers (default
+          [Warm_always]) *)
   policy : string option;
       (** canonical id of the active scheduling policy, digested into
           every {!Panel_cache.key} so panels solved under a stale
@@ -79,11 +77,10 @@ val create :
   ?config:config -> ?budget:Pinaccess.Budget.t -> ?pool:Exec.t ->
   Netlist.Design.t -> t
 (** Cold start: solve every panel from scratch (populating the cache),
-    route if configured.  [budget] meters the panel solves through the
-    degradation ladder exactly as {!Pinaccess.Pin_access.optimize}
-    does; [pool] fans the solves over its domains (results merged in
-    panel order, so without a budget the output is bit-identical to
-    the sequential walk).
+    route if configured.  The solves go through the panel walk of
+    {!Pinaccess.Pin_access.optimize}: [budget] meters them through
+    the same degradation ladder and slices, and [pool] fans them over
+    its domains without changing the output.
     @raise Pinaccess.Cpr_error.Error as [optimize] would. *)
 
 val apply :

@@ -1,48 +1,11 @@
-module Budget = Pinaccess.Budget
-
-(* One code path for every [j]: slices are carved up front and each
-   cell runs against its own isolated slice with buffered observability
-   whether the pool has one domain or eight, so sequential and parallel
-   sweeps are bit-identical by construction. *)
 let run ?(j = 1) ?budget config cells =
   Obs.Trace.with_span "libcheck.sweep" @@ fun () ->
-  let budget = Budget.of_option budget in
   let tasks = Array.of_list cells in
-  let n = Array.length tasks in
-  if n = 0 then []
-  else begin
-    let slices =
-      Array.map
-        (fun _ ->
-          if Budget.is_unlimited budget then Budget.isolated budget ()
-          else
-            let seconds =
-              Option.map
-                (fun s -> s /. float_of_int n)
-                (Budget.remaining_seconds budget)
-            in
-            let work_units =
-              Option.map
-                (fun w -> max 1 (w / n))
-                (Budget.remaining_work budget)
-            in
-            Budget.isolated budget ?seconds ?work_units ())
-        tasks
-    in
-    let trace_on = Obs.Trace.enabled () in
-    let check i cell =
-      let task () = Check.check_cell ~budget:slices.(i) config cell in
-      Obs.Metrics.buffered (fun () ->
-          if trace_on then Obs.Trace.buffered task else (task (), []))
-    in
-    let results = Exec.mapi (Exec.shared ~domains:(max 1 j)) check tasks in
-    let out = ref [] in
-    Array.iteri
-      (fun i ((result, events), mbuf) ->
-        Obs.Metrics.flush mbuf;
-        Obs.Trace.replay events;
-        Budget.spend budget (Budget.work_spent slices.(i));
-        out := result :: !out)
-      results;
-    List.rev !out
-  end
+  let pool = if j > 1 then Some (Exec.shared ~domains:j) else None in
+  Array.to_list
+    (Pinaccess.Fanout.run ~pool
+       ~budget:(Pinaccess.Budget.of_option budget)
+       ~over:(Array.length tasks)
+       ~join:(fun _ step -> step ())
+       (fun ~budget cell -> Check.check_cell ~budget config cell)
+       tasks)

@@ -1,13 +1,12 @@
 (** Library sweep: fan the cells of a library across the domain pool.
 
     Cells are independent — each solves its own synthesized die — so
-    the sweep maps them over [lib/exec] with every cell metered by an
-    equal, isolated {!Pinaccess.Budget} slice and its metrics/trace
-    output buffered domain-locally, then merges in input order.
-    Unlike the panel fan-out inside [Pin_access], the sweep uses this
-    single code path for every [j], so [-j 1] and [-j 4] runs produce
-    bit-identical results (and so bit-identical reports) by
-    construction, not by accident. *)
+    the sweep runs them through {!Pinaccess.Fanout.run}, the same
+    budgeted fan-out as the panel walk of [Pin_access]: every cell is
+    metered by an equal, isolated {!Pinaccess.Budget} slice, and
+    results, metrics and spans merge back in input order.  [-j 1] and
+    [-j 4] runs therefore produce bit-identical results (and so
+    bit-identical reports). *)
 
 val run :
   ?j:int ->
@@ -17,4 +16,4 @@ val run :
   Check.cell_result list
 (** Check every cell, in input order.  [j] defaults to 1; the optional
     [budget] meters the whole sweep (split evenly across cells up
-    front). *)
+    front, see {!Pinaccess.Fanout}). *)

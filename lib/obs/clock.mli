@@ -4,8 +4,8 @@
     "cpu(s)", so budgets, spans and the benches all print processor
     seconds.  Tests swap the source with {!with_source} to make both
     budget expiry and span timestamps deterministic; because
-    [Pinaccess.Unix_time] delegates here, faking the clock once fakes
-    it for the whole pipeline. *)
+    [Pinaccess.Budget] reads it too, faking the clock once fakes it
+    for the whole pipeline. *)
 
 val now : unit -> float
 (** Seconds from the current source. *)

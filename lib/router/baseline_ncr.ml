@@ -8,7 +8,7 @@ let default_config =
   { cost = Rgrid.Cost.default; rules = Drc.Rules.default; tpl = None }
 
 let run ?(config = default_config) ?budget design =
-  let started = Pinaccess.Unix_time.now () in
+  let started = Obs.Clock.now () in
   let grid = Rgrid.Grid.create design in
   let specs = Spec_builder.build grid ~pao:None in
   let result =

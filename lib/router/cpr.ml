@@ -42,7 +42,7 @@ let pao_config config =
 
 let run_with_pao ?(config = default_config) ?budget design pao =
   Obs.Trace.with_span "cpr.route" @@ fun () ->
-  let started = Pinaccess.Unix_time.now () -. pao.Pinaccess.Pin_access.elapsed in
+  let started = Obs.Clock.now () -. pao.Pinaccess.Pin_access.elapsed in
   let grid = Rgrid.Grid.create design in
   let specs = Spec_builder.build grid ~pao:(Some pao) in
   let negotiate ?pool () =

@@ -105,7 +105,7 @@ let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
     tpl_stats;
     pao;
     reused_routes = reused;
-    elapsed = Pinaccess.Unix_time.now () -. started;
+    elapsed = Obs.Clock.now () -. started;
   }
 
 let routed_count t = Array.fold_left (fun k c -> if c then k + 1 else k) 0 t.clean

@@ -140,7 +140,7 @@ let commit grid route =
     route.Rgrid.Route.nodes
 
 let run ?(config = default_config) ?budget design =
-  let started = Pinaccess.Unix_time.now () in
+  let started = Obs.Clock.now () in
   let grid = Grid.create design in
   let space = Grid.space grid in
   (* pins are blockages for other nets, as in every flow *)

@@ -134,8 +134,8 @@ let negotiation_order t =
 
 let warm_policy t =
   match t.mode with
-  | Fixed (Policy.Warm w) -> Some (Policy.warm_of w)
-  | _ -> None
+  | Fixed (Policy.Warm w) -> Policy.warm_of w
+  | _ -> Eco.Engine.Warm_always
 
 let cache_policy_id t =
   match t.mode with

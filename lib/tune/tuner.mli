@@ -53,8 +53,9 @@ val negotiation_order : t -> Router.Negotiation.order
 (** [Fixed (Order _)] maps to its ordering; everything else routes
     under the default {!Router.Negotiation.Hp}. *)
 
-val warm_policy : t -> Eco.Engine.warm_policy option
-(** [Fixed (Warm _)] maps to its ECO reuse policy; [None] otherwise. *)
+val warm_policy : t -> Eco.Engine.warm_policy
+(** [Fixed (Warm _)] maps to its ECO reuse policy; everything else to
+    the engine's default, [Warm_always]. *)
 
 val cache_policy_id : t -> string option
 (** What {!Eco.Engine}'s [policy] field should digest into panel-cache

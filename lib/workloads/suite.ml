@@ -21,9 +21,7 @@ let circuits =
    nets of [top] on a proportionally grown die.  Deliberately NOT in
    [circuits] — tests and experiments that sweep the whole suite must
    not pick up a 222k-net design by accident; callers opt in via
-   [find "mega"] (or [mega] directly) and should pair it with
-   [Pin_access.optimize ~stream:true] so panel problems are built as
-   solved rather than held resident. *)
+   [find "mega"] (or [mega] directly). *)
 let mega =
   { id = "mega"; nets = 222010; um_width = 180; um_height = 177; seed = 777L }
 

@@ -19,9 +19,9 @@ val circuits : circuit list
 
 val mega : circuit
 (** A synthetic scale tier at 10x [top] (222,010 nets, 180x177 um).
-    Opt-in via [find "mega"] or directly; pair with
-    [Pin_access.optimize ~stream:true] so panel problems are built as
-    they are solved instead of held resident. *)
+    Opt-in via [find "mega"] or directly; [Pin_access.optimize]
+    builds its panel problems as they are solved, so they are never
+    all resident. *)
 
 val find : string -> circuit
 (** Resolves the six suite ids plus ["mega"].

@@ -1,6 +1,6 @@
-(* Budget semantics on a fake clock.  [Pinaccess.Unix_time] delegates
-   to [Obs.Clock], so swapping the clock source fakes both budget
-   deadlines and tracing timestamps from the same timeline. *)
+(* Budget semantics on a fake clock.  Budgets read [Obs.Clock], so
+   swapping the clock source fakes both budget deadlines and tracing
+   timestamps from the same timeline. *)
 
 module Budget = Pinaccess.Budget
 

@@ -411,10 +411,59 @@ let test_engine_differential_warm () =
   let stream =
     Workloads.Eco_stream.random ~seed:11L ~steps:3 ~edits_per_step:2 design
   in
-  let config = { Engine.default_config with Engine.warm_start = true } in
+  let config =
+    { Engine.default_config with Engine.warm_policy = Engine.Warm_always }
+  in
   match Audit.Eco_audit.check ~config design stream with
   | Ok () -> ()
   | Error e -> Alcotest.fail e
+
+(* The engine hands its misses to the same walk as [PA.optimize], so a
+   pool changes nothing — not a step report, not the pin access state —
+   warm or cold, with or without a work budget. *)
+let test_engine_pool_identity () =
+  let design = ecc () in
+  let stream =
+    Workloads.Eco_stream.random ~seed:17L ~steps:3 ~edits_per_step:2 design
+  in
+  let replay ?pool warm_policy work =
+    let config = { Engine.default_config with Engine.warm_policy } in
+    let budget () =
+      Option.map (fun w -> Pinaccess.Budget.start ~work_units:w ()) work
+    in
+    let state engine =
+      let pao = Engine.pao engine in
+      ( pao.PA.assignments,
+        pao.PA.reports,
+        pao.PA.objective,
+        pao.PA.tpl,
+        pao.PA.degraded )
+    in
+    let engine = Engine.create ~config ?budget:(budget ()) ?pool design in
+    let cold = state engine in
+    let steps =
+      List.map
+        (fun batch ->
+          let r = Engine.apply ?budget:(budget ()) ?pool engine batch in
+          ({ r with Engine.pao_wall = 0.0; route_wall = 0.0 }, state engine))
+        stream
+    in
+    (cold, steps)
+  in
+  let pool = Exec.shared ~domains:4 in
+  List.iter
+    (fun warm_policy ->
+      List.iter
+        (fun work ->
+          let name =
+            Printf.sprintf "%s, budget %s"
+              (Engine.warm_policy_to_string warm_policy)
+              (match work with Some w -> string_of_int w | None -> "none")
+          in
+          check name true
+            (replay warm_policy work = replay ~pool warm_policy work))
+        [ None; Some 60 ])
+    [ Engine.Warm_always; Engine.Warm_never ]
 
 let test_stream_batches_apply () =
   (* every batch a generator emits must apply cleanly in sequence *)
@@ -544,6 +593,8 @@ let () =
             test_engine_differential;
           Alcotest.test_case "differential (warm)" `Quick
             test_engine_differential_warm;
+          Alcotest.test_case "pool is output-neutral" `Quick
+            test_engine_pool_identity;
           Alcotest.test_case "streams apply" `Quick test_stream_batches_apply;
           Alcotest.test_case "cache accounting" `Quick
             test_engine_cache_accounting;

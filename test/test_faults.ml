@@ -88,13 +88,34 @@ let test_exhausted_budget_yields_minimum () =
   check "minimum serves everything" true (all_served PA.Tier_minimum pao);
   check "degraded" true pao.PA.degraded
 
+(* Slices split a work remainder exactly, so a run never spends more
+   units than its budget holds — even with fewer units than live
+   panels, where some panels get a 0-unit slice and go straight to the
+   minimum tier. *)
+let test_slices_never_overspend () =
+  let d = small () in
+  let live = List.length (PA.optimize ~kind:PA.Lr d).PA.reports in
+  check "several live panels" true (live > 1);
+  for w = 1 to live + 1 do
+    List.iter
+      (fun j ->
+        let budget = Budget.start ~work_units:w () in
+        let pao = PA.optimize ~budget ~j ~kind:PA.Lr d in
+        PA.validate pao;
+        check
+          (Printf.sprintf "w=%d j=%d spent %d" w j (Budget.work_spent budget))
+          true
+          (Budget.work_spent budget <= w))
+      [ 1; 4 ]
+  done
+
 let test_deadline_respected () =
   let d = design ~nets:200 ~width:120 ~height:60 ~seed:11 in
   let seconds = 0.5 in
   let budget = Budget.start ~seconds () in
-  let started = Pinaccess.Unix_time.now () in
+  let started = Obs.Clock.now () in
   let pao = PA.optimize ~budget ~kind:PA.Ilp d in
-  let took = Pinaccess.Unix_time.now () -. started in
+  let took = Obs.Clock.now () -. started in
   PA.validate pao;
   (* generous slack: the point is "returns promptly", not a tight RT
      guarantee — each panel returns its best-so-far shortly after the
@@ -171,6 +192,8 @@ let () =
             test_ilp_fault_and_tiny_budget;
           Alcotest.test_case "exhausted budget -> minimum tier" `Quick
             test_exhausted_budget_yields_minimum;
+          Alcotest.test_case "slices never overspend" `Quick
+            test_slices_never_overspend;
           Alcotest.test_case "deadline respected" `Quick test_deadline_respected;
           Alcotest.test_case "flow with exhausted budget" `Quick
             test_flow_with_exhausted_budget;

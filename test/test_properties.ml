@@ -278,6 +278,74 @@ let prop_tpl_off_bit_identical =
         && before.PA.objective = after.PA.objective
         && before.PA.reports = after.PA.reports)
 
+(* ------------------------------------------------------------------ *)
+(* Budget contract                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* multi-panel generated designs, plus where in [1, unbudgeted LR
+   iterations] the work budget falls *)
+let budget_case_gen =
+  QCheck.Gen.(
+    let* seed = int_range 0 9999 in
+    let* rows = int_range 3 12 in
+    let* nets_per_row = int_range 3 6 in
+    let* frac = float_bound_inclusive 1.0 in
+    return (seed, rows * nets_per_row, rows * 10, frac))
+
+let arbitrary_budget_case =
+  QCheck.make
+    ~print:(fun (seed, nets, height, frac) ->
+      Printf.sprintf "seed=%d nets=%d height=%d frac=%g" seed nets height frac)
+    budget_case_gen
+
+(* every wave carves its work slices up front and charges them back in
+   panel order, so under a work-unit budget -j cannot change a byte:
+   untuned, under the TPL deck, and tuned (policy trace included) *)
+let prop_budget_j_identical =
+  QCheck.Test.make ~name:"work budget: -j4 = -j1" ~count:25
+    arbitrary_budget_case (fun (seed, nets, height, frac) ->
+      let d =
+        match
+          Workloads.Generator.generate
+            (Workloads.Generator.with_size ~name:"budget" ~nets ~width:40
+               ~height ~seed:(Int64.of_int seed) ())
+        with
+        | d -> d
+        | exception Invalid_argument _ ->
+          QCheck.assume_fail () (* the die cannot host the pins *)
+      in
+      let iterations =
+        List.fold_left
+          (fun acc (r : PA.panel_report) -> acc + r.PA.lr_iterations)
+          0 (PA.optimize ~kind:PA.Lr d).PA.reports
+      in
+      let w =
+        1 + int_of_float (frac *. float_of_int (max 0 (iterations - 1)))
+      in
+      let solve ?config ?tune j =
+        PA.optimize ?config ?tune
+          ~budget:(Pinaccess.Budget.start ~work_units:w ())
+          ~kind:PA.Lr ~j d
+      in
+      let same (a : PA.t) (b : PA.t) =
+        a.PA.assignments = b.PA.assignments
+        && a.PA.reports = b.PA.reports
+        && a.PA.objective = b.PA.objective
+        && a.PA.tpl = b.PA.tpl
+      in
+      let tuned j =
+        let t =
+          Tune.Tuner.create
+            (Tune.Tuner.Fixed (Tune.Policy.Lr_step Tune.Policy.Lr_patience))
+        in
+        let r = solve ?tune:(Tune.Tuner.pa_hook t) j in
+        (r, Tune.Tuner.trace t)
+      in
+      let t1, trace1 = tuned 1 and t4, trace4 = tuned 4 in
+      same (solve 1) (solve 4)
+      && same (solve ~config:(tpl_config 3) 1) (solve ~config:(tpl_config 3) 4)
+      && same t1 t4 && trace1 = trace4)
+
 let () =
   Alcotest.run "properties"
     [
@@ -298,4 +366,5 @@ let () =
           QCheck_alcotest.to_alcotest prop_tpl_parallel_identical;
           QCheck_alcotest.to_alcotest prop_tpl_off_bit_identical;
         ] );
+      ("budget", [ QCheck_alcotest.to_alcotest prop_budget_j_identical ]);
     ]

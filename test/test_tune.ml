@@ -66,8 +66,9 @@ let test_features () =
   check_int "pins" (Pinaccess.Problem.num_pins problem) f.Features.pins;
   check "ub positive" true (f.Features.profit_ub > 0.0);
   (* the conflict-free relaxation bounds any feasible solve *)
-  let _, objective, _, _ =
-    PA.solve_panel ~kind:PA.Lr ~panel:0 problem
+  let objective =
+    Pinaccess.Solution.objective
+      (Pinaccess.Lagrangian.solve problem).Pinaccess.Lagrangian.solution
   in
   check "ub sandwiches the solve" true (objective <= f.Features.profit_ub);
   check "signature stable" true
@@ -216,7 +217,7 @@ let test_tuner_fixed_applies () =
   check "order maps" true
     (Tuner.negotiation_order ord = Router.Negotiation.Area);
   let warm = Tuner.create (Tuner.Fixed (Policy.Warm Policy.Warm_never)) in
-  check "warm maps" true (Tuner.warm_policy warm = Some Eco.Engine.Warm_never)
+  check "warm maps" true (Tuner.warm_policy warm = Eco.Engine.Warm_never)
 
 let () =
   Alcotest.run "tune"
