@@ -7,6 +7,9 @@
      CPR_BENCH_SCALE=0.2 dune exec bench/main.exe
                                               -- shrink the circuits
 
+   Every run writes BENCH.json and exits 1 if any check failed; an
+   unknown experiment name exits 2 before anything runs.
+
    Absolute numbers differ from the paper (synthetic placements, a
    simulated ILP solver, different hardware); the reproduction target
    is the orderings and approximate factors, which each experiment
@@ -105,405 +108,149 @@ let circuits () =
   List.map (fun (id, _, _, _) -> Suite.find id) paper_table2
 
 (* --------------------------------------------------------------- *)
-(* Machine-readable telemetry (BENCH.json)                          *)
+(* Rows, checks and the BENCH.json record                           *)
 (* --------------------------------------------------------------- *)
 
-(* Per-circuit summaries recorded by table2, written with the kernel
-   counters at the end of every bench invocation so each PR leaves a
-   diffable perf record.  [scripts/bench_gate.py] diffs the quality
-   numbers against the committed [bench/BASELINE.json]. *)
+(* An experiment with a BENCH.json section returns its rows; the
+   section and the printed table are both rendered from them.
+   [scripts/bench_gate.py] diffs the [circuits] quality numbers against
+   the committed [bench/BASELINE.json]. *)
+type row = (string * Obs.Json.t) list
+
 let telemetry_file = "BENCH.json"
-let bench_circuits : (string * (string * Eval.summary) list) list ref = ref []
 
-(* Per-circuit rows recorded by the [parallel] experiment: sequential
-   vs parallel wall-clock of the PAO stage and of the full flow, the
-   bit-identity flag the CI job asserts on, the effective job count,
-   and the work-stealing scheduler's telemetry for the parallel runs
-   (chunk/steal counts, victim queue-depth histogram) plus the maze
-   kernel's allocation rate — docs/PERF.md explains how to read
-   them. *)
-type parallel_row = {
-  pr_id : string;
-  pr_jobs : int;  (** effective [-j] of the parallel runs *)
-  pao_seq_wall : float;
-  pao_par_wall : float;
-  pao_identical : bool;
-  flow_seq : Eval.summary;
-  flow_par : Eval.summary;
-  flow_seq_wall : float;
-  flow_par_wall : float;
-  pr_chunks : int;  (** chunks run from the owner's own deque *)
-  pr_steals : int;  (** chunks obtained by stealing *)
-  pr_steal_misses : int;  (** empty scan passes *)
-  pr_queue_depth : int array;  (** log2-bucketed victim depth at steals *)
-  pr_alloc_per_node : float;  (** minor words per maze expansion (par flow) *)
-}
+(* Value invariants are checked where an experiment computes the value.
+   A failed check prints, lands in BENCH.json's [failures] and makes the
+   run exit 1. *)
+let failures = ref []
 
-let parallel_rows : parallel_row list ref = ref []
+let check ok fmt =
+  Printf.ksprintf
+    (fun msg ->
+      if not ok then begin
+        failures := msg :: !failures;
+        pf "  CHECK FAILED: %s@." msg
+      end)
+    fmt
 
-(* Per-run rows recorded by the [mega] experiment: the streamed PAO
-   (panel problems built as solved, never all resident) on the 10x-top
-   scale tier, sequential vs parallel. *)
-type mega_row = {
-  mg_id : string;
-  mg_nets : int;
-  mg_panels : int;
-  mg_jobs : int;
-  mg_pao_seq_wall : float;
-  mg_pao_par_wall : float;
-  mg_identical : bool;
-  mg_chunks : int;
-  mg_steals : int;
-  mg_steal_misses : int;
-  mg_queue_depth : int array;
-}
+(* Every number a row reports is a count, a wall, a rate or a score, so
+   it is finite and non-negative; every string names something. *)
+let rec check_row where = function
+  | Obs.Json.Num f ->
+    check (Float.is_finite f && f >= 0.0) "%s = %g is negative or not finite"
+      where f
+  | Str s -> check (s <> "") "%s is empty" where
+  | List vs ->
+    List.iteri (fun i v -> check_row (Printf.sprintf "%s[%d]" where i) v) vs
+  | Obj kv -> List.iter (fun (k, v) -> check_row (where ^ "." ^ k) v) kv
+  | Bool _ | Null -> ()
 
-let mega_rows : mega_row list ref = ref []
+let rec cell = function
+  | Obs.Json.Num f when Float.is_integer f -> Printf.sprintf "%.0f" f
+  | Num f -> Printf.sprintf "%.3f" f
+  | Bool b -> if b then "yes" else "NO"
+  | Str s -> s
+  | Null -> "-"
+  | List vs ->
+    (* lists are sparse histograms: trailing zero buckets are elided *)
+    let rec strip = function
+      | Obs.Json.Num z :: rest when z = 0.0 -> strip rest
+      | l -> l
+    in
+    "[" ^ String.concat "," (List.rev_map cell (strip (List.rev vs))) ^ "]"
+  | Obj _ as v -> Obs.Json.to_string v
 
-(* Per-circuit rows recorded by the [eco] experiment: cold solve vs
-   incremental re-optimization over a 5%-dirty edit stream. *)
-type eco_row = {
-  eco_id : string;
-  eco_cold_wall : float;
-  eco_steps : int;
-  eco_incremental_wall : float;
-  eco_scratch_wall : float;
-  eco_speedup : float;
-  eco_hit_rate : float;
-  eco_warm_started : int;
-}
+(* One column per row (headed by its id), one line per field; nested
+   objects flatten to dotted field names. *)
+let print_rows rows =
+  let rec leaves prefix = function
+    | Obs.Json.Obj kv ->
+      List.concat_map
+        (fun (k, v) -> leaves (if prefix = "" then k else prefix ^ "." ^ k) v)
+        kv
+    | v -> [ (prefix, v) ]
+  in
+  let flat = List.map (fun r -> leaves "" (Obs.Json.Obj r)) rows in
+  let fields =
+    List.fold_left
+      (fun acc leaves ->
+        acc @ List.filter (fun k -> not (List.mem k acc)) (List.map fst leaves))
+      [] flat
+  in
+  let value row k = Option.fold ~none:"-" ~some:cell (List.assoc_opt k row) in
+  pf "@.%s@."
+    (Report.table
+       ~header:("field" :: List.map (fun r -> value r "id") flat)
+       (List.filter_map
+          (fun k ->
+            if k = "id" then None
+            else Some (k :: List.map (fun r -> value r k) flat))
+          fields))
 
-let eco_rows : eco_row list ref = ref []
-
-(* Per-circuit rows recorded by the [serve] experiment: sustained
-   edits/sec and client-observed latency percentiles of the ECO
-   service under a multi-session load run. *)
-type serve_row = {
-  sv_id : string;
-  sv_clients : int;
-  sv_batches : int;  (** acknowledged *)
-  sv_edits_per_sec : float;
-  sv_p50_ms : float;
-  sv_p99_ms : float;
-  sv_timeouts : int;
-  sv_shed : int;
-  sv_mismatches : int;
-}
-
-let serve_rows : serve_row list ref = ref []
-
-(* Per-library rows recorded by the [libcheck] experiment: library
-   sweep throughput (cells/sec over the domain pool), the sequential
-   vs parallel report-identity flag, and the pin grade distribution. *)
-type libcheck_row = {
-  lc_id : string;
-  lc_cells : int;
-  lc_pins : int;
-  lc_jobs : int;
-  lc_seq_wall : float;
-  lc_par_wall : float;
-  lc_identical : bool;
-  lc_cells_per_sec : float;  (** of the parallel sweep *)
-  lc_weak_pins : int;
-  lc_grades : (string * int) list;  (** pins per grade, worst last *)
-}
-
-let libcheck_rows : libcheck_row list ref = ref []
-
-(* Per-design rows recorded by the [tpl] experiment: the color-
-   constrained pin access ladder on dense stress layouts — coloring
-   outcome of the routed layout, the -j2 bit-identity flag (coloring
-   included), and the no-leak flag (a TPL run must not perturb a
-   following TPL-off run). *)
-type tpl_row = {
-  tp_id : string;
-  tp_colors : int;
-  tp_nets : int;
-  tp_features : int;  (** M2 features of the routed layout *)
-  tp_solid : int;
-  tp_stitched : int;
-  tp_uncolored : int;
-  tp_identical : bool;  (** -j2 PAO run bit-identical, coloring included *)
-  tp_off_identical : bool;
-      (** a TPL-off run after the TPL runs equals the one before them *)
-  tp_pao_wall : float;
-  tp_flow_wall : float;
-  tp_summary : Eval.summary;
-}
-
-let tpl_rows : tpl_row list ref = ref []
-
-(* Per-circuit rows recorded by the [tune] experiment: the untuned PAO
-   stage vs the deterministic bandit tuner, compared in work units
-   (LR iterations — the reward currency, DESIGN.md §12) and wall
-   clock, plus the zero-drift flag: an untuned run after the tuned one
-   must be bit-identical to one before it. *)
-type tune_row = {
-  tn_id : string;
-  tn_panels : int;
-  tn_seed : int;
-  tn_untuned_wall : float;
-  tn_tuned_wall : float;
-  tn_untuned_work : int;  (** LR iterations of the untuned solve *)
-  tn_tuned_work : int;
-  tn_untuned_obj : float;
-  tn_tuned_obj : float;
-  tn_off_identical : bool;
-      (** untuned runs before and after the tuned one are bit-identical *)
-  tn_pulls : int;
-  tn_regret : float;
-  tn_histogram : (string * int) list;  (** selections per arm *)
-}
-
-let tune_rows : tune_row list ref = ref []
-
-let write_telemetry ~ran =
-  let open Obs.Json in
-  let summary_json (s : Eval.summary) =
+let quality_json routability via_count wirelength cpu =
+  Obs.Json.(
     Obj
       [
-        ("routability", Num s.Eval.routability);
-        ("via_count", num_int s.Eval.via_count);
-        ("wirelength", num_int s.Eval.wirelength);
-        ("cpu", Num s.Eval.cpu);
-      ]
-  in
-  let circuits =
-    List.rev_map
-      (fun (id, flows) ->
-        Obj
-          [
-            ("id", Str id);
-            ("flows", Obj (List.map (fun (tag, s) -> (tag, summary_json s)) flows));
-          ])
-      !bench_circuits
-  in
-  let depth_json d =
-    List (Array.to_list (Array.map (fun c -> num_int c) d))
-  in
-  let parallel =
-    List.rev_map
-      (fun r ->
-        Obj
-          [
-            ("id", Str r.pr_id);
-            ("jobs", num_int r.pr_jobs);
-            ("pao_seq_wall", Num r.pao_seq_wall);
-            ("pao_par_wall", Num r.pao_par_wall);
-            ("identical", Bool r.pao_identical);
-            ("flow_seq", summary_json r.flow_seq);
-            ("flow_par", summary_json r.flow_par);
-            ("flow_seq_wall", Num r.flow_seq_wall);
-            ("flow_par_wall", Num r.flow_par_wall);
-            ("chunks", num_int r.pr_chunks);
-            ("steals", num_int r.pr_steals);
-            ("steal_misses", num_int r.pr_steal_misses);
-            ("queue_depth", depth_json r.pr_queue_depth);
-            ("alloc_per_node", Num r.pr_alloc_per_node);
-          ])
-      !parallel_rows
-  in
-  let mega =
-    List.rev_map
-      (fun r ->
-        Obj
-          [
-            ("id", Str r.mg_id);
-            ("nets", num_int r.mg_nets);
-            ("panels", num_int r.mg_panels);
-            ("jobs", num_int r.mg_jobs);
-            ("pao_seq_wall", Num r.mg_pao_seq_wall);
-            ("pao_par_wall", Num r.mg_pao_par_wall);
-            ("identical", Bool r.mg_identical);
-            ("chunks", num_int r.mg_chunks);
-            ("steals", num_int r.mg_steals);
-            ("steal_misses", num_int r.mg_steal_misses);
-            ("queue_depth", depth_json r.mg_queue_depth);
-          ])
-      !mega_rows
-  in
-  let eco =
-    List.rev_map
-      (fun r ->
-        Obj
-          [
-            ("id", Str r.eco_id);
-            ("cold_pao_wall", Num r.eco_cold_wall);
-            ("steps", num_int r.eco_steps);
-            ("incremental_wall", Num r.eco_incremental_wall);
-            ("scratch_wall", Num r.eco_scratch_wall);
-            ("speedup", Num r.eco_speedup);
-            ("hit_rate", Num r.eco_hit_rate);
-            ("warm_started", num_int r.eco_warm_started);
-          ])
-      !eco_rows
-  in
-  let serve =
-    List.rev_map
-      (fun r ->
-        Obj
-          [
-            ("id", Str r.sv_id);
-            ("clients", num_int r.sv_clients);
-            ("batches", num_int r.sv_batches);
-            ("edits_per_sec", Num r.sv_edits_per_sec);
-            ("p50_ms", Num r.sv_p50_ms);
-            ("p99_ms", Num r.sv_p99_ms);
-            ("timeouts", num_int r.sv_timeouts);
-            ("shed", num_int r.sv_shed);
-            ("mismatches", num_int r.sv_mismatches);
-          ])
-      !serve_rows
-  in
-  let libcheck =
-    List.rev_map
-      (fun r ->
-        Obj
-          [
-            ("id", Str r.lc_id);
-            ("cells", num_int r.lc_cells);
-            ("pins", num_int r.lc_pins);
-            ("jobs", num_int r.lc_jobs);
-            ("seq_wall", Num r.lc_seq_wall);
-            ("par_wall", Num r.lc_par_wall);
-            ("identical", Bool r.lc_identical);
-            ("cells_per_sec", Num r.lc_cells_per_sec);
-            ("weak_pins", num_int r.lc_weak_pins);
-            ( "grades",
-              Obj (List.map (fun (g, n) -> (g, num_int n)) r.lc_grades) );
-          ])
-      !libcheck_rows
-  in
-  let tpl =
-    List.rev_map
-      (fun r ->
-        Obj
-          [
-            ("id", Str r.tp_id);
-            ("colors", num_int r.tp_colors);
-            ("nets", num_int r.tp_nets);
-            ("features", num_int r.tp_features);
-            ("solid", num_int r.tp_solid);
-            ("stitched", num_int r.tp_stitched);
-            ("uncolored", num_int r.tp_uncolored);
-            ("identical", Bool r.tp_identical);
-            ("off_identical", Bool r.tp_off_identical);
-            ("pao_wall", Num r.tp_pao_wall);
-            ("flow_wall", Num r.tp_flow_wall);
-            ("flow", summary_json r.tp_summary);
-          ])
-      !tpl_rows
-  in
-  let tune =
-    List.rev_map
-      (fun r ->
-        Obj
-          [
-            ("id", Str r.tn_id);
-            ("panels", num_int r.tn_panels);
-            ("seed", num_int r.tn_seed);
-            ("untuned_wall", Num r.tn_untuned_wall);
-            ("tuned_wall", Num r.tn_tuned_wall);
-            ("untuned_work", num_int r.tn_untuned_work);
-            ("tuned_work", num_int r.tn_tuned_work);
-            ("untuned_obj", Num r.tn_untuned_obj);
-            ("tuned_obj", Num r.tn_tuned_obj);
-            ("off_identical", Bool r.tn_off_identical);
-            ("pulls", num_int r.tn_pulls);
-            ("regret", Num r.tn_regret);
-            ( "histogram",
-              Obj (List.map (fun (a, n) -> (a, num_int n)) r.tn_histogram) );
-          ])
-      !tune_rows
-  in
-  let json =
-    Obj
-      [
-        ("bench", Str "cpr");
-        ("scale", Num scale);
-        ("jobs", num_int jobs);
-        ("available_domains", num_int (Domain.recommended_domain_count ()));
-        ("experiments", List (List.map (fun e -> Str e) ran));
-        ("circuits", List circuits);
-        ("parallel", List parallel);
-        ("mega", List mega);
-        ("eco", List eco);
-        ("serve", List serve);
-        ("libcheck", List libcheck);
-        ("tpl", List tpl);
-        ("tune", List tune);
-        ("metrics", Obs.Metrics.to_json (Obs.Metrics.snapshot ()));
-      ]
-  in
-  (* atomic: a crashed or killed bench run never leaves a torn
-     BENCH.json for the CI validator to choke on *)
-  Obs.Fsio.atomic_write telemetry_file (to_string_pretty json ^ "\n");
-  pf "@.telemetry written to %s@." telemetry_file
+        ("routability", Num routability);
+        ("via_count", num_int via_count);
+        ("wirelength", num_int wirelength);
+        ("cpu", Num cpu);
+      ])
+
+let summary_json (s : Eval.summary) =
+  quality_json s.Eval.routability s.Eval.via_count s.Eval.wirelength s.Eval.cpu
 
 (* --------------------------------------------------------------- *)
 (* Table 2                                                          *)
 (* --------------------------------------------------------------- *)
 
-let run_flows design =
-  let seq = Router.Sequential.run design in
-  let ncr = Router.Baseline_ncr.run design in
-  let cpr = Router.Cpr.run design in
-  (Eval.of_flow ~name:"seq" seq, Eval.of_flow ~name:"ncr" ncr,
-   Eval.of_flow ~name:"cpr" cpr, seq, ncr, cpr)
+let circuit_row id flows =
+  Obs.Json.[ ("id", Str id); ("flows", Obj flows) ]
 
 let table2 () =
   section "Table 2 — routing quality: [12] sequential / [21] w/o PAO / CPR";
-  pf "(paper values in parentheses; Via# extrapolated per routed net)@.@.";
-  let rows = ref [] in
-  let sums = Array.make 12 0.0 in
-  let count = ref 0 in
-  List.iter
-    (fun (id, p_seq, p_ncr, p_cpr) ->
-      let c = Suite.find id in
-      let design = Suite.design ~scale c in
-      let s_seq, s_ncr, s_cpr, _, _, _ = run_flows design in
-      incr count;
-      let record base (s : Eval.summary) =
-        sums.(base) <- sums.(base) +. s.Eval.routability;
-        sums.(base + 1) <- sums.(base + 1) +. float_of_int s.Eval.via_count;
-        sums.(base + 2) <- sums.(base + 2) +. float_of_int s.Eval.wirelength;
-        sums.(base + 3) <- sums.(base + 3) +. s.Eval.cpu
-      in
-      record 0 s_seq;
-      record 4 s_ncr;
-      record 8 s_cpr;
-      bench_circuits :=
-        (id, [ ("seq", s_seq); ("ncr", s_ncr); ("cpr", s_cpr) ])
-        :: !bench_circuits;
-      let cells (s : Eval.summary) (p : paper_row) =
-        [
-          Printf.sprintf "%.2f(%.2f)" s.Eval.routability p.rout;
-          Printf.sprintf "%d(%d)" s.Eval.via_count p.via;
-          Printf.sprintf "%d(%d)" s.Eval.wirelength p.wl;
-          Printf.sprintf "%.2f(%.1f)" s.Eval.cpu p.cpu;
-        ]
-      in
-      rows :=
-        ((id :: cells s_seq p_seq) @ cells s_ncr p_ncr @ cells s_cpr p_cpr)
-        :: !rows;
-      pf "  %s done@." id)
-    paper_table2;
-  let header =
-    [ "Ckt" ]
-    @ List.concat_map
-        (fun tag -> [ tag ^ ".Rout%"; tag ^ ".Via#"; tag ^ ".WL"; tag ^ ".cpu" ])
-        [ "seq"; "ncr"; "cpr" ]
+  let measured =
+    List.map
+      (fun (id, _, _, _) ->
+        let design = Suite.design ~scale (Suite.find id) in
+        let flows =
+          [
+            ("seq", Eval.of_flow ~name:"seq" (Router.Sequential.run design));
+            ("ncr", Eval.of_flow ~name:"ncr" (Router.Baseline_ncr.run design));
+            ("cpr", Eval.of_flow ~name:"cpr" (Router.Cpr.run design));
+          ]
+        in
+        pf "  %s done@." id;
+        (id, flows))
+      paper_table2
   in
-  pf "@.%s@." (Report.table ~header (List.rev !rows));
+  let paper p = quality_json p.rout p.via p.wl p.cpu in
+  pf "@.The paper's Table 2 (full-size circuits):@.";
+  print_rows
+    (List.map
+       (fun (id, s, n, c) ->
+         circuit_row id [ ("seq", paper s); ("ncr", paper n); ("cpr", paper c) ])
+       paper_table2);
   (* ratio row vs CPR, as in the paper's last line *)
-  let n = float_of_int !count in
-  let avg i = sums.(i) /. n in
-  let ratio base i = avg (base + i) /. avg (8 + i) in
+  let total flow f =
+    List.fold_left (fun acc (_, flows) -> acc +. f (List.assoc flow flows)) 0.0
+      measured
+  in
+  let ratio flow f = total flow f /. total "cpr" f in
   pf "@.Average ratios over CPR (paper: seq 0.985/1.238/1.160/12.69, ncr 0.962/1.108/0.998/3.26)@.";
-  pf "  seq/CPR: Rout %.3f  Via %.3f  WL %.3f  cpu %.2f@."
-    (ratio 0 0) (ratio 0 1) (ratio 0 2) (ratio 0 3);
-  pf "  ncr/CPR: Rout %.3f  Via %.3f  WL %.3f  cpu %.2f@."
-    (ratio 4 0) (ratio 4 1) (ratio 4 2) (ratio 4 3)
+  List.iter
+    (fun flow ->
+      pf "  %s/CPR: Rout %.3f  Via %.3f  WL %.3f  cpu %.2f@." flow
+        (ratio flow (fun s -> s.Eval.routability))
+        (ratio flow (fun s -> float_of_int s.Eval.via_count))
+        (ratio flow (fun s -> float_of_int s.Eval.wirelength))
+        (ratio flow (fun s -> s.Eval.cpu)))
+    [ "seq"; "ncr" ];
+  pf "@.Measured at scale %.2f:@." scale;
+  List.map
+    (fun (id, flows) ->
+      circuit_row id (List.map (fun (tag, s) -> (tag, summary_json s)) flows))
+    measured
 
 (* --------------------------------------------------------------- *)
 (* Figure 6 — LR vs ILP scalability on combined multi-panel         *)
@@ -827,25 +574,69 @@ let kernels () =
    produce exactly the sequential answer, whatever [jobs] is.  This
    experiment measures the seq and parallel wall-clock per circuit
    (CPU seconds via [Sys.time] mislead under multiple domains) and
-   records the equality flag that CI asserts on.  On a single-core
-   container the parallel runs cannot be faster — the point of the
-   record is the identity check plus an honest timing baseline. *)
+   checks the equality.  On a single-core container the parallel runs
+   cannot be faster — the point of the record is the identity check
+   plus an honest timing baseline. *)
 let wall f =
   let t0 = Unix.gettimeofday () in
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
+(* [seq] and [par] timed in five interleaved pairs, each side keeping
+   its shortest wall: at smoke scale a PAO stage takes tens of
+   milliseconds, and a single sample is at the mercy of whatever else
+   the host runs. *)
+let seq_par_walls seq par =
+  let samples =
+    List.init 5 (fun _ ->
+        let s = wall seq in
+        (s, wall par))
+  in
+  let best side =
+    List.fold_left (fun m x -> Float.min m (snd (side x))) infinity samples
+  in
+  let (s, _), (p, _) = List.hd samples in
+  ((s, best fst), (p, best snd))
+
+(* The one identity every -j, TPL and tune comparison holds a PAO run
+   to: same objective, assignments, panel reports and coloring. *)
+let same_pao (a : PA.t) (b : PA.t) =
+  a.PA.objective = b.PA.objective
+  && a.PA.assignments = b.PA.assignments
+  && a.PA.reports = b.PA.reports
+  && a.PA.tpl = b.PA.tpl
+
+(* A parallel PAO may not lose to the sequential one beyond 5% — checked
+   only where a speedup is possible: several cores and -j > 1. *)
+let speedup_armed = Domain.recommended_domain_count () > 1 && jobs > 1
+
+let check_speedup what ~seq ~par =
+  check
+    ((not speedup_armed) || par <= seq *. 1.05)
+    "%s: -j %d PAO wall %.3fs exceeds 1.05 x the sequential %.3fs" what jobs
+    par seq
+
 (* Scheduler counters of the process-wide shared pool the parallel runs
    execute on; deltas around a run attribute chunks/steals to it. *)
 let sched_stats () = Exec.stats (Exec.shared ~domains:jobs)
 
-let sched_delta (before : Exec.stats) (after : Exec.stats) =
-  ( after.Exec.chunks - before.Exec.chunks,
-    after.Exec.chunks_stolen - before.Exec.chunks_stolen,
-    after.Exec.steal_misses - before.Exec.steal_misses,
+let sched_delta what (before : Exec.stats) (after : Exec.stats) =
+  let depth =
     Array.init
       (Array.length after.Exec.queue_depth)
-      (fun i -> after.Exec.queue_depth.(i) - before.Exec.queue_depth.(i)) )
+      (fun i -> after.Exec.queue_depth.(i) - before.Exec.queue_depth.(i))
+  in
+  check
+    (Array.length depth = 16)
+    "%s: queue-depth histogram has %d buckets, not 16" what (Array.length depth);
+  Obs.Json.
+    [
+      ("chunks", num_int (after.Exec.chunks - before.Exec.chunks));
+      ("steals", num_int (after.Exec.chunks_stolen - before.Exec.chunks_stolen));
+      ( "steal_misses",
+        num_int (after.Exec.steal_misses - before.Exec.steal_misses) );
+      ("queue_depth", List (Array.to_list (Array.map num_int depth)));
+    ]
 
 let counter_value name = Obs.Metrics.value (Obs.Metrics.counter name)
 
@@ -854,98 +645,72 @@ let parallel_exp () =
     (Printf.sprintf
        "Parallel execution — sequential vs -j %d (available domains: %d)" jobs
        (Domain.recommended_domain_count ()));
-  pf "(parallel results must be bit-identical to sequential; wall-clock@.";
-  pf " speedup requires more than one core — see available domains)@.@.";
-  let rows =
-    List.map
-      (fun c ->
-        let design = Suite.design ~scale c in
-        let pao_seq, pao_seq_wall =
-          wall (fun () -> PA.optimize ~kind:PA.Lr design)
-        in
-        let pao_par, pao_par_wall =
-          wall (fun () -> PA.optimize ~kind:PA.Lr ~j:jobs design)
-        in
-        let pao_identical =
-          pao_seq.PA.objective = pao_par.PA.objective
-          && pao_seq.PA.reports = pao_par.PA.reports
-          && pao_seq.PA.assignments = pao_par.PA.assignments
-        in
-        let flow_seq, flow_seq_wall = wall (fun () -> Router.Cpr.run design) in
-        let sched0 = sched_stats () in
-        let alloc0 = counter_value "maze.alloc_words" in
-        let nodes0 = counter_value "maze.expansions" in
-        let flow_par, flow_par_wall =
-          wall (fun () ->
-              Router.Cpr.run
-                ~config:
-                  { Router.Cpr.default_config with jobs; parallel_init = true }
-                design)
-        in
-        let chunks, steals, misses, depth = sched_delta sched0 (sched_stats ()) in
-        let alloc_per_node =
-          let nodes = counter_value "maze.expansions" - nodes0 in
-          if nodes = 0 then 0.0
-          else
-            float_of_int (counter_value "maze.alloc_words" - alloc0)
-            /. float_of_int nodes
-        in
-        let s_seq = Eval.of_flow ~name:"flow-seq" flow_seq in
-        let s_par = Eval.of_flow ~name:"flow-par" flow_par in
-        parallel_rows :=
-          {
-            pr_id = c.Suite.id;
-            pr_jobs = jobs;
-            pao_seq_wall;
-            pao_par_wall;
-            pao_identical;
-            flow_seq = s_seq;
-            flow_par = s_par;
-            flow_seq_wall;
-            flow_par_wall;
-            pr_chunks = chunks;
-            pr_steals = steals;
-            pr_steal_misses = misses;
-            pr_queue_depth = depth;
-            pr_alloc_per_node = alloc_per_node;
-          }
-          :: !parallel_rows;
-        pf "  %s done@." c.Suite.id;
+  pf "(parallel PAO and flow results must be bit-identical to sequential;@.";
+  pf " the wall-clock fields separate once domains > 1, where the parallel@.";
+  pf " PAO must not lose by more than 5%%%s; chunk/steal and alloc/node@."
+    (if speedup_armed then "" else " — not checked here");
+  pf " read against docs/PERF.md's cost model)@.@.";
+  check (jobs >= 2) "parallel: runs at -j %d; CPR_BENCH_JOBS must be >= 2" jobs;
+  (* spawn the pool now, so domain start-up is not charged to the first
+     circuit's parallel wall *)
+  ignore (sched_stats ());
+  List.map
+    (fun c ->
+      let id = c.Suite.id in
+      let design = Suite.design ~scale c in
+      let (pao_seq, pao_seq_wall), (pao_par, pao_par_wall) =
+        seq_par_walls
+          (fun () -> PA.optimize ~kind:PA.Lr design)
+          (fun () -> PA.optimize ~kind:PA.Lr ~j:jobs design)
+      in
+      let identical = same_pao pao_seq pao_par in
+      check identical "parallel %s: -j %d PAO differs from sequential" id jobs;
+      check_speedup ("parallel " ^ id) ~seq:pao_seq_wall ~par:pao_par_wall;
+      let flow_seq, flow_seq_wall = wall (fun () -> Router.Cpr.run design) in
+      let sched0 = sched_stats () in
+      let alloc0 = counter_value "maze.alloc_words" in
+      let nodes0 = counter_value "maze.expansions" in
+      let flow_par, flow_par_wall =
+        wall (fun () ->
+            Router.Cpr.run
+              ~config:
+                { Router.Cpr.default_config with jobs; parallel_init = true }
+              design)
+      in
+      let sched = sched_delta ("parallel " ^ id) sched0 (sched_stats ()) in
+      let alloc_per_node =
+        let nodes = counter_value "maze.expansions" - nodes0 in
+        if nodes = 0 then 0.0
+        else
+          float_of_int (counter_value "maze.alloc_words" - alloc0)
+          /. float_of_int nodes
+      in
+      let s_seq = Eval.of_flow ~name:"flow-seq" flow_seq in
+      let s_par = Eval.of_flow ~name:"flow-par" flow_par in
+      let rvw (s : Eval.summary) =
+        (s.Eval.routability, s.Eval.via_count, s.Eval.wirelength)
+      in
+      let (r, v, w), (r', v', w') = (rvw s_seq, rvw s_par) in
+      check (rvw s_seq = rvw s_par)
+        "parallel %s: -j %d flow R/V/WL %.2f/%d/%d differs from sequential \
+         %.2f/%d/%d"
+        id jobs r' v' w' r v w;
+      pf "  %s done@." id;
+      Obs.Json.
         [
-          c.Suite.id;
-          Report.fixed 2 pao_seq_wall;
-          Report.fixed 2 pao_par_wall;
-          (if pao_identical then "yes" else "NO");
-          Report.fixed 2 flow_seq_wall;
-          Report.fixed 2 flow_par_wall;
-          Printf.sprintf "%d/%d" chunks steals;
-          Report.fixed 1 alloc_per_node;
-          Printf.sprintf "%.2f/%d/%d" s_seq.Eval.routability s_seq.Eval.via_count
-            s_seq.Eval.wirelength;
-          Printf.sprintf "%.2f/%d/%d" s_par.Eval.routability s_par.Eval.via_count
-            s_par.Eval.wirelength;
-        ])
-      (circuits ())
-  in
-  pf "@.%s@."
-    (Report.table
-       ~header:
-         [
-           "Ckt";
-           "PAO seq(s)";
-           Printf.sprintf "PAO -j%d(s)" jobs;
-           "identical";
-           "flow seq(s)";
-           Printf.sprintf "flow -j%d(s)" jobs;
-           "chunk/steal";
-           "alloc/node";
-           "seq R/V/WL";
-           "par R/V/WL";
-         ]
-       rows);
-  pf "@.Expected shape: the identical column is all-yes; the wall-clock@.";
-  pf "columns converge on one core and separate once domains > 1.@.";
-  pf "chunk/steal and alloc/node read against docs/PERF.md's cost model.@."
+          ("id", Str id);
+          ("jobs", num_int jobs);
+          ("pao_seq_wall", Num pao_seq_wall);
+          ("pao_par_wall", Num pao_par_wall);
+          ("identical", Bool identical);
+          ("flow_seq", summary_json s_seq);
+          ("flow_par", summary_json s_par);
+          ("flow_seq_wall", Num flow_seq_wall);
+          ("flow_par_wall", Num flow_par_wall);
+        ]
+      @ sched
+      @ [ ("alloc_per_node", Obs.Json.Num alloc_per_node) ])
+    (circuits ())
 
 (* --------------------------------------------------------------- *)
 (* mega — streamed PAO on the 10x-top scale tier                     *)
@@ -963,11 +728,15 @@ let mega_exp () =
     (Printf.sprintf "mega — streamed PAO at 10x top (-j %d, scale %.2f)" jobs
        scale);
   pf "(panel problems are built inside the solve, never all resident;@.";
-  pf " sequential and parallel streamed runs must be bit-identical)@.@.";
+  pf " sequential and parallel streamed runs must be bit-identical, and@.";
+  pf " -j%d below sequential once the machine exposes several domains)@.@." jobs;
+  check (jobs >= 2) "mega: runs at -j %d; CPR_BENCH_JOBS must be >= 2" jobs;
   let c = Suite.mega in
   let design = Suite.design ~scale c in
   let nets = Array.length (Netlist.Design.nets design) in
   let panels = Netlist.Design.num_panels design in
+  check (nets >= 1 && panels >= 1) "mega: empty tier (%d nets, %d panels)" nets
+    panels;
   pf "  %s: %d nets, %d panels@." c.Suite.id nets panels;
   let pao_seq, seq_wall =
     wall (fun () -> PA.optimize ~kind:PA.Lr design)
@@ -976,47 +745,23 @@ let mega_exp () =
   let pao_par, par_wall =
     wall (fun () -> PA.optimize ~kind:PA.Lr ~j:jobs design)
   in
-  let chunks, steals, misses, depth = sched_delta sched0 (sched_stats ()) in
-  let identical =
-    pao_seq.PA.objective = pao_par.PA.objective
-    && pao_seq.PA.reports = pao_par.PA.reports
-    && pao_seq.PA.assignments = pao_par.PA.assignments
-  in
-  mega_rows :=
-    {
-      mg_id = c.Suite.id;
-      mg_nets = nets;
-      mg_panels = panels;
-      mg_jobs = jobs;
-      mg_pao_seq_wall = seq_wall;
-      mg_pao_par_wall = par_wall;
-      mg_identical = identical;
-      mg_chunks = chunks;
-      mg_steals = steals;
-      mg_steal_misses = misses;
-      mg_queue_depth = depth;
-    }
-    :: !mega_rows;
-  pf "@.%s@."
-    (Report.table
-       ~header:
-         [
-           "Ckt"; "nets"; "panels"; "seq(s)";
-           Printf.sprintf "-j%d(s)" jobs; "identical"; "chunk/steal/miss";
-         ]
-       [
-         [
-           c.Suite.id;
-           string_of_int nets;
-           string_of_int panels;
-           Report.fixed 2 seq_wall;
-           Report.fixed 2 par_wall;
-           (if identical then "yes" else "NO");
-           Printf.sprintf "%d/%d/%d" chunks steals misses;
-         ];
-       ]);
-  pf "@.Expected shape: identical yes; par(s) below seq(s) once the@.";
-  pf "machine exposes more than one domain.@."
+  let sched = sched_delta "mega" sched0 (sched_stats ()) in
+  let identical = same_pao pao_seq pao_par in
+  check identical "mega: -j %d PAO differs from sequential" jobs;
+  check_speedup "mega" ~seq:seq_wall ~par:par_wall;
+  [
+    Obs.Json.
+      [
+        ("id", Str c.Suite.id);
+        ("nets", num_int nets);
+        ("panels", num_int panels);
+        ("jobs", num_int jobs);
+        ("pao_seq_wall", Num seq_wall);
+        ("pao_par_wall", Num par_wall);
+        ("identical", Bool identical);
+      ]
+    @ sched;
+  ]
 
 (* --------------------------------------------------------------- *)
 (* ECO — incremental re-optimization vs from-scratch                *)
@@ -1026,81 +771,59 @@ let mega_exp () =
    a fraction of a cold solve: clean panels come straight out of the
    content-addressed panel cache and dirty panels warm-start the LR
    from their cached multipliers.  Each step moves pins in ~5% of the
-   panels; the incremental PAO wall is then compared against a full
-   [PA.optimize] of the same post-edit design.  CI asserts that the
-   recorded rows are well-formed (hit rate in [0,1], positive speedup);
-   the >=3x factor is the expected shape, not a gate, to keep the
+   panels; the wall of [Eco.Engine.apply] is then compared against a
+   full [PA.optimize] of the same post-edit design, on the same clock.
+   The >=3x factor is the expected shape, not a check, to keep the
    smoke run flake-free on loaded runners. *)
 let eco_exp () =
   section "ECO — incremental re-optimization at 5% dirty panels";
   pf "(each step moves pins in ~5%% of the panels; incremental = panel@.";
-  pf " cache + warm-started LR on dirty panels, scratch = PA.optimize)@.@.";
+  pf " cache + warm-started LR on dirty panels, scratch = PA.optimize;@.";
+  pf " expect a speedup well above 3x — the cache serves ~95%% of the@.";
+  pf " panels and the dirty rest warm-start)@.@.";
   let steps = 6 and dirty_fraction = 0.05 in
-  let rows =
-    List.map
-      (fun c ->
-        let design = Suite.design ~scale c in
-        let engine, cold_wall = wall (fun () -> Eco.Engine.create design) in
-        let batches =
-          Workloads.Eco_stream.local_moves ~seed:31L ~steps ~dirty_fraction
-            design
-        in
-        let inc = ref 0.0 and scr = ref 0.0 and warm = ref 0 in
-        List.iter
-          (fun batch ->
-            let r = Eco.Engine.apply engine batch in
-            inc := !inc +. r.Eco.Engine.pao_wall;
-            warm := !warm + r.Eco.Engine.warm_started;
-            let _, w =
-              wall (fun () ->
-                  PA.optimize ~kind:PA.Lr (Eco.Engine.design engine))
-            in
-            scr := !scr +. w)
-          batches;
-        let n = List.length batches in
-        let speedup = if n = 0 then 1.0 else !scr /. Float.max 1e-9 !inc in
-        let hit_rate = Eco.Engine.cache_hit_rate engine in
-        eco_rows :=
-          {
-            eco_id = c.Suite.id;
-            eco_cold_wall = cold_wall;
-            eco_steps = n;
-            eco_incremental_wall = !inc;
-            eco_scratch_wall = !scr;
-            eco_speedup = speedup;
-            eco_hit_rate = hit_rate;
-            eco_warm_started = !warm;
-          }
-          :: !eco_rows;
-        pf "  %s done@." c.Suite.id;
+  List.map
+    (fun c ->
+      let id = c.Suite.id in
+      let design = Suite.design ~scale c in
+      let engine, cold_wall = wall (fun () -> Eco.Engine.create design) in
+      let batches =
+        Workloads.Eco_stream.local_moves ~seed:31L ~steps ~dirty_fraction
+          design
+      in
+      let inc = ref 0.0 and scr = ref 0.0 and warm = ref 0 in
+      List.iter
+        (fun batch ->
+          let r, w = wall (fun () -> Eco.Engine.apply engine batch) in
+          inc := !inc +. w;
+          warm := !warm + r.Eco.Engine.warm_started;
+          let _, w =
+            wall (fun () ->
+                PA.optimize ~kind:PA.Lr (Eco.Engine.design engine))
+          in
+          scr := !scr +. w)
+        batches;
+      let n = List.length batches in
+      let speedup = if n = 0 then 1.0 else !scr /. Float.max 1e-9 !inc in
+      let hit_rate = Eco.Engine.cache_hit_rate engine in
+      check (n >= 1) "eco %s: the edit stream is empty" id;
+      check
+        (0.0 <= hit_rate && hit_rate <= 1.0)
+        "eco %s: hit rate %g outside [0, 1]" id hit_rate;
+      check (speedup > 0.0) "eco %s: speedup %g is not positive" id speedup;
+      pf "  %s done@." id;
+      Obs.Json.
         [
-          c.Suite.id;
-          Report.fixed 2 cold_wall;
-          string_of_int n;
-          Report.fixed 3 !inc;
-          Report.fixed 3 !scr;
-          Report.fixed 1 speedup;
-          Report.fixed 3 hit_rate;
-          string_of_int !warm;
+          ("id", Str id);
+          ("cold_pao_wall", Num cold_wall);
+          ("steps", num_int n);
+          ("incremental_wall", Num !inc);
+          ("scratch_wall", Num !scr);
+          ("speedup", Num speedup);
+          ("hit_rate", Num hit_rate);
+          ("warm_started", num_int !warm);
         ])
-      (circuits ())
-  in
-  pf "@.%s@."
-    (Report.table
-       ~header:
-         [
-           "Ckt";
-           "cold(s)";
-           "steps";
-           "inc(s)";
-           "scratch(s)";
-           "speedup";
-           "hit rate";
-           "warm";
-         ]
-       rows);
-  pf "@.Expected shape: speedup well above 3x at 5%% dirty — the cache@.";
-  pf "serves ~95%% of the panels and the dirty rest warm-start.@."
+    (circuits ())
 
 (* --------------------------------------------------------------- *)
 (* serve — the ECO service under load                                *)
@@ -1120,78 +843,67 @@ let rec rm_rf path =
    the wire protocol's stdio framing costs microseconds and is
    exercised by the soak harness instead).  The load generator's
    shadow-design comparison doubles as an end-to-end check that every
-   acknowledged batch landed; CI asserts zero mismatches. *)
+   acknowledged batch landed: any mismatch is a broken ack contract. *)
 let serve_exp () =
   section "serve — ECO service throughput and latency under load";
   pf "(4 sessions x random edit batches; every batch journaled,@.";
-  pf " applied incrementally and committed before the ack)@.@.";
+  pf " applied incrementally and committed before the ack; mismatch@.";
+  pf " must be 0 — the dumped design equals the fold of acked batches)@.@.";
   let clients = 4 and steps = 8 and edits_per_step = 3 in
-  let rows =
-    List.map
-      (fun c ->
-        let design = Suite.design ~scale c in
-        let root = Filename.temp_file "cpr-serve-bench" "" in
-        Sys.remove root;
-        Sys.mkdir root 0o755;
-        let config =
+  List.map
+    (fun c ->
+      let id = c.Suite.id in
+      let design = Suite.design ~scale c in
+      let root = Filename.temp_file "cpr-serve-bench" "" in
+      Sys.remove root;
+      Sys.mkdir root 0o755;
+      let config =
+        {
+          (Serve.Server.default_config ~root) with
+          Serve.Server.jobs;
+          now = Unix.gettimeofday;
+        }
+      in
+      let t = Serve.Server.create config in
+      let o =
+        Serve.Loadgen.run ~design
           {
-            (Serve.Server.default_config ~root) with
-            Serve.Server.jobs;
+            Serve.Loadgen.default with
+            Serve.Loadgen.clients;
+            steps;
+            edits_per_step;
+            seed = 17L;
             now = Unix.gettimeofday;
           }
-        in
-        let t = Serve.Server.create config in
-        let outcome =
-          Serve.Loadgen.run ~design
-            {
-              Serve.Loadgen.default with
-              Serve.Loadgen.clients;
-              steps;
-              edits_per_step;
-              seed = 17L;
-              now = Unix.gettimeofday;
-            }
-            (Serve.Server.handle t)
-        in
-        Serve.Server.shutdown t;
-        rm_rf root;
-        let open Serve.Loadgen in
-        serve_rows :=
-          {
-            sv_id = c.Suite.id;
-            sv_clients = clients;
-            sv_batches = outcome.acked;
-            sv_edits_per_sec = outcome.edits_per_sec;
-            sv_p50_ms = outcome.p50_ms;
-            sv_p99_ms = outcome.p99_ms;
-            sv_timeouts = outcome.timeouts;
-            sv_shed = outcome.shed;
-            sv_mismatches = List.length outcome.mismatches;
-          }
-          :: !serve_rows;
-        pf "  %s done@." c.Suite.id;
+          (Serve.Server.handle t)
+      in
+      Serve.Server.shutdown t;
+      rm_rf root;
+      let mismatches = List.length o.Serve.Loadgen.mismatches in
+      let p50, p99 = (o.Serve.Loadgen.p50_ms, o.Serve.Loadgen.p99_ms) in
+      check (mismatches = 0)
+        "serve %s: %d session(s) do not match the fold of their acked batches" id
+        mismatches;
+      check (o.Serve.Loadgen.acked >= 1) "serve %s: no batch acked" id;
+      check
+        (o.Serve.Loadgen.edits_per_sec > 0.0)
+        "serve %s: throughput %g edits/s" id o.Serve.Loadgen.edits_per_sec;
+      check (p99 >= p50 && p50 > 0.0) "serve %s: latency p50 %g ms, p99 %g ms" id
+        p50 p99;
+      pf "  %s done@." id;
+      Obs.Json.
         [
-          c.Suite.id;
-          string_of_int outcome.acked;
-          Report.fixed 1 outcome.edits_per_sec;
-          Report.fixed 1 outcome.p50_ms;
-          Report.fixed 1 outcome.p99_ms;
-          string_of_int outcome.timeouts;
-          string_of_int outcome.shed;
-          string_of_int (List.length outcome.mismatches);
+          ("id", Str id);
+          ("clients", num_int clients);
+          ("batches", num_int o.Serve.Loadgen.acked);
+          ("edits_per_sec", Num o.Serve.Loadgen.edits_per_sec);
+          ("p50_ms", Num p50);
+          ("p99_ms", Num p99);
+          ("timeouts", num_int o.Serve.Loadgen.timeouts);
+          ("shed", num_int o.Serve.Loadgen.shed);
+          ("mismatches", num_int mismatches);
         ])
-      (circuits ())
-  in
-  pf "@.%s@."
-    (Report.table
-       ~header:
-         [
-           "Ckt"; "acked"; "edits/s"; "p50(ms)"; "p99(ms)"; "timeout"; "shed";
-           "mismatch";
-         ]
-       rows);
-  pf "@.Every acked batch is WAL-committed before the reply; mismatch@.";
-  pf "must be 0 — the dumped design equals the fold of acked batches.@."
+    (circuits ())
 
 (* --------------------------------------------------------------- *)
 (* libcheck — library sweep throughput and grade distribution        *)
@@ -1200,8 +912,9 @@ let serve_exp () =
 let libcheck_exp () =
   section
     (Printf.sprintf "libcheck — library pin-access sweep (-j %d)" jobs);
-  pf "(every cell solved and audit-certified at each density level;@.";
-  pf " the parallel sweep must produce the sequential report bytes)@.@.";
+  pf "(every cell solved and audit-certified at each density level; the@.";
+  pf " sweep carves isolated budget slices up front and merges in input@.";
+  pf " order, so the -j sweep must produce the sequential report bytes)@.@.";
   let sizes =
     List.filter_map
       (fun n ->
@@ -1210,78 +923,63 @@ let libcheck_exp () =
       [ 24; 96 ]
   in
   let sizes = if sizes = [] then [ 2 ] else sizes in
-  let rows =
-    List.map
-      (fun n ->
-        let id = Printf.sprintf "synth-%d" n in
-        let params =
-          { Workloads.Cell_lib.default_params with Workloads.Cell_lib.cells = n }
-        in
-        let cells = Workloads.Cell_lib.generate params in
-        let config = Libcheck.Harness.default_config in
-        let seq, lc_seq_wall =
-          wall (fun () -> Libcheck.Sweep.run ~j:1 config cells)
-        in
-        let par, lc_par_wall =
-          wall (fun () -> Libcheck.Sweep.run ~j:jobs config cells)
-        in
-        let render results =
-          Obs.Json.to_string
-            (Libcheck.Report.to_json
-               (Libcheck.Report.make ~lib_name:id config results))
-        in
-        let lc_identical = render seq = render par in
-        let report = Libcheck.Report.make ~lib_name:id config par in
-        let grades =
-          List.map
-            (fun (g, c) -> (Libcheck.Grade.to_string g, c))
-            (Libcheck.Report.grade_histogram report)
-        in
-        let pins = Workloads.Cell_lib.num_pins cells in
-        let weak = Libcheck.Report.weak_pins report in
-        let cells_per_sec =
-          if lc_par_wall > 0.0 then float_of_int n /. lc_par_wall else 0.0
-        in
-        libcheck_rows :=
-          {
-            lc_id = id;
-            lc_cells = n;
-            lc_pins = pins;
-            lc_jobs = jobs;
-            lc_seq_wall;
-            lc_par_wall;
-            lc_identical;
-            lc_cells_per_sec = cells_per_sec;
-            lc_weak_pins = weak;
-            lc_grades = grades;
-          }
-          :: !libcheck_rows;
-        pf "  %s done@." id;
+  List.map
+    (fun n ->
+      let id = Printf.sprintf "synth-%d" n in
+      let params =
+        { Workloads.Cell_lib.default_params with Workloads.Cell_lib.cells = n }
+      in
+      let cells = Workloads.Cell_lib.generate params in
+      let config = Libcheck.Harness.default_config in
+      let seq, seq_wall =
+        wall (fun () -> Libcheck.Sweep.run ~j:1 config cells)
+      in
+      let par, par_wall =
+        wall (fun () -> Libcheck.Sweep.run ~j:jobs config cells)
+      in
+      let render results =
+        Obs.Json.to_string
+          (Libcheck.Report.to_json
+             (Libcheck.Report.make ~lib_name:id config results))
+      in
+      let identical = render seq = render par in
+      let report = Libcheck.Report.make ~lib_name:id config par in
+      let grades =
+        List.map
+          (fun (g, c) -> (Libcheck.Grade.to_string g, c))
+          (Libcheck.Report.grade_histogram report)
+      in
+      let pins = Workloads.Cell_lib.num_pins cells in
+      let weak = Libcheck.Report.weak_pins report in
+      let graded = List.fold_left (fun k (_, c) -> k + c) 0 grades in
+      check identical "libcheck %s: -j %d report differs from -j 1" id jobs;
+      check (n >= 1 && pins >= 1 && jobs >= 1)
+        "libcheck %s: %d cells, %d pins at -j %d" id n pins jobs;
+      check
+        (List.sort compare (List.map fst grades) = [ "A"; "B"; "C"; "D"; "F" ])
+        "libcheck %s: grades %s, not A-F" id
+        (String.concat "," (List.map fst grades));
+      check (graded = pins) "libcheck %s: %d pins graded, not all %d" id graded
+        pins;
+      check
+        (List.assoc_opt "F" grades = Some weak)
+        "libcheck %s: %d weak pins, not the F count" id weak;
+      pf "  %s done@." id;
+      Obs.Json.
         [
-          id;
-          string_of_int n;
-          string_of_int pins;
-          Report.fixed 2 lc_seq_wall;
-          Report.fixed 2 lc_par_wall;
-          (if lc_identical then "yes" else "NO");
-          Report.fixed 1 cells_per_sec;
-          String.concat " "
-            (List.map (fun (g, c) -> Printf.sprintf "%s=%d" g c) grades);
-          string_of_int weak;
+          ("id", Str id);
+          ("cells", num_int n);
+          ("pins", num_int pins);
+          ("jobs", num_int jobs);
+          ("seq_wall", Num seq_wall);
+          ("par_wall", Num par_wall);
+          ("identical", Bool identical);
+          ( "cells_per_sec",
+            Num (if par_wall > 0.0 then float_of_int n /. par_wall else 0.0) );
+          ("weak_pins", num_int weak);
+          ("grades", Obj (List.map (fun (g, c) -> (g, num_int c)) grades));
         ])
-      sizes
-  in
-  pf "@.%s@."
-    (Report.table
-       ~header:
-         [
-           "library"; "cells"; "pins"; "seq(s)"; "par(s)"; "ident";
-           "cells/s"; "grades"; "weak";
-         ]
-       rows);
-  pf "@.The identity column must read yes: the sweep carves isolated@.";
-  pf "budget slices up front and merges in input order, so -j never@.";
-  pf "changes a single report byte.@."
+    sizes
 
 (* --------------------------------------------------------------- *)
 (* tpl — color-constrained pin access on dense stress layouts        *)
@@ -1294,13 +992,13 @@ let libcheck_exp () =
    uncolored features), bit-identity of the -j2 TPL run (coloring
    included), and the no-leak flag — a TPL-off run after the TPL runs
    must still be bit-identical to one before them, which is the zero-
-   drift promise the bench gate holds TPL-off rows to. *)
+   drift promise TPL-off rows are held to. *)
 let tpl_exp () =
   let colors = 3 in
   section
     (Printf.sprintf "tpl — %d-color TPL-aware pin access and routing" colors);
-  pf "(dense stress layouts; uncolored counts the honest residual,@.";
-  pf " identical and off-identical must both read yes)@.@.";
+  pf "(dense stress layouts; both identity flags must read yes, stitches@.";
+  pf " appear under density and uncolored stays a small honest residual)@.@.";
   let deck = Drc.Tpl.make ~colors () in
   let pa_tpl =
     {
@@ -1321,85 +1019,60 @@ let tpl_exp () =
         ~seed:6L ();
     ]
   in
-  let rows =
-    List.map
-      (fun params ->
-        let design = Workloads.Generator.generate params in
-        let id = params.Workloads.Generator.name in
-        let nets = Array.length (Netlist.Design.nets design) in
-        let before = PA.optimize ~kind:PA.Lr design in
-        let seq, pao_wall =
-          wall (fun () -> PA.optimize ~config:pa_tpl ~kind:PA.Lr design)
-        in
-        let par = PA.optimize ~config:pa_tpl ~kind:PA.Lr ~j:jobs design in
-        let identical =
-          seq.PA.objective = par.PA.objective
-          && seq.PA.assignments = par.PA.assignments
-          && seq.PA.tpl = par.PA.tpl
-        in
-        let flow, flow_wall =
-          wall (fun () ->
-              Router.Cpr.run
-                ~config:{ Router.Cpr.default_config with Router.Cpr.tpl = Some deck }
-                design)
-        in
-        let stats =
-          match flow.Router.Flow.tpl_stats with
-          | Some s -> s
-          | None -> failwith "tpl flow recorded no TPL stats"
-        in
-        (* the no-leak check: TPL runs must leave no trace in a
-           following TPL-off solve *)
-        let after = PA.optimize ~kind:PA.Lr design in
-        let off_identical =
-          before.PA.objective = after.PA.objective
-          && before.PA.assignments = after.PA.assignments
-          && before.PA.reports = after.PA.reports
-        in
-        let s = Eval.of_flow ~name:("tpl-" ^ id) flow in
-        tpl_rows :=
-          {
-            tp_id = id;
-            tp_colors = colors;
-            tp_nets = nets;
-            tp_features = stats.Drc.Tpl.features;
-            tp_solid = stats.Drc.Tpl.solid;
-            tp_stitched = stats.Drc.Tpl.stitched;
-            tp_uncolored = stats.Drc.Tpl.uncolored;
-            tp_identical = identical;
-            tp_off_identical = off_identical;
-            tp_pao_wall = pao_wall;
-            tp_flow_wall = flow_wall;
-            tp_summary = s;
-          }
-          :: !tpl_rows;
-        pf "  %s done@." id;
+  List.map
+    (fun params ->
+      let design = Workloads.Generator.generate params in
+      let id = params.Workloads.Generator.name in
+      let nets = Array.length (Netlist.Design.nets design) in
+      let before = PA.optimize ~kind:PA.Lr design in
+      let seq, pao_wall =
+        wall (fun () -> PA.optimize ~config:pa_tpl ~kind:PA.Lr design)
+      in
+      let par = PA.optimize ~config:pa_tpl ~kind:PA.Lr ~j:jobs design in
+      let flow, flow_wall =
+        wall (fun () ->
+            Router.Cpr.run
+              ~config:{ Router.Cpr.default_config with Router.Cpr.tpl = Some deck }
+              design)
+      in
+      let stats =
+        match flow.Router.Flow.tpl_stats with
+        | Some s -> s
+        | None -> failwith "tpl flow recorded no TPL stats"
+      in
+      (* the no-leak check: TPL runs must leave no trace in a
+         following TPL-off solve *)
+      let after = PA.optimize ~kind:PA.Lr design in
+      let identical = same_pao seq par in
+      let off_identical = same_pao before after in
+      let { Drc.Tpl.features; solid; stitched; uncolored; _ } = stats in
+      check identical "tpl %s: -j %d TPL PAO differs from sequential" id jobs;
+      check off_identical "tpl %s: a TPL run perturbed the following TPL-off run"
+        id;
+      check (colors >= 2 && nets >= 1) "tpl %s: %d colors, %d nets" id colors
+        nets;
+      check
+        (solid + stitched + uncolored = features)
+        "tpl %s: solid+stitched+uncolored = %d, not the %d features" id
+        (solid + stitched + uncolored)
+        features;
+      pf "  %s done@." id;
+      Obs.Json.
         [
-          id;
-          string_of_int nets;
-          string_of_int stats.Drc.Tpl.features;
-          Printf.sprintf "%d/%d/%d" stats.Drc.Tpl.solid stats.Drc.Tpl.stitched
-            stats.Drc.Tpl.uncolored;
-          (if identical then "yes" else "NO");
-          (if off_identical then "yes" else "NO");
-          Report.fixed 2 pao_wall;
-          Report.fixed 2 flow_wall;
-          Printf.sprintf "%.2f/%d/%d" s.Eval.routability s.Eval.via_count
-            s.Eval.wirelength;
+          ("id", Str id);
+          ("colors", num_int colors);
+          ("nets", num_int nets);
+          ("features", num_int features);
+          ("solid", num_int solid);
+          ("stitched", num_int stitched);
+          ("uncolored", num_int uncolored);
+          ("identical", Bool identical);
+          ("off_identical", Bool off_identical);
+          ("pao_wall", Num pao_wall);
+          ("flow_wall", Num flow_wall);
+          ("flow", summary_json (Eval.of_flow ~name:("tpl-" ^ id) flow));
         ])
-      cases
-  in
-  pf "@.%s@."
-    (Report.table
-       ~header:
-         [
-           "design"; "nets"; "feat"; "solid/stitch/uncol";
-           Printf.sprintf "-j%d ident" jobs; "off ident"; "PAO(s)"; "flow(s)";
-           "R/V/WL";
-         ]
-       rows);
-  pf "@.Expected shape: both identity columns all-yes; stitches appear@.";
-  pf "under density and uncolored stays a small honest residual.@."
+    cases
 
 (* --------------------------------------------------------------- *)
 (* tune — untuned vs bandit-tuned PAO                                *)
@@ -1408,19 +1081,24 @@ let tpl_exp () =
 (* The adaptive tuner's honest comparison: the untuned PAO stage vs
    the seeded-bandit tuner on the paper suite, measured in work units
    (LR iterations, the tuner's own reward currency) rather than wall
-   clock, so the row is reproducible on any machine.  The off_identical
-   flag is the zero-drift promise the bench gate holds: an untuned
-   solve after the tuned one must be bit-identical to one before it —
-   tuning leaves no trace when it is off. *)
+   clock, so the row is reproducible on any machine.  An untuned solve
+   after the tuned one must be bit-identical to one before it — tuning
+   leaves no trace when it is off — and the bandit must pay for itself
+   somewhere: some circuit spends no more work units tuned at an
+   objective within 1% of the untuned one. *)
 let tune_exp () =
   let tune_seed = 0 in
   section
     (Printf.sprintf "tune — untuned vs bandit-tuned PAO (seed %d)" tune_seed);
   pf "(work units = LR iterations, the reward currency of DESIGN.md §12;@.";
-  pf " off-identical must read yes: tuning leaves no trace when off)@.@.";
+  pf " off-identical must read yes: tuning leaves no trace when off; the@.";
+  pf " tuned work dips below the untuned on some circuit at equal@.";
+  pf " objective as the bandit locks onto cheaper schedules)@.@.";
+  let saves = ref false in
   let rows =
     List.map
       (fun c ->
+        let id = c.Suite.id in
         let design = Suite.design ~scale c in
         let panels = Netlist.Design.num_panels design in
         let w0 = counter_value "lr.iterations" in
@@ -1440,11 +1118,7 @@ let tune_exp () =
         in
         let tuned_work = counter_value "lr.iterations" - w1 in
         let after = PA.optimize ~kind:PA.Lr design in
-        let off_identical =
-          untuned.PA.objective = after.PA.objective
-          && untuned.PA.assignments = after.PA.assignments
-          && untuned.PA.reports = after.PA.reports
-        in
+        let off_identical = same_pao untuned after in
         let pulls, regret, histogram =
           match Tune.Tuner.bandit tuner with
           | Some b ->
@@ -1452,72 +1126,105 @@ let tune_exp () =
              Tune.Bandit.histogram b)
           | None -> (0, 0.0, [])
         in
-        tune_rows :=
-          {
-            tn_id = c.Suite.id;
-            tn_panels = panels;
-            tn_seed = tune_seed;
-            tn_untuned_wall = untuned_wall;
-            tn_tuned_wall = tuned_wall;
-            tn_untuned_work = untuned_work;
-            tn_tuned_work = tuned_work;
-            tn_untuned_obj = untuned.PA.objective;
-            tn_tuned_obj = tuned.PA.objective;
-            tn_off_identical = off_identical;
-            tn_pulls = pulls;
-            tn_regret = regret;
-            tn_histogram = histogram;
-          }
-          :: !tune_rows;
-        pf "  %s done@." c.Suite.id;
-        [
-          c.Suite.id;
-          string_of_int panels;
-          string_of_int untuned_work;
-          string_of_int tuned_work;
-          Report.fixed 3
-            (float_of_int tuned_work
-            /. Float.max 1.0 (float_of_int untuned_work));
-          Report.fixed 1 untuned.PA.objective;
-          Report.fixed 1 tuned.PA.objective;
-          (if off_identical then "yes" else "NO");
-          Report.fixed 2 untuned_wall;
-          Report.fixed 2 tuned_wall;
-          String.concat " "
-            (List.map (fun (a, n) -> Printf.sprintf "%s=%d" a n) histogram);
-        ])
+        let obj, tuned_obj = (untuned.PA.objective, tuned.PA.objective) in
+        let selections = List.fold_left (fun k (_, n) -> k + n) 0 histogram in
+        check off_identical
+          "tune %s: an untuned run after the tuned one differs from the one \
+           before"
+          id;
+        check
+          (panels >= 1 && untuned_work >= 1 && tuned_work >= 1 && obj > 0.0
+         && tuned_obj > 0.0)
+          "tune %s: empty run (%d panels, work %d/%d, objective %g/%g)" id panels
+          untuned_work tuned_work obj tuned_obj;
+        check (histogram <> []) "tune %s: empty policy histogram" id;
+        check (selections = pulls)
+          "tune %s: histogram sums to %d, not %d pulls" id selections pulls;
+        if tuned_work <= untuned_work && tuned_obj >= obj *. 0.99 then
+          saves := true;
+        pf "  %s done@." id;
+        Obs.Json.
+          [
+            ("id", Str id);
+            ("panels", num_int panels);
+            ("seed", num_int tune_seed);
+            ("untuned_wall", Num untuned_wall);
+            ("tuned_wall", Num tuned_wall);
+            ("untuned_work", num_int untuned_work);
+            ("tuned_work", num_int tuned_work);
+            ("untuned_obj", Num obj);
+            ("tuned_obj", Num tuned_obj);
+            ("off_identical", Bool off_identical);
+            ("pulls", num_int pulls);
+            ("regret", Num regret);
+            ( "histogram",
+              Obj (List.map (fun (a, n) -> (a, num_int n)) histogram) );
+          ])
       (circuits ())
   in
-  pf "@.%s@."
-    (Report.table
-       ~header:
-         [
-           "Ckt"; "panels"; "work"; "tuned work"; "ratio"; "obj"; "tuned obj";
-           "off ident"; "wall(s)"; "tuned wall(s)"; "policy histogram";
-         ]
-       rows);
-  pf "@.Expected shape: off-identical all-yes; the work ratio dips below@.";
-  pf "1.0 on at least one circuit as the bandit locks onto cheaper@.";
-  pf "schedules at equal objective (the gate's --require-tune check).@."
+  check !saves
+    "tune: on no circuit did the tuned run spend at most the untuned work \
+     units at an objective within 1%%%s"
+    (if scale < 0.3 then
+       Printf.sprintf
+         " (at scale %.2f nearly every pull is forced exploration; run at \
+          CPR_BENCH_SCALE >= 0.3)"
+         scale
+     else "");
+  rows
+
+(* Paper figures, ablations and kernels print only; the others return
+   the rows of their BENCH.json section. *)
+type experiment = Print of (unit -> unit) | Rows of string * (unit -> row list)
 
 let experiments =
   [
-    ("table2", table2);
-    ("fig6", fig6);
-    ("fig7a", fig7a);
-    ("fig7b", fig7b);
-    ("ablation-f", ablation_f);
-    ("ablation-step", ablation_step);
-    ("ablation-ub", ablation_ub);
-    ("parallel", parallel_exp);
-    ("mega", mega_exp);
-    ("eco", eco_exp);
-    ("serve", serve_exp);
-    ("libcheck", libcheck_exp);
-    ("tpl", tpl_exp);
-    ("tune", tune_exp);
-    ("kernels", kernels);
+    ("table2", Rows ("circuits", table2));
+    ("fig6", Print fig6);
+    ("fig7a", Print fig7a);
+    ("fig7b", Print fig7b);
+    ("ablation-f", Print ablation_f);
+    ("ablation-step", Print ablation_step);
+    ("ablation-ub", Print ablation_ub);
+    ("parallel", Rows ("parallel", parallel_exp));
+    ("mega", Rows ("mega", mega_exp));
+    ("eco", Rows ("eco", eco_exp));
+    ("serve", Rows ("serve", serve_exp));
+    ("libcheck", Rows ("libcheck", libcheck_exp));
+    ("tpl", Rows ("tpl", tpl_exp));
+    ("tune", Rows ("tune", tune_exp));
+    ("kernels", Print kernels);
   ]
+
+let write_telemetry ~ran sections =
+  let metrics = Obs.Metrics.snapshot () in
+  check (metrics.Obs.Metrics.counters <> []) "metrics: no kernel counter moved";
+  let section key =
+    List.concat_map (fun (k, rows) -> if k = key then rows else []) sections
+  in
+  let json =
+    Obs.Json.(
+      Obj
+        ([
+           ("bench", Str "cpr");
+           ("scale", Num scale);
+           ("jobs", num_int jobs);
+           ("available_domains", num_int (Domain.recommended_domain_count ()));
+           ("experiments", List (List.map (fun e -> Str e) ran));
+           ("failures", List (List.rev_map (fun f -> Str f) !failures));
+         ]
+        @ List.filter_map
+            (function
+              | _, Rows (key, _) ->
+                Some (key, List (List.map (fun r -> Obj r) (section key)))
+              | _, Print _ -> None)
+            experiments
+        @ [ ("metrics", Obs.Metrics.to_json metrics) ]))
+  in
+  (* atomic: a crashed or killed bench run never leaves a torn
+     BENCH.json behind *)
+  Obs.Fsio.atomic_write telemetry_file (Obs.Json.to_string_pretty json ^ "\n");
+  pf "@.telemetry written to %s@." telemetry_file
 
 let () =
   let requested =
@@ -1525,16 +1232,39 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ :: [] | [] -> List.map fst experiments
   in
+  (match List.filter (fun n -> not (List.mem_assoc n experiments)) requested with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown experiment %s; available: %s\n"
+      (String.concat ", " unknown)
+      (String.concat ", " (List.map fst experiments));
+    exit 2);
   pf "CPR reproduction bench — scale %.2f (CPR_BENCH_SCALE to change)@." scale;
-  let ran = ref [] in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f ->
-        f ();
-        ran := name :: !ran
-      | None ->
-        pf "unknown experiment %s; available: %s@." name
-          (String.concat ", " (List.map fst experiments)))
-    requested;
-  write_telemetry ~ran:(List.rev !ran)
+  let sections =
+    List.concat_map
+      (fun name ->
+        match List.assoc name experiments with
+        | Print run ->
+          run ();
+          []
+        | Rows (key, run) ->
+          let rows = run () in
+          check (rows <> []) "%s: no rows for BENCH.json's %s" name key;
+          List.iter
+            (fun row ->
+              let id =
+                Option.fold ~none:"?" ~some:cell (List.assoc_opt "id" row)
+              in
+              check_row (Printf.sprintf "%s[%s]" key id) (Obs.Json.Obj row))
+            rows;
+          print_rows rows;
+          [ (key, rows) ])
+      requested
+  in
+  write_telemetry ~ran:requested sections;
+  match List.rev !failures with
+  | [] -> ()
+  | failed ->
+    pf "@.%d check(s) failed:@." (List.length failed);
+    List.iter (pf "  %s@.") failed;
+    exit 1

@@ -89,7 +89,6 @@ let run_eco pao_kind verbose tuner path design =
         | `Ilp -> Pinaccess.Pin_access.Ilp);
       routing = true;
       warm_policy = Tune.Tuner.warm_policy tuner;
-      policy = Tune.Tuner.cache_policy_id tuner;
     }
   in
   let engine = Eco.Engine.create ~config design in

@@ -19,7 +19,6 @@ type config = {
   pao : PA.config;
   kind : PA.solver_kind;
   warm_policy : warm_policy;
-  policy : string option;
   routing : bool;
   cost : Rgrid.Cost.t;
   rules : Drc.Rules.t;
@@ -31,7 +30,6 @@ let default_config =
     pao = PA.default_config;
     kind = PA.Lr;
     warm_policy = Warm_always;
-    policy = None;
     routing = false;
     cost = Rgrid.Cost.default;
     rules = Drc.Rules.default;
@@ -90,8 +88,7 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
   for panel = 0 to num_panels - 1 do
     if Design.pins_of_panel design panel <> [] then begin
       let key =
-        Panel_cache.key ?policy:config.policy ~config:config.pao
-          ~kind:config.kind design ~panel
+        Panel_cache.key ~config:config.pao ~kind:config.kind design ~panel
       in
       keys.(panel) <- key;
       if not (Hashtbl.mem in_flight key) then

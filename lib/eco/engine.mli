@@ -42,11 +42,6 @@ type config = {
   warm_policy : warm_policy;
       (** how dirty panels reuse cached multipliers (default
           [Warm_always]) *)
-  policy : string option;
-      (** canonical id of the active scheduling policy, digested into
-          every {!Panel_cache.key} so panels solved under a stale
-          policy never replay; [None] (default) leaves keys
-          byte-identical to the pre-policy engine *)
   routing : bool;
       (** maintain a routed {!Router.Flow.t} incrementally (default
           [false]: pin access only) *)

@@ -142,13 +142,9 @@ let canonical_pins design ~panel =
    panel-local net indices (names excluded on purpose), full net
    bounding boxes (interval generation clips to them), and the M2
    blockage spans on the panel's tracks. *)
-let key ?policy ~(config : PA.config) ~kind design ~panel =
+let key ~(config : PA.config) ~kind design ~panel =
   let buf = Buffer.create 512 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* a non-default scheduling policy (lib/tune) changes how the panel
-     is solved, so its canonical id joins the digest; [None] adds
-     nothing, keeping every pre-policy key byte-identical *)
-  (match policy with None -> () | Some p -> add "pol:%s;" p);
   let gen = config.PA.gen in
   add "gen:%s,%s,%d,%d,%s,%s;"
     (Pinaccess.Objective.weighting_to_string gen.Pinaccess.Interval_gen.weighting)

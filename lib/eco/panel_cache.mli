@@ -48,18 +48,12 @@ val create : ?max_entries:int -> unit -> t
     registry as [eco.panel_cache.hits]/[.misses]/[.evictions]. *)
 
 val key :
-  ?policy:string ->
   config:Pinaccess.Pin_access.config ->
   kind:Pinaccess.Pin_access.solver_kind ->
   Netlist.Design.t ->
   panel:int ->
   string
-(** Content digest of the panel's assignment problem.  [policy] is the
-    canonical id of a non-default scheduling policy ([lib/tune]) the
-    panel solves under; it joins the digest, so panels solved under a
-    stale policy never replay for a different one.  Omitted (the
-    untuned engine), the digest is byte-identical to the pre-policy
-    key. *)
+(** Content digest of the panel's assignment problem. *)
 
 val find : t -> string -> entry option
 (** Bumps the hit/miss counters. *)

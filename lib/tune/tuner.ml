@@ -137,12 +137,6 @@ let warm_policy t =
   | Fixed (Policy.Warm w) -> Policy.warm_of w
   | _ -> Eco.Engine.Warm_always
 
-let cache_policy_id t =
-  match t.mode with
-  | Off -> None
-  | Fixed p -> Some (Policy.id p)
-  | Bandit _ -> Some "bandit"
-
 let bandit t = t.bandit
 
 let trace t =

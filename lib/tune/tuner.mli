@@ -1,14 +1,14 @@
 (** The glue: turn a tuning mode into the hooks the solver stack
     already exposes — {!Pinaccess.Pin_access.optimize}'s [tune] hook
     for per-panel LR scheduling, {!Router.Negotiation.run}'s [order],
-    and {!Eco.Engine}'s warm-start policy and cache-key policy id.
+    and {!Eco.Engine}'s warm-start policy.
 
-    [Off] hands back no hook, the default order and no policy id, so
-    the stack runs its untouched (bit-identical) default paths; a
-    fixed or bandit mode is deterministic under its seed — policy
-    selection reads only panel features and previously observed
-    work-unit rewards, never the clock — so two runs, at any [-j],
-    produce the same policy trace and the same solution bytes. *)
+    [Off] hands back no hook and the default order, so the stack runs
+    its untouched (bit-identical) default paths; a fixed or bandit
+    mode is deterministic under its seed — policy selection reads only
+    panel features and previously observed work-unit rewards, never
+    the clock — so two runs, at any [-j], produce the same policy
+    trace and the same solution bytes. *)
 
 type mode =
   | Off
@@ -56,13 +56,6 @@ val negotiation_order : t -> Router.Negotiation.order
 val warm_policy : t -> Eco.Engine.warm_policy
 (** [Fixed (Warm _)] maps to its ECO reuse policy; everything else to
     the engine's default, [Warm_always]. *)
-
-val cache_policy_id : t -> string option
-(** What {!Eco.Engine}'s [policy] field should digest into panel-cache
-    keys: [None] when [Off] (pre-policy keys, byte-identical),
-    [Some (Policy.id p)] for [Fixed p], [Some "bandit"] for a bandit
-    (conservative: bandit-solved panels never replay as anything
-    else). *)
 
 val bandit : t -> Bandit.t option
 (** The underlying bandit of a [Bandit] tuner ([None] otherwise) —

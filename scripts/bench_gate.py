@@ -4,36 +4,20 @@
 Gates only the deterministic quality metrics (routability, via count,
 wirelength) per circuit and flow -- the whole pipeline is bit-identical
 across runs and machines, so these should only drift when the code
-changes them.  Wall-clock and CPU numbers are machine-dependent and are
-reported but never gated.
+changes them.  Every other invariant is checked by bench/main.exe where
+it computes the value; a failed check makes the bench itself exit 1.
 
 A metric fails the gate when it moves in the *worse* direction (lower
-routability, more vias, more wirelength) by more than the relative
-tolerance.  Improvements are reported as notes.
-
-With --require-speedup the gate additionally validates the scheduler
-telemetry on the parallel[] and mega[] rows (steal counts, queue-depth
-histogram, alloc/node) and -- only when the run's available_domains is
-greater than 1 -- asserts that the parallel PAO wall clock beats (or at
-worst matches, within --wall-rtol) the sequential wall clock on every
-row.  On a single-core runner the wall assertion is vacuous and is
-reported as skipped rather than silently passing.
-
-With --require-tune the gate validates the tune[] rows from the
-adaptive-scheduling experiment: every row must report off_identical
-(tuning leaves no trace when off) and at least one row must have spent
-no more work units tuned than untuned while keeping the objective
-within --rtol -- the bandit actually paid for itself somewhere.
+routability, more vias, more wirelength) by more than RTOL.
+Improvements are reported as notes.  The baseline is one committed file
+at one scale, so a BENCH.json recorded at another scale is refused
+before any diff.
 
 Usage:
     scripts/bench_gate.py [--current BENCH.json]
                           [--baseline bench/BASELINE.json]
-                          [--rtol 0.01]
-                          [--require-libcheck] [--require-tpl]
-                          [--require-tune] [--no-quality-diff]
-                          [--require-speedup] [--wall-rtol 0.05]
 
-Exit codes: 0 gate passes, 1 regression or malformed input.
+Exit codes: 0 gate passes, 1 regression, scale mismatch or malformed input.
 """
 
 import argparse
@@ -43,6 +27,8 @@ import sys
 FLOWS = ("seq", "ncr", "cpr")
 # metric name -> +1 if bigger is better, -1 if smaller is better
 METRICS = {"routability": +1, "via_count": -1, "wirelength": -1}
+# relative move in the worse direction before a metric fails
+RTOL = 0.01
 
 
 def load(path):
@@ -58,362 +44,44 @@ def by_id(doc, path):
     return {c["id"]: c["flows"] for c in circuits}
 
 
-# libcheck[] row schema: field name -> validator.  The rows are
-# structural telemetry (throughput varies by machine), so the gate
-# checks shape and the machine-independent invariants: the parallel
-# sweep reported bit-identity, counts are sane, and the grade
-# histogram covers exactly the five grades and sums to the pin count.
-LIBCHECK_FIELDS = {
-    "id": lambda v: isinstance(v, str) and v,
-    "cells": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "pins": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "jobs": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "seq_wall": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "par_wall": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "identical": lambda v: v is True,
-    "cells_per_sec": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "weak_pins": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "grades": lambda v: isinstance(v, dict),
-}
-
-
-def check_libcheck(doc, failures, *, required):
-    rows = doc.get("libcheck")
-    if rows is None or rows == []:
-        if required:
-            failures.append("libcheck: no rows in BENCH.json (experiment not run?)")
-        return 0
-    if not isinstance(rows, list):
-        failures.append("libcheck: not a list")
-        return 0
-    for i, row in enumerate(rows):
-        tag = f"libcheck[{i}]"
-        if not isinstance(row, dict):
-            failures.append(f"{tag}: not an object")
-            continue
-        tag = f"libcheck[{i}] ({row.get('id', '?')})"
-        for field, ok in LIBCHECK_FIELDS.items():
-            if field not in row:
-                failures.append(f"{tag}: missing field {field}")
-            elif not ok(row[field]):
-                failures.append(f"{tag}: bad {field}: {row[field]!r}")
-        grades = row.get("grades")
-        if isinstance(grades, dict):
-            if sorted(grades) != ["A", "B", "C", "D", "F"]:
-                failures.append(f"{tag}: grades keys {sorted(grades)}")
-            elif sum(grades.values()) != row.get("pins"):
-                failures.append(
-                    f"{tag}: grade histogram sums to {sum(grades.values())}, "
-                    f"not pins={row.get('pins')}"
-                )
-            if grades.get("F") != row.get("weak_pins"):
-                failures.append(
-                    f"{tag}: weak_pins={row.get('weak_pins')} != F={grades.get('F')}"
-                )
-    return len(rows)
-
-
-# tpl[] row schema: the triple-patterning experiment's rows.  Walls
-# are machine-dependent; the gate checks shape plus the machine-
-# independent invariants: the -j2 TPL run reported bit-identity
-# (coloring included), the TPL runs did not perturb a following
-# TPL-off run, and the coloring outcome partitions the feature count.
-TPL_FIELDS = {
-    "id": lambda v: isinstance(v, str) and v,
-    "colors": lambda v: isinstance(v, (int, float)) and v >= 2,
-    "nets": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "features": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "solid": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "stitched": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "uncolored": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "identical": lambda v: v is True,
-    "off_identical": lambda v: v is True,
-    "pao_wall": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "flow_wall": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "flow": lambda v: isinstance(v, dict),
-}
-
-
-def check_tpl(doc, failures, *, required):
-    rows = doc.get("tpl")
-    if rows is None or rows == []:
-        if required:
-            failures.append("tpl: no rows in BENCH.json (experiment not run?)")
-        return 0
-    if not isinstance(rows, list):
-        failures.append("tpl: not a list")
-        return 0
-    for i, row in enumerate(rows):
-        tag = f"tpl[{i}]"
-        if not isinstance(row, dict):
-            failures.append(f"{tag}: not an object")
-            continue
-        tag = f"tpl[{i}] ({row.get('id', '?')})"
-        for field, ok in TPL_FIELDS.items():
-            if field not in row:
-                failures.append(f"{tag}: missing field {field}")
-            elif not ok(row[field]):
-                failures.append(f"{tag}: bad {field}: {row[field]!r}")
-        parts = [row.get("solid"), row.get("stitched"), row.get("uncolored")]
-        if all(isinstance(p, (int, float)) for p in parts) and isinstance(
-            row.get("features"), (int, float)
-        ):
-            if sum(parts) != row["features"]:
-                failures.append(
-                    f"{tag}: solid+stitched+uncolored = {sum(parts)}, "
-                    f"not features={row['features']}"
-                )
-    return len(rows)
-
-
-# tune[] row schema: the adaptive-scheduling experiment's rows.  Walls
-# are machine-dependent; everything else is deterministic (the bandit
-# is seeded and its reward is work units + objective, never wall
-# clock).  The gate checks shape, that tuning left no trace when off
-# (off_identical), and -- the point of the experiment -- that on at
-# least one circuit the bandit spent no more work units than the
-# untuned run while keeping the objective within --rtol of it.
-TUNE_FIELDS = {
-    "id": lambda v: isinstance(v, str) and v,
-    "panels": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "seed": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "untuned_wall": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "tuned_wall": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "untuned_work": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "tuned_work": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "untuned_obj": lambda v: isinstance(v, (int, float)) and v > 0,
-    "tuned_obj": lambda v: isinstance(v, (int, float)) and v > 0,
-    "off_identical": lambda v: v is True,
-    "pulls": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "regret": lambda v: isinstance(v, (int, float)) and v >= 0,
-    "histogram": lambda v: isinstance(v, dict) and v,
-}
-
-
-def check_tune(doc, failures, notes, *, required, rtol):
-    rows = doc.get("tune")
-    if rows is None or rows == []:
-        if required:
-            failures.append("tune: no rows in BENCH.json (experiment not run?)")
-        return 0
-    if not isinstance(rows, list):
-        failures.append("tune: not a list")
-        return 0
-    wins = 0
-    for i, row in enumerate(rows):
-        tag = f"tune[{i}]"
-        if not isinstance(row, dict):
-            failures.append(f"{tag}: not an object")
-            continue
-        tag = f"tune[{i}] ({row.get('id', '?')})"
-        for field, ok in TUNE_FIELDS.items():
-            if field not in row:
-                failures.append(f"{tag}: missing field {field}")
-            elif not ok(row[field]):
-                failures.append(f"{tag}: bad {field}: {row[field]!r}")
-        hist, pulls = row.get("histogram"), row.get("pulls")
-        if isinstance(hist, dict) and isinstance(pulls, (int, float)):
-            if sum(hist.values()) != pulls:
-                failures.append(
-                    f"{tag}: histogram sums to {sum(hist.values())}, "
-                    f"not pulls={pulls}"
-                )
-        uw, tw = row.get("untuned_work"), row.get("tuned_work")
-        uo, to = row.get("untuned_obj"), row.get("tuned_obj")
-        if all(isinstance(v, (int, float)) and v > 0 for v in (uw, tw, uo, to)):
-            ratio = tw / uw
-            dq = (to - uo) / uo
-            line = (
-                f"{tag}: work {tw}/{uw} ({ratio:.3f}x), "
-                f"objective {to:.1f} vs {uo:.1f} ({dq:+.2%})"
-            )
-            if tw <= uw and to >= uo * (1.0 - rtol):
-                wins += 1
-                notes.append(f"{line} -- work saved at equal quality")
-            else:
-                notes.append(line)
-    if required and not wins:
-        failures.append(
-            "tune: no row with tuned_work <= untuned_work at an objective "
-            f"within rtol {rtol} of the untuned run"
-        )
-    return len(rows)
-
-
-# Scheduler telemetry shared by parallel[] and mega[] rows: the
-# work-stealing pool reports how a job was actually scheduled.  The
-# values are machine-dependent, so the gate checks shape and sanity,
-# not magnitudes -- except the wall-clock comparison below.
-def _nonneg(v):
-    return isinstance(v, (int, float)) and v >= 0
-
-
-def _depth_hist(v):
-    return isinstance(v, list) and len(v) == 16 and all(_nonneg(b) for b in v)
-
-
-SCHED_FIELDS = {
-    "jobs": lambda v: isinstance(v, (int, float)) and v >= 1,
-    "chunks": _nonneg,
-    "steals": _nonneg,
-    "steal_misses": _nonneg,
-    "queue_depth": _depth_hist,
-}
-
-PARALLEL_FIELDS = dict(
-    SCHED_FIELDS,
-    identical=lambda v: v is True,
-    pao_seq_wall=_nonneg,
-    pao_par_wall=_nonneg,
-    alloc_per_node=_nonneg,
-)
-
-MEGA_FIELDS = dict(
-    SCHED_FIELDS,
-    identical=lambda v: v is True,
-    pao_seq_wall=_nonneg,
-    pao_par_wall=_nonneg,
-    nets=lambda v: isinstance(v, (int, float)) and v >= 1,
-    panels=lambda v: isinstance(v, (int, float)) and v >= 1,
-)
-
-
-def check_speedup(doc, failures, notes, *, wall_rtol):
-    multicore = doc.get("available_domains", 0) > 1
-    if not multicore:
-        notes.append(
-            "speedup: available_domains <= 1, wall-clock assertion skipped "
-            "(telemetry shape still validated)"
-        )
-    checked = 0
-    for key, fields in (("parallel", PARALLEL_FIELDS), ("mega", MEGA_FIELDS)):
-        rows = doc.get(key)
-        if not rows:
-            failures.append(f"{key}: no rows in BENCH.json (experiment not run?)")
-            continue
-        if not isinstance(rows, list):
-            failures.append(f"{key}: not a list")
-            continue
-        for i, row in enumerate(rows):
-            tag = f"{key}[{i}]"
-            if not isinstance(row, dict):
-                failures.append(f"{tag}: not an object")
-                continue
-            tag = f"{key}[{i}] ({row.get('id', '?')})"
-            for field, ok in fields.items():
-                if field not in row:
-                    failures.append(f"{tag}: missing field {field}")
-                elif not ok(row[field]):
-                    failures.append(f"{tag}: bad {field}: {row[field]!r}")
-            seq, par = row.get("pao_seq_wall"), row.get("pao_par_wall")
-            if not (_nonneg(seq) and _nonneg(par)):
-                continue
-            ratio = par / max(seq, 1e-9)
-            line = f"{tag}: pao par/seq wall = {par:.3f}/{seq:.3f} ({ratio:.2f}x)"
-            if multicore and par > seq * (1.0 + wall_rtol):
-                failures.append(
-                    f"{line} -- parallel slower than sequential "
-                    f"beyond --wall-rtol {wall_rtol}"
-                )
-            else:
-                notes.append(line)
-                checked += 1
-    return checked
-
-
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--current", default="BENCH.json")
     ap.add_argument("--baseline", default="bench/BASELINE.json")
-    ap.add_argument(
-        "--rtol",
-        type=float,
-        default=0.01,
-        help="relative tolerance before a worse-direction move fails (default 1%%)",
-    )
-    ap.add_argument(
-        "--require-libcheck",
-        action="store_true",
-        help="fail when BENCH.json has no libcheck[] rows",
-    )
-    ap.add_argument(
-        "--require-tpl",
-        action="store_true",
-        help="fail when BENCH.json has no tpl[] rows",
-    )
-    ap.add_argument(
-        "--require-tune",
-        action="store_true",
-        help="fail when BENCH.json has no tune[] rows, any row's "
-        "off_identical is false, or no row saved work units at an "
-        "objective within --rtol of the untuned run",
-    )
-    ap.add_argument(
-        "--no-quality-diff",
-        action="store_true",
-        help="skip the circuits[] regression diff against the baseline "
-        "(for experiment-subset runs that produce no circuits[] rows)",
-    )
-    ap.add_argument(
-        "--require-speedup",
-        action="store_true",
-        help="validate parallel[]/mega[] scheduler telemetry and, on a "
-        "multi-domain runner, fail when parallel PAO wall exceeds "
-        "sequential",
-    )
-    ap.add_argument(
-        "--wall-rtol",
-        type=float,
-        default=0.05,
-        help="slack on the par-vs-seq wall comparison (default 5%%)",
-    )
     args = ap.parse_args()
 
-    cur_doc = load(args.current)
+    cur_doc, base_doc = load(args.current), load(args.baseline)
+    if cur_doc.get("scale") != base_doc.get("scale"):
+        print(
+            f"bench gate: {args.current} was recorded at scale "
+            f"{cur_doc.get('scale')}, {args.baseline} at scale "
+            f"{base_doc.get('scale')}; rerun the bench at the baseline's scale",
+            file=sys.stderr,
+        )
+        return 1
 
     failures, notes = [], []
-    n_libcheck = check_libcheck(cur_doc, failures, required=args.require_libcheck)
-    if n_libcheck:
-        notes.append(f"libcheck: {n_libcheck} row(s) validated")
-    n_tpl = check_tpl(cur_doc, failures, required=args.require_tpl)
-    if n_tpl:
-        notes.append(f"tpl: {n_tpl} row(s) validated")
-    n_tune = check_tune(
-        cur_doc, failures, notes, required=args.require_tune, rtol=args.rtol
-    )
-    if n_tune:
-        notes.append(f"tune: {n_tune} row(s) validated")
-    if args.require_speedup:
-        n_speedup = check_speedup(
-            cur_doc, failures, notes, wall_rtol=args.wall_rtol
-        )
-        if n_speedup:
-            notes.append(f"speedup: {n_speedup} row(s) validated")
-    base = {}
-    if args.no_quality_diff:
-        notes.append("quality diff vs baseline skipped (--no-quality-diff)")
-    else:
-        base = by_id(load(args.baseline), args.baseline)
-        cur = by_id(cur_doc, args.current)
-        for cid, base_flows in sorted(base.items()):
-            if cid not in cur:
-                failures.append(f"{cid}: circuit missing from {args.current}")
-                continue
-            for flow in FLOWS:
-                for metric, better in METRICS.items():
-                    b = base_flows[flow][metric]
-                    c = cur[cid][flow][metric]
-                    if b == c:
-                        continue
-                    rel = (c - b) / max(abs(b), 1e-9)
-                    tag = f"{cid}.{flow}.{metric}: {b} -> {c} ({rel:+.2%})"
-                    if rel * better < -args.rtol:
-                        failures.append(tag)
-                    else:
-                        notes.append(tag)
+    base = by_id(base_doc, args.baseline)
+    cur = by_id(cur_doc, args.current)
+    for cid, base_flows in sorted(base.items()):
+        if cid not in cur:
+            failures.append(f"{cid}: circuit missing from {args.current}")
+            continue
+        for flow in FLOWS:
+            for metric, better in METRICS.items():
+                b = base_flows[flow][metric]
+                c = cur[cid][flow][metric]
+                if b == c:
+                    continue
+                rel = (c - b) / max(abs(b), 1e-9)
+                tag = f"{cid}.{flow}.{metric}: {b} -> {c} ({rel:+.2%})"
+                if rel * better < -RTOL:
+                    failures.append(tag)
+                else:
+                    notes.append(tag)
 
-        for cid in sorted(set(cur) - set(base)):
-            notes.append(f"{cid}: new circuit, not in baseline")
+    for cid in sorted(set(cur) - set(base)):
+        notes.append(f"{cid}: new circuit, not in baseline")
 
     if notes:
         print("bench gate: drift within tolerance / improvements:")
@@ -430,7 +98,7 @@ def main():
             file=sys.stderr,
         )
         return 1
-    print(f"bench gate: OK ({len(base)} circuits, rtol {args.rtol})")
+    print(f"bench gate: OK ({len(base)} circuits, rtol {RTOL})")
     return 0
 
 

@@ -258,6 +258,7 @@ let prop_tpl_parallel_identical =
         let par = PA.optimize ~config ~kind:PA.Lr ~j:2 d in
         seq.PA.assignments = par.PA.assignments
         && seq.PA.objective = par.PA.objective
+        && seq.PA.reports = par.PA.reports
         && seq.PA.tpl = par.PA.tpl)
 
 (* with the deck off, nothing TPL-shaped leaks into the result, and a

@@ -155,12 +155,9 @@ let test_tuner_modes () =
   check "garbage rejected" true (Tuner.mode_of_string "fixed:nope" = None);
   let off = Tuner.create Tuner.Off in
   check "off has no hook" true (Tuner.pa_hook off = None);
-  check "off adds no cache policy" true (Tuner.cache_policy_id off = None);
   check_str "off stats" "tune: off" (Tuner.stats_line off);
   let bandit = Tuner.create ~seed:9L (Tuner.Bandit 0L) in
-  check "seed overrides" true (Tuner.mode bandit = Tuner.Bandit 9L);
-  check "bandit cache policy" true
-    (Tuner.cache_policy_id bandit = Some "bandit")
+  check "seed overrides" true (Tuner.mode bandit = Tuner.Bandit 9L)
 
 let test_tuner_off_bit_identical () =
   let d = design () in
