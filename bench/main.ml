@@ -685,6 +685,10 @@ let parallel_exp () =
           float_of_int (counter_value "maze.alloc_words" - alloc0)
           /. float_of_int nodes
       in
+      check (alloc_per_node <= 8.0)
+        "parallel %s: %.1f minor words per maze expansion, above the relax \
+         loop's bound of 8"
+        id alloc_per_node;
       let s_seq = Eval.of_flow ~name:"flow-seq" flow_seq in
       let s_par = Eval.of_flow ~name:"flow-par" flow_par in
       let rvw (s : Eval.summary) =

@@ -3,8 +3,9 @@ open Bigarray
 
 (* The per-node scalar state (owner, occupancy, via pressure, history)
    lives in Bigarray.Array1 — raw int / float64 cells, so the maze
-   router's cost reads touch unboxed memory.  [users] stays a list
-   array: it is read only on the pfac>0 slow path and by rip-up. *)
+   router's cost reads touch unboxed memory; the interface exposes the
+   record read-only for that loop.  [users] stays a list array: it is
+   read only on the pfac>0 path and by rip-up. *)
 type t = {
   design : Netlist.Design.t;
   space : Node.space;
@@ -117,15 +118,21 @@ let remove_via t ~x ~y =
   assert (t.via_count.{i} > 0);
   t.via_count.{i} <- t.via_count.{i} - 1
 
+(* Plane grid (x, y) holds a via or a blockage on either layer: a via
+   beside it would break cut-mask spacing.  Off-grid never does. *)
+let via_obstacle t ~x ~y =
+  Node.in_bounds t.space ~x ~y
+  &&
+  let i = plane_index t ~x ~y in
+  t.via_count.{i} > 0
+  || blocked t i
+  || blocked t (Node.plane t.space + i)
+
 let via_forbidden t ~x ~y =
-  let neighbour dx dy =
-    let nx = x + dx and ny = y + dy in
-    Node.in_bounds t.space ~x:nx ~y:ny
-    && (t.via_count.{plane_index t ~x:nx ~y:ny} > 0
-       || blocked t (Node.pack t.space ~layer:Layer.M2 ~x:nx ~y:ny)
-       || blocked t (Node.pack t.space ~layer:Layer.M3 ~x:nx ~y:ny))
-  in
-  neighbour 1 0 || neighbour (-1) 0 || neighbour 0 1 || neighbour 0 (-1)
+  via_obstacle t ~x:(x + 1) ~y
+  || via_obstacle t ~x:(x - 1) ~y
+  || via_obstacle t ~x ~y:(y + 1)
+  || via_obstacle t ~x ~y:(y - 1)
 
 let history t node = t.history.{node}
 

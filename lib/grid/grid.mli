@@ -2,7 +2,21 @@
     route ownership, per-node occupancy, via pressure and PathFinder
     history costs. *)
 
-type t
+type t = private {
+  design : Netlist.Design.t;
+  space : Node.space;
+  blocked : Bytes.t;  (** ['\001'] where a blockage sits *)
+  solid : Bytes.t;  (** ['\001'] under real pre-placed metal, see {!solid} *)
+  owner : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  users : int list array;  (** nets using each node; a net appears once *)
+  occ : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  via_count : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
+      (** per [(x, y)] plane grid, at [y * width + x] *)
+  history : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+}
+(** The per-node planes are readable in place, so the maze router's
+    relax loop reads them without a call per field; every write goes
+    through the functions below. *)
 
 val create : Netlist.Design.t -> t
 (** Fresh grid with the design's M2/M3 blockages applied. *)

@@ -234,6 +234,21 @@ let routing_order ?(order = Hp) specs =
       idx;
     idx
 
+(* A lock-free stack of idle mazes.  List cells are immutable, so a
+   compare-and-set that finds the head it read also finds the list it
+   read. *)
+let rec take_maze mazes grid =
+  match Atomic.get mazes with
+  | [] -> Maze.create grid
+  | maze :: rest as top ->
+    if Atomic.compare_and_set mazes top rest then maze
+    else take_maze mazes grid
+
+let rec give_maze mazes maze =
+  let top = Atomic.get mazes in
+  if not (Atomic.compare_and_set mazes top (maze :: top)) then
+    give_maze mazes maze
+
 (* Parallel batched routing, shared by stage 1 and the rip-up rounds.
 
    A maze search writes only its own private state; what it *reads*
@@ -247,13 +262,13 @@ let routing_order ?(order = Hp) specs =
    whatever order they route, retract or commit in.  We walk the
    given net order, greedily growing a run of consecutive, pairwise-
    disjoint nets, run [prepare] (stage 2's retraction) for the whole
-   run in order, route the run concurrently (each domain on its own
-   maze, metrics and spans buffered, budget isolated), then commit
-   the results in order — which reproduces the sequential processing
-   of that order exactly.  This is the dependency coloring the rip-up
-   rounds fan out on: each batch is one color class of the round's
-   victim list. *)
-let route_batches_parallel ?budget ~cost ~pfac pool grid maze_key specs order
+   run in order, route the run concurrently (each task on an idle maze
+   of the run, metrics and spans buffered, budget isolated), then
+   commit the results in order — which reproduces the sequential
+   processing of that order exactly.  This is the dependency coloring
+   the rip-up rounds fan out on: each batch is one color class of the
+   round's victim list. *)
+let route_batches_parallel ?budget ~cost ~pfac pool grid mazes specs order
     ~prepare ~apply =
   let die = Netlist.Design.die (Grid.design grid) in
   let margin_max =
@@ -267,8 +282,10 @@ let route_batches_parallel ?budget ~cost ~pfac pool grid maze_key specs order
   let compute net =
     let sub = Option.map (fun b -> Pinaccess.Budget.isolated b ()) budget in
     let task () =
-      Net_router.route ?budget:sub (Domain.DLS.get maze_key) ~cost ~pfac
-        specs.(net)
+      let maze = take_maze mazes grid in
+      let r = Net_router.route ?budget:sub maze ~cost ~pfac specs.(net) in
+      give_maze mazes maze;
+      r
     in
     let (r, events), mbuf =
       Obs.Metrics.buffered (fun () ->
@@ -328,11 +345,11 @@ let run ?(cost = Cost.default) ?rules ?tpl ?budget ?pool ?frozen ?initial
     ?(order = Hp) grid specs =
   let policy = order in
   let maze = Maze.create grid in
-  (* one maze per domain when routing in parallel, reused across
-     batches and rounds; the caller contributes the maze it already
-     owns *)
-  let maze_key = Domain.DLS.new_key (fun () -> Maze.create grid) in
-  Domain.DLS.set maze_key maze;
+  (* the run's idle mazes for parallel batches, seeded with the
+     caller's own: a task takes one (or creates one) and gives it back,
+     so no more mazes exist than tasks ever ran at once, and none
+     outlives the run *)
+  let mazes = Atomic.make [ maze ] in
   let parallel =
     match pool with
     | Some pool when Exec.domains pool > 1 -> Some pool
@@ -447,7 +464,7 @@ let run ?(cost = Cost.default) ?rules ?tpl ?budget ?pool ?frozen ?initial
   in
   (match parallel with
   | Some pool when Array.length order > 1 ->
-    route_batches_parallel ?budget ~cost ~pfac:0.0 pool grid maze_key specs
+    route_batches_parallel ?budget ~cost ~pfac:0.0 pool grid mazes specs
       order
       ~prepare:(fun _ -> ())
       ~apply:(fun net r ->
@@ -503,7 +520,7 @@ let run ?(cost = Cost.default) ?rules ?tpl ?budget ?pool ?frozen ?initial
     | Some pool when List.compare_length_with victims 1 > 0 ->
       (* colored rip-up: each disjoint-influence batch of the round's
          victim list retracts, reroutes and recommits concurrently *)
-      route_batches_parallel ?budget ~cost ~pfac pool grid maze_key specs
+      route_batches_parallel ?budget ~cost ~pfac pool grid mazes specs
         (Array.of_list victims)
         ~prepare:(fun net ->
           (match routes.(net) with

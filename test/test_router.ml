@@ -231,6 +231,102 @@ let test_negotiation_resolves_sharing () =
   check_int "both nets routed" 2 routed;
   check "final metal short-free" true (Grid.congested_nodes g = 0)
 
+(* A finished run must leave nothing behind that reaches its grid: no
+   maze parked in the caller or in a pool worker after the run. *)
+let test_negotiation_releases_grid () =
+  let released pool =
+    let w = Weak.create 1 in
+    let route () =
+      let d = Workloads.Suite.design ~scale:0.05 (Workloads.Suite.find "ecc") in
+      let g = Grid.create d in
+      let specs = Router.Spec_builder.build g ~pao:None in
+      ignore (Router.Negotiation.run ?pool g specs);
+      Weak.set w 0 (Some g)
+    in
+    route ();
+    Gc.full_major ();
+    not (Weak.check w 0)
+  in
+  check "no pool: grid collected" true (released None);
+  check "pool of 2: grid collected" true
+    (released (Some (Exec.shared ~domains:2)))
+
+(* ----- Golden route digests ----- *)
+
+(* Digest of what a routing flow produced: every route's nodes and pin
+   vias, the per-net clean verdicts, the reroute count and the number
+   of remaining violations. *)
+let flow_digest (f : Router.Flow.t) =
+  let b = Buffer.create 4096 in
+  Array.iteri
+    (fun net route ->
+      match route with
+      | None -> Printf.bprintf b "%d:-;" net
+      | Some (r : Route.t) ->
+        Printf.bprintf b "%d:" net;
+        List.iter (Printf.bprintf b "%d,") r.Route.nodes;
+        List.iter
+          (fun (pin, x, y) -> Printf.bprintf b "v%d/%d/%d," pin x y)
+          r.Route.pin_vias;
+        Buffer.add_char b ';')
+    f.Router.Flow.routes;
+  Array.iter
+    (fun c -> Buffer.add_char b (if c then '1' else '0'))
+    f.Router.Flow.clean;
+  Printf.bprintf b "|%d|%d" f.Router.Flow.total_reroutes
+    (List.length f.Router.Flow.violations);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (name, digest) pairs: three small Suite circuits, each through CPR
+   at -j 1 and at -j 2 with a batched initial stage, the
+   negotiation-only baseline and the sequential baseline (whose first
+   passes search with hard spacing). *)
+let golden_cases () =
+  let parallel =
+    { Router.Cpr.default_config with jobs = 2; parallel_init = true }
+  in
+  List.concat_map
+    (fun (id, scale) ->
+      let name = Printf.sprintf "%s@%g" id scale in
+      let d () = Workloads.Suite.design ~scale (Workloads.Suite.find id) in
+      [
+        (name ^ "/cpr", fun () -> Router.Cpr.run (d ()));
+        (name ^ "/cpr-j2", fun () -> Router.Cpr.run ~config:parallel (d ()));
+        (name ^ "/ncr", fun () -> Router.Baseline_ncr.run (d ()));
+        (name ^ "/seq", fun () -> Router.Sequential.run (d ()));
+      ])
+    [ ("ecc", 0.05); ("ctl", 0.05); ("top", 0.03) ]
+
+(* recorded before the relax step was fused; CPR_ROUTE_GOLDEN=print
+   prints the table afresh *)
+let golden =
+  [
+    ("ecc@0.05/cpr", "868b287b2894bc04f999fd4e3f1de643");
+    ("ecc@0.05/cpr-j2", "868b287b2894bc04f999fd4e3f1de643");
+    ("ecc@0.05/ncr", "7e7b7c6f3c620234dba9bdd3f56e0374");
+    ("ecc@0.05/seq", "49b456264690e48afd53bf9318e07299");
+    ("ctl@0.05/cpr", "55e437f80fd503bb23a6b99ad9417b05");
+    ("ctl@0.05/cpr-j2", "55e437f80fd503bb23a6b99ad9417b05");
+    ("ctl@0.05/ncr", "548bbc14f10a1cc47bf8535430d17c7f");
+    ("ctl@0.05/seq", "e54ae0f5f7952b8b81fbbebf82611d7d");
+    ("top@0.03/cpr", "c646c3c7a8cd176ae2545aba55153b90");
+    ("top@0.03/cpr-j2", "c646c3c7a8cd176ae2545aba55153b90");
+    ("top@0.03/ncr", "d484aec53baf1cc2e31ad31aef7aeb78");
+    ("top@0.03/seq", "ef8ba2fc943cf197f106538e92e9d566");
+  ]
+
+let test_golden_digests () =
+  let record = Sys.getenv_opt "CPR_ROUTE_GOLDEN" = Some "print" in
+  List.iter
+    (fun (name, run) ->
+      let digest = flow_digest (run ()) in
+      if record then Printf.printf "    (%S, %S);\n%!" name digest
+      else
+        Alcotest.(check string) name
+          (Option.value ~default:"<missing>" (List.assoc_opt name golden))
+          digest)
+    (golden_cases ())
+
 let () =
   Alcotest.run "router"
     [
@@ -256,5 +352,9 @@ let () =
         [
           Alcotest.test_case "small" `Quick test_negotiation_small;
           Alcotest.test_case "resolves sharing" `Quick test_negotiation_resolves_sharing;
+          Alcotest.test_case "releases its grid" `Quick
+            test_negotiation_releases_grid;
         ] );
+      ( "identity",
+        [ Alcotest.test_case "golden route digests" `Quick test_golden_digests ] );
     ]
