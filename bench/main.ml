@@ -213,11 +213,19 @@ let table2 () =
     List.map
       (fun (id, _, _, _) ->
         let design = Suite.design ~scale (Suite.find id) in
+        (* every reported verdict must equal its independent replay *)
+        let audited tag flow =
+          let issues = Audit.Flow_audit.run flow in
+          check (issues = []) "table2 %s %s: flow audit: %s" id tag
+            (String.concat "; "
+               (List.map Audit.Flow_audit.issue_to_string issues));
+          (tag, Eval.of_flow ~name:tag flow)
+        in
         let flows =
           [
-            ("seq", Eval.of_flow ~name:"seq" (Router.Sequential.run design));
-            ("ncr", Eval.of_flow ~name:"ncr" (Router.Baseline_ncr.run design));
-            ("cpr", Eval.of_flow ~name:"cpr" (Router.Cpr.run design));
+            audited "seq" (Router.Sequential.run design);
+            audited "ncr" (Router.Baseline_ncr.run design);
+            audited "cpr" (Router.Cpr.run design);
           ]
         in
         pf "  %s done@." id;
@@ -598,8 +606,8 @@ let seq_par_walls seq par =
   let (s, _), (p, _) = List.hd samples in
   ((s, best fst), (p, best snd))
 
-(* The one identity every -j, TPL and tune comparison holds a PAO run
-   to: same objective, assignments, panel reports and coloring. *)
+(* The one identity every -j and TPL comparison holds a PAO run to:
+   same objective, assignments, panel reports and coloring. *)
 let same_pao (a : PA.t) (b : PA.t) =
   a.PA.objective = b.PA.objective
   && a.PA.assignments = b.PA.assignments
@@ -1078,105 +1086,6 @@ let tpl_exp () =
         ])
     cases
 
-(* --------------------------------------------------------------- *)
-(* tune — untuned vs bandit-tuned PAO                                *)
-(* --------------------------------------------------------------- *)
-
-(* The adaptive tuner's honest comparison: the untuned PAO stage vs
-   the seeded-bandit tuner on the paper suite, measured in work units
-   (LR iterations, the tuner's own reward currency) rather than wall
-   clock, so the row is reproducible on any machine.  An untuned solve
-   after the tuned one must be bit-identical to one before it — tuning
-   leaves no trace when it is off — and the bandit must pay for itself
-   somewhere: some circuit spends no more work units tuned at an
-   objective within 1% of the untuned one. *)
-let tune_exp () =
-  let tune_seed = 0 in
-  section
-    (Printf.sprintf "tune — untuned vs bandit-tuned PAO (seed %d)" tune_seed);
-  pf "(work units = LR iterations, the reward currency of DESIGN.md §12;@.";
-  pf " off-identical must read yes: tuning leaves no trace when off; the@.";
-  pf " tuned work dips below the untuned on some circuit at equal@.";
-  pf " objective as the bandit locks onto cheaper schedules)@.@.";
-  let saves = ref false in
-  let rows =
-    List.map
-      (fun c ->
-        let id = c.Suite.id in
-        let design = Suite.design ~scale c in
-        let panels = Netlist.Design.num_panels design in
-        let w0 = counter_value "lr.iterations" in
-        let untuned, untuned_wall =
-          wall (fun () -> PA.optimize ~kind:PA.Lr design)
-        in
-        let untuned_work = counter_value "lr.iterations" - w0 in
-        let tuner =
-          Tune.Tuner.create
-            ~seed:(Int64.of_int tune_seed)
-            (Tune.Tuner.Bandit 0L)
-        in
-        let w1 = counter_value "lr.iterations" in
-        let tuned, tuned_wall =
-          wall (fun () ->
-              PA.optimize ?tune:(Tune.Tuner.pa_hook tuner) ~kind:PA.Lr design)
-        in
-        let tuned_work = counter_value "lr.iterations" - w1 in
-        let after = PA.optimize ~kind:PA.Lr design in
-        let off_identical = same_pao untuned after in
-        let pulls, regret, histogram =
-          match Tune.Tuner.bandit tuner with
-          | Some b ->
-            (Tune.Bandit.pulls b, Tune.Bandit.regret_proxy b,
-             Tune.Bandit.histogram b)
-          | None -> (0, 0.0, [])
-        in
-        let obj, tuned_obj = (untuned.PA.objective, tuned.PA.objective) in
-        let selections = List.fold_left (fun k (_, n) -> k + n) 0 histogram in
-        check off_identical
-          "tune %s: an untuned run after the tuned one differs from the one \
-           before"
-          id;
-        check
-          (panels >= 1 && untuned_work >= 1 && tuned_work >= 1 && obj > 0.0
-         && tuned_obj > 0.0)
-          "tune %s: empty run (%d panels, work %d/%d, objective %g/%g)" id panels
-          untuned_work tuned_work obj tuned_obj;
-        check (histogram <> []) "tune %s: empty policy histogram" id;
-        check (selections = pulls)
-          "tune %s: histogram sums to %d, not %d pulls" id selections pulls;
-        if tuned_work <= untuned_work && tuned_obj >= obj *. 0.99 then
-          saves := true;
-        pf "  %s done@." id;
-        Obs.Json.
-          [
-            ("id", Str id);
-            ("panels", num_int panels);
-            ("seed", num_int tune_seed);
-            ("untuned_wall", Num untuned_wall);
-            ("tuned_wall", Num tuned_wall);
-            ("untuned_work", num_int untuned_work);
-            ("tuned_work", num_int tuned_work);
-            ("untuned_obj", Num obj);
-            ("tuned_obj", Num tuned_obj);
-            ("off_identical", Bool off_identical);
-            ("pulls", num_int pulls);
-            ("regret", Num regret);
-            ( "histogram",
-              Obj (List.map (fun (a, n) -> (a, num_int n)) histogram) );
-          ])
-      (circuits ())
-  in
-  check !saves
-    "tune: on no circuit did the tuned run spend at most the untuned work \
-     units at an objective within 1%%%s"
-    (if scale < 0.3 then
-       Printf.sprintf
-         " (at scale %.2f nearly every pull is forced exploration; run at \
-          CPR_BENCH_SCALE >= 0.3)"
-         scale
-     else "");
-  rows
-
 (* Paper figures, ablations and kernels print only; the others return
    the rows of their BENCH.json section. *)
 type experiment = Print of (unit -> unit) | Rows of string * (unit -> row list)
@@ -1196,7 +1105,6 @@ let experiments =
     ("serve", Rows ("serve", serve_exp));
     ("libcheck", Rows ("libcheck", libcheck_exp));
     ("tpl", Rows ("tpl", tpl_exp));
-    ("tune", Rows ("tune", tune_exp));
     ("kernels", Print kernels);
   ]
 

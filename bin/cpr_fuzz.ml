@@ -13,37 +13,8 @@
 
 open Cmdliner
 
-(* one "panel policy-id" pair per line; the replay side of a
-   tune-campaign repro *)
-let save_trace path trace =
-  let oc = open_out path in
-  List.iter
-    (fun (panel, policy) -> Printf.fprintf oc "%d %s\n" panel policy)
-    trace;
-  close_out oc
-
-let load_trace path =
-  let ic = open_in path in
-  let rec go acc =
-    match input_line ic with
-    | line ->
-      let acc =
-        match String.split_on_char ' ' (String.trim line) with
-        | [ panel; policy ] when policy <> "" ->
-          (match int_of_string_opt panel with
-          | Some p -> (p, policy) :: acc
-          | None -> acc)
-        | _ -> acc
-      in
-      go acc
-    | exception End_of_file ->
-      close_in ic;
-      List.rev acc
-  in
-  go []
-
 let run_campaign iterations seed tolerance max_nets no_ilp no_routing
-    no_parallel no_eco shrink_rounds tpl tune out replay deltas trace_in quiet =
+    no_parallel no_eco shrink_rounds tpl out replay deltas quiet =
   let config =
     {
       Audit.Fuzz.default_config with
@@ -57,32 +28,10 @@ let run_campaign iterations seed tolerance max_nets no_ilp no_routing
       eco = not no_eco;
       shrink_rounds;
       tpl;
-      tune;
     }
   in
-  match (replay, deltas, trace_in) with
-  | Some path, None, Some trace_path ->
-    (* re-run the tuned solve under a saved policy trace *)
-    let design = Netlist.Design_io.load path in
-    let assignments = load_trace trace_path in
-    Format.printf "replaying %s under trace %s (%d panels): %s@." path
-      trace_path
-      (List.length assignments)
-      (Netlist.Design.stats design);
-    (match Audit.Fuzz.replay_with_trace config design assignments with
-    | Ok () ->
-      Format.printf "tuned replay certifies@.";
-      0
-    | Error reason ->
-      Format.printf "FAILURE: %s@." reason;
-      1)
-  | None, _, Some _ ->
-    Format.printf "--trace requires --replay@.";
-    2
-  | Some _, Some _, Some _ ->
-    Format.printf "--trace and --deltas are mutually exclusive@.";
-    2
-  | Some path, Some delta_path, None ->
+  match (replay, deltas) with
+  | Some path, Some delta_path ->
     (* re-run the ECO differential on a saved (design, deltas) repro *)
     let design = Netlist.Design_io.load path in
     let stream = Eco.Delta.load delta_path in
@@ -96,10 +45,10 @@ let run_campaign iterations seed tolerance max_nets no_ilp no_routing
     | Error reason ->
       Format.printf "FAILURE: %s@." reason;
       1)
-  | None, Some _, None ->
+  | None, Some _ ->
     Format.printf "--deltas requires --replay@.";
     2
-  | Some path, None, None ->
+  | Some path, None ->
     (* re-run the invariants on a saved (typically shrunken) design *)
     let design = Netlist.Design_io.load path in
     Format.printf "replaying %s: %s@." path (Netlist.Design.stats design);
@@ -110,7 +59,7 @@ let run_campaign iterations seed tolerance max_nets no_ilp no_routing
     | Error reason ->
       Format.printf "FAILURE: %s@." reason;
       1)
-  | None, None, None ->
+  | None, None ->
     let progress =
       if quiet then fun _ -> ()
       else fun case ->
@@ -142,22 +91,14 @@ let run_campaign iterations seed tolerance max_nets no_ilp no_routing
            --deltas %s)@."
           delta_out out delta_out
       end;
-      if f.Audit.Fuzz.trace <> [] then begin
-        let trace_out = out ^ ".trace" in
-        save_trace trace_out f.Audit.Fuzz.trace;
-        Format.printf
-          "  policy trace written to %s (replay with --replay %s --trace %s)@."
-          trace_out out trace_out
-      end;
       1)
 
 let run_campaign iterations seed tolerance max_nets no_ilp no_routing
-    no_parallel no_eco shrink_rounds tpl tune out replay deltas trace_in quiet =
+    no_parallel no_eco shrink_rounds tpl out replay deltas quiet =
   match
     Pinaccess.Cpr_error.protect (fun () ->
         run_campaign iterations seed tolerance max_nets no_ilp no_routing
-          no_parallel no_eco shrink_rounds tpl tune out replay deltas trace_in
-          quiet)
+          no_parallel no_eco shrink_rounds tpl out replay deltas quiet)
   with
   | Ok n -> Ok n
   | Error e -> Error (`Msg (Pinaccess.Cpr_error.to_string e))
@@ -239,18 +180,6 @@ let tpl =
            be bit-identical coloring included, and the TPL-aware CPR flow \
            must pass its audit replay.")
 
-let tune =
-  Arg.(
-    value & flag
-    & info [ "tune" ]
-        ~doc:
-          "Also run the adaptive-tuning campaign on every case: a \
-           bandit-tuned LR solve (seed derived from the design) must \
-           audit-certify like the untuned one, stay under the certified \
-           upper bound (quality sandwich), be bit-identical at -j 2 \
-           including its policy trace, and replay exactly from that trace. \
-           A failing case saves its trace next to the repro design.")
-
 let out =
   Arg.(
     value & opt string "fuzz-repro.design"
@@ -270,14 +199,6 @@ let deltas =
         ~doc:
           "With --replay: re-run only the ECO differential on this saved \
            delta stream against the replayed design.")
-
-let trace_in =
-  Arg.(
-    value & opt (some file) None
-    & info [ "trace" ]
-        ~doc:
-          "With --replay: re-run the tuned solve under this saved policy \
-           trace (from a --tune campaign failure) and re-certify it.")
 
 let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No progress output.")
 
@@ -304,8 +225,8 @@ let cmd =
     Term.(
       term_result
         (const run_campaign $ iterations $ seed $ tolerance $ max_nets $ no_ilp
-       $ no_routing $ no_parallel $ no_eco $ shrink_rounds $ tpl $ tune $ out
-       $ replay $ deltas $ trace_in $ quiet))
+       $ no_routing $ no_parallel $ no_eco $ shrink_rounds $ tpl $ out
+       $ replay $ deltas $ quiet))
 
 (* shared exit-code convention with cpr_main/cpr_serve: 0 ok, 1 a
    violation was found, 2 usage or I/O error (cmdliner's 123/124/125

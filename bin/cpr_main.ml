@@ -39,7 +39,7 @@ let violation_breakdown violations =
     violations;
   Hashtbl.fold (fun k c acc -> Printf.sprintf "%s=%d %s" k c acc) table ""
 
-let run_flow router pao_kind budget jobs parallel_init tpl tuner design =
+let run_flow router pao_kind budget jobs parallel_init tpl design =
   let budget =
     Option.map (fun seconds -> Pinaccess.Budget.start ~seconds ()) budget
   in
@@ -56,8 +56,6 @@ let run_flow router pao_kind budget jobs parallel_init tpl tuner design =
         jobs;
         parallel_init;
         tpl;
-        order = Tune.Tuner.negotiation_order tuner;
-        tune = Tune.Tuner.pa_hook tuner;
       }
     in
     (* without an explicit --budget, keep the historical 30 s cap on
@@ -78,7 +76,7 @@ let run_flow router pao_kind budget jobs parallel_init tpl tuner design =
 (* Incremental (ECO) mode: cold-start the engine on the design, replay
    the delta stream batch by batch, and report what each step reused
    versus re-solved, ending with the usual paper metrics. *)
-let run_eco pao_kind verbose tuner path design =
+let run_eco pao_kind verbose path design =
   let batches = Eco.Delta.load path in
   let config =
     {
@@ -88,7 +86,6 @@ let run_eco pao_kind verbose tuner path design =
         | `Lr -> Pinaccess.Pin_access.Lr
         | `Ilp -> Pinaccess.Pin_access.Ilp);
       routing = true;
-      warm_policy = Tune.Tuner.warm_policy tuner;
     }
   in
   let engine = Eco.Engine.create ~config design in
@@ -129,8 +126,6 @@ let run_eco pao_kind verbose tuner path design =
     Format.printf "reused routes (last step): %d@."
       flow.Router.Flow.reused_routes
   | None -> ());
-  if Tune.Tuner.mode tuner <> Tune.Tuner.Off then
-    Format.printf "%s@." (Tune.Tuner.stats_line tuner);
   0
 
 (* Library-check mode: synthesize (or, later, load) a cell library,
@@ -205,13 +200,12 @@ let run_check_library pao budget jobs seed lib_cells report report_md verbose
   if weak > 0 || uncertified <> [] then 1 else 0
 
 let main circuit scale nets width height seed router pao budget jobs
-    parallel_init tpl tune tune_seed verbose load repair save svg trace
+    parallel_init tpl verbose load repair save svg trace
     metrics_out stats eco check_library lib_cells report report_md =
   if check_library then
     run_check_library pao budget jobs seed lib_cells report report_md verbose
       stats
   else begin
-  let tuner = Tune.Tuner.create ~seed:(Int64.of_int tune_seed) tune in
   let design = build_design circuit scale nets width height seed load repair in
   (match save with
   | Some path ->
@@ -220,7 +214,7 @@ let main circuit scale nets width height seed router pao budget jobs
   | None -> ());
   Format.printf "%s@." (Netlist.Design.stats design);
   match eco with
-  | Some path -> run_eco pao verbose tuner path design
+  | Some path -> run_eco pao verbose path design
   | None ->begin
   (* span sinks for the run: Chrome trace_event and/or JSONL stream.
      Both stream into atomic pending files promoted on success, so an
@@ -236,14 +230,12 @@ let main circuit scale nets width height seed router pao budget jobs
         Option.map Obs.Trace.jsonl metrics_oc;
       ]
   in
-  let run () = run_flow router pao budget jobs parallel_init tpl tuner design in
+  let run () = run_flow router pao budget jobs parallel_init tpl design in
   let flow =
     match sinks with
     | [] -> run ()
     | s :: rest -> Obs.Trace.with_sink (List.fold_left Obs.Trace.tee s rest) run
   in
-  if Tune.Tuner.mode tuner <> Tune.Tuner.Off then
-    Format.printf "%s@." (Tune.Tuner.stats_line tuner);
   (* the JSONL stream ends with the final counter/histogram snapshot,
      so one file carries both the events and the aggregates *)
   Option.iter
@@ -332,12 +324,12 @@ let main circuit scale nets width height seed router pao budget jobs
    infeasible panels surface as clean cmdliner errors, never raw
    OCaml exception traces. *)
 let main circuit scale nets width height seed router pao budget jobs
-    parallel_init tpl tune tune_seed verbose load repair save svg trace
+    parallel_init tpl verbose load repair save svg trace
     metrics_out stats eco check_library lib_cells report report_md =
   match
     Pinaccess.Cpr_error.protect (fun () ->
         main circuit scale nets width height seed router pao budget jobs
-          parallel_init tpl tune tune_seed verbose load repair save svg trace
+          parallel_init tpl verbose load repair save svg trace
           metrics_out stats eco check_library lib_cells report report_md)
   with
   | Ok n -> Ok n
@@ -490,33 +482,6 @@ let tpl =
   let colors_conv = Arg.conv ~docv:"K" (parse, Format.pp_print_int) in
   Arg.(value & opt (some colors_conv) None & info [ "tpl" ] ~docv:"K" ~doc)
 
-let tune =
-  let parse s =
-    match Tune.Tuner.mode_of_string s with
-    | Some m -> Ok m
-    | None ->
-      Error
-        (`Msg
-          (Printf.sprintf
-             "unknown tune mode %S (off, bandit, or fixed:<policy-id>)" s))
-  in
-  let print fmt m = Format.pp_print_string fmt (Tune.Tuner.mode_to_string m) in
-  let mode_conv = Arg.conv ~docv:"MODE" (parse, print) in
-  let doc =
-    "Adaptive per-panel scheduling for the $(b,cpr) flow (and the warm-start \
-     policy of $(b,--eco)): $(b,off) (default; byte-identical to not \
-     tuning), $(b,fixed:)$(i,ID) (one reified policy everywhere, e.g. \
-     $(b,fixed:lr-k70), $(b,fixed:ord-congestion), $(b,fixed:warm-sig)), or \
-     $(b,bandit) (deterministic seeded UCB1 choosing an LR step schedule \
-     per panel from its feature bucket; same $(b,--tune-seed) means the \
-     same policy trace and the same layout bytes, whatever $(b,-j) is)."
-  in
-  Arg.(value & opt mode_conv Tune.Tuner.Off & info [ "tune" ] ~docv:"MODE" ~doc)
-
-let tune_seed =
-  let doc = "Seed for $(b,--tune bandit)'s exploration order." in
-  Arg.(value & opt nonneg_int 0 & info [ "tune-seed" ] ~docv:"N" ~doc)
-
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Per-panel and DRC details.")
 
@@ -623,8 +588,7 @@ let cmd =
     Term.(
       term_result
         (const main $ circuit $ scale $ nets $ width $ height $ seed $ router
-        $ pao $ budget $ jobs $ parallel_init $ tpl $ tune $ tune_seed
-        $ verbose $ load $ repair $ save $ svg $ trace $ metrics_out $ stats
+        $ pao $ budget $ jobs $ parallel_init $ tpl $ verbose $ load $ repair $ save $ svg $ trace $ metrics_out $ stats
         $ eco $ check_library $ lib_cells $ report $ report_md))
 
 (* 0 = ok, 1 = violation/weak pin, 2 = usage or I/O error: cmdliner's

@@ -21,7 +21,6 @@ type config = {
   eco_steps : int;
   eco_edits : int;
   tpl : int option;
-  tune : bool;
 }
 
 let default_config =
@@ -39,7 +38,6 @@ let default_config =
     eco_steps = 3;
     eco_edits = 2;
     tpl = None;
-    tune = false;
   }
 
 type failure = {
@@ -49,7 +47,6 @@ type failure = {
   shrunk_reason : string;
   design : Netlist.Design.t;
   deltas : Eco.Delta.t list list;
-  trace : (int * string) list;
   shrink_steps : int;
 }
 
@@ -72,44 +69,44 @@ let of_cert = function
   | Ok () -> Ok ()
   | Error r -> Error (Certificate.reason_to_string r)
 
+(* Certify each live panel's minimum-tier assignment and its bare
+   (conflict-free) LR solution against the panel's solver-independent
+   upper bound; the result is the sum of those bounds over the design. *)
 let check_panels config design =
   let gen = PA.default_config.PA.gen in
-  let result = ref (Ok ()) in
-  let panels = Design.num_panels design in
-  (try
-     for panel = 0 to panels - 1 do
-       let problem = Problem.build_panel gen design ~panel in
-       if Problem.num_pins problem > 0 then begin
-         let ub = Certificate.upper_bound problem in
-         (* the ladder's last rung: Theorem 1 says shrinking every pin
-            to its minimum interval is always feasible — certify it *)
-         let minimum =
-           Solution.make problem
-             ~assignment:
-               (Array.init (Problem.num_pins problem) (fun slot ->
-                    Problem.minimum_interval problem ~slot))
-         in
-         let check sol name =
-           match
-             Certificate.certify ~tolerance:config.tolerance
-               (Certificate.of_solution ~dual_bound:ub sol)
-           with
-           | Ok () -> ()
-           | Error r ->
-             result :=
-               Error
-                 (Printf.sprintf "panel %d %s: %s" panel name
-                    (Certificate.reason_to_string r));
-             raise Exit
-         in
-         check minimum "minimum-tier";
-         let lr = Pinaccess.Lagrangian.solve problem in
-         if Solution.is_conflict_free lr.Pinaccess.Lagrangian.solution then
-           check lr.Pinaccess.Lagrangian.solution "LR"
-       end
-     done
-   with Exit -> ());
-  !result
+  let rec go panel ub =
+    if panel = Design.num_panels design then Ok ub
+    else
+      let problem = Problem.build_panel gen design ~panel in
+      if Problem.num_pins problem = 0 then go (panel + 1) ub
+      else begin
+        let bound = Certificate.upper_bound problem in
+        let check name sol =
+          Certificate.certify ~tolerance:config.tolerance
+            (Certificate.of_solution ~dual_bound:bound sol)
+          |> Result.map_error (fun r ->
+                 Printf.sprintf "panel %d %s: %s" panel name
+                   (Certificate.reason_to_string r))
+        in
+        (* the ladder's last rung: Theorem 1 says shrinking every pin
+           to its minimum interval is always feasible — certify it *)
+        let minimum =
+          Solution.make problem
+            ~assignment:
+              (Array.init (Problem.num_pins problem) (fun slot ->
+                   Problem.minimum_interval problem ~slot))
+        in
+        let* () = check "minimum-tier" minimum in
+        let lr = Pinaccess.Lagrangian.solve problem in
+        let* () =
+          if Solution.is_conflict_free lr.Pinaccess.Lagrangian.solution then
+            check "LR" lr.Pinaccess.Lagrangian.solution
+          else Ok ()
+        in
+        go (panel + 1) (ub +. bound)
+      end
+  in
+  go 0 0.0
 
 (* The case's delta stream derives from the design text, so it
    regenerates identically for the original design and for every
@@ -129,7 +126,18 @@ let check_design config design =
         in
         Ok lr)
   in
-  let* () = invariant "panel-certificates" (fun () -> check_panels config design) in
+  let* ub = invariant "panel-certificates" (fun () -> check_panels config design) in
+  (* the quality sandwich: the whole-design LR objective never beats
+     the summed per-panel bounds that no solver computed *)
+  let* () =
+    invariant "lr-sandwich" (fun () ->
+        if lr.PA.objective > ub +. scale config.tolerance lr.PA.objective ub
+        then
+          Error
+            (Printf.sprintf "LR objective %.6f above certified upper bound %.6f"
+               lr.PA.objective ub)
+        else Ok ())
+  in
   let* () =
     if not config.ilp then Ok ()
     else
@@ -232,105 +240,7 @@ let check_design config design =
             | [] -> Ok ()
             | i :: _ -> Error (Flow_audit.issue_to_string i))
   in
-  let* () =
-    if not config.tune then Ok ()
-    else begin
-      (* The tune campaign: a bandit-tuned solve must be exactly as
-         auditable as the untuned one — certified, sandwiched under
-         the solver-independent upper bound, bit-identical across -j,
-         and reproducible from its recorded policy trace.  The seed
-         derives from the design text (like the ECO stream's), so every
-         shrink candidate re-tunes deterministically. *)
-      let tseed = Eco_audit.stream_seed design in
-      let fresh () = Tune.Tuner.create ~seed:tseed (Tune.Tuner.Bandit tseed) in
-      let t1 = fresh () in
-      let* tuned =
-        invariant "tune-certified" (fun () ->
-            let r =
-              PA.optimize ?tune:(Tune.Tuner.pa_hook t1) ~kind:PA.Lr design
-            in
-            PA.validate r;
-            let* () =
-              of_cert
-                (Certificate.certify_pin_access ~tolerance:config.tolerance r)
-            in
-            Ok r)
-      in
-      let* () =
-        invariant "tune-sandwich" (fun () ->
-            let gen = PA.default_config.PA.gen in
-            let ub = ref 0.0 in
-            for panel = 0 to Design.num_panels design - 1 do
-              let problem = Problem.build_panel gen design ~panel in
-              if Problem.num_pins problem > 0 then
-                ub := !ub +. Certificate.upper_bound problem
-            done;
-            if
-              tuned.PA.objective
-              > !ub +. scale config.tolerance tuned.PA.objective !ub
-            then
-              Error
-                (Printf.sprintf
-                   "tuned objective %.6f above certified upper bound %.6f"
-                   tuned.PA.objective !ub)
-            else if
-              lr.PA.objective
-              > !ub +. scale config.tolerance lr.PA.objective !ub
-            then
-              Error
-                (Printf.sprintf
-                   "untuned objective %.6f above certified upper bound %.6f"
-                   lr.PA.objective !ub)
-            else Ok ())
-      in
-      let* () =
-        if not config.parallel then Ok ()
-        else
-          invariant "tune-determinism" (fun () ->
-              let t2 = fresh () in
-              let par =
-                PA.optimize ?tune:(Tune.Tuner.pa_hook t2) ~kind:PA.Lr ~j:2
-                  design
-              in
-              if par.PA.assignments <> tuned.PA.assignments then
-                Error "tuned assignments diverged between -j1 and -j2"
-              else if Tune.Tuner.trace t2 <> Tune.Tuner.trace t1 then
-                Error "policy traces diverged between -j1 and -j2"
-              else Ok ())
-      in
-      invariant "tune-replay" (fun () ->
-          let r =
-            PA.optimize
-              ~tune:(Tune.Tuner.replay_hook (Tune.Tuner.trace t1))
-              ~kind:PA.Lr design
-          in
-          if r.PA.assignments <> tuned.PA.assignments then
-            Error "trace replay did not reproduce the tuned assignments"
-          else Ok ())
-    end
-  in
   Ok ()
-
-(* The policy trace of a design's (deterministic) bandit-tuned solve:
-   what gets saved next to a tune-campaign repro. *)
-let tune_trace design =
-  let tseed = Eco_audit.stream_seed design in
-  let t = Tune.Tuner.create ~seed:tseed (Tune.Tuner.Bandit tseed) in
-  (try
-     ignore
-       (PA.optimize ?tune:(Tune.Tuner.pa_hook t) ~kind:PA.Lr design : PA.t)
-   with _ -> ());
-  Tune.Tuner.trace t
-
-let replay_with_trace config design assignments =
-  invariant "tune-trace-replay" (fun () ->
-      let r =
-        PA.optimize
-          ~tune:(Tune.Tuner.replay_hook assignments)
-          ~kind:PA.Lr design
-      in
-      PA.validate r;
-      of_cert (Certificate.certify_pin_access ~tolerance:config.tolerance r))
 
 (* ----------------------------------------------------------------- *)
 (* Shrinking                                                          *)
@@ -450,13 +360,6 @@ let run ?(progress = fun _ -> ()) config =
                 ~rounds:config.shrink_rounds shrunk (eco_stream config shrunk)
             else ([], 0)
           in
-          (* a tune-campaign failure ships its policy trace so the
-             repro replays under exactly the policies the bandit chose *)
-          let trace =
-            if config.tune && String.starts_with ~prefix:"tune" shrunk_reason
-            then tune_trace shrunk
-            else []
-          in
           {
             cases = case;
             skipped;
@@ -469,7 +372,6 @@ let run ?(progress = fun _ -> ()) config =
                   shrunk_reason;
                   design = shrunk;
                   deltas;
-                  trace;
                   shrink_steps = shrink_steps + delta_steps;
                 };
           })

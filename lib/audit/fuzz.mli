@@ -8,7 +8,8 @@
       node budget) and the shrink-to-minimum assignment must all pass
       {!Certificate.certify} / {!Certificate.certify_pin_access};
     - per panel, both solver objectives must stay at or below the
-      certified solver-independent {!Certificate.upper_bound}, and the
+      certified solver-independent {!Certificate.upper_bound}, the
+      whole-design LR objective at or below their sum, and the
       proven-optimal ILP objective must dominate the feasible LR
       objective (the cross-solver sandwich);
     - a parallel [~j:2] LR run must be bit-identical to the sequential
@@ -49,17 +50,6 @@ type config = {
           [~j:2] run must be bit-identical coloring included, and the
           TPL-aware CPR flow must certify clean under
           {!Flow_audit.run}'s TPL replay *)
-  tune : bool;
-      (** when [true], additionally run the adaptive-tuning campaign:
-          a bandit-tuned LR solve (seed derived from the design text,
-          so shrink candidates re-tune deterministically) must certify
-          under {!Certificate.certify_pin_access}; tuned and untuned
-          objectives must both stay under the summed per-panel
-          {!Certificate.upper_bound} (the quality sandwich); the tuned
-          [~j:2] run must be bit-identical — assignments and policy
-          trace; and replaying the recorded trace through
-          {!Tune.Tuner.replay_hook} must reproduce the tuned
-          assignments exactly *)
 }
 
 val default_config : config
@@ -76,10 +66,6 @@ type failure = {
       (** the shrunk delta stream when the violation is the ECO
           differential ([[]] otherwise) — replaying it against [design]
           reproduces the failure *)
-  trace : (int * string) list;
-      (** the shrunk design's bandit policy trace when the violation is
-          a tune-campaign invariant ([[]] otherwise): [(panel, policy
-          id)] pairs for {!Tune.Tuner.replay_hook} *)
   shrink_steps : int;  (** successful reduction steps *)
 }
 
@@ -93,16 +79,6 @@ val check_design : config -> Netlist.Design.t -> (unit, string) result
 (** Run every enabled invariant on one design; [Error] names the first
     violated one.  Unexpected solver exceptions are reported as
     failures, not re-raised. *)
-
-val tune_trace : Netlist.Design.t -> (int * string) list
-(** The policy trace of the design's deterministic bandit-tuned solve
-    (seed derived from the design text, as in the tune campaign). *)
-
-val replay_with_trace :
-  config -> Netlist.Design.t -> (int * string) list -> (unit, string) result
-(** Re-run the tuned solve under a saved policy trace
-    ({!Tune.Tuner.replay_hook}) and re-certify it — the replay side of
-    a tune-campaign repro. *)
 
 val shrink :
   config -> Netlist.Design.t -> Netlist.Design.t * int

@@ -1,13 +1,10 @@
-let run ~pool ~budget ~over ~join f tasks =
+let run ~pool ~budget f tasks =
   let n = Array.length tasks in
-  assert (over >= n);
   let slices =
     let work = Budget.remaining_work budget in
     Array.init n (fun i ->
         let work_units =
-          Option.map
-            (fun w -> (w / over) + if i < w mod over then 1 else 0)
-            work
+          Option.map (fun w -> (w / n) + if i < w mod n then 1 else 0) work
         in
         Budget.isolated budget ?work_units ())
   in
@@ -18,7 +15,7 @@ let run ~pool ~budget ~over ~join f tasks =
       | None -> slices.(i)
       | Some s ->
         let k = Atomic.fetch_and_add started 1 in
-        Budget.sub slices.(i) ~seconds:(s /. float_of_int (over - k)) ()
+        Budget.sub slices.(i) ~seconds:(s /. float_of_int (n - k)) ()
     in
     f ~budget x
   in
@@ -33,17 +30,15 @@ let run ~pool ~budget ~over ~join f tasks =
     in
     Array.mapi
       (fun i ((r, events), mbuf) ->
-        join i (fun () ->
-            Obs.Metrics.flush mbuf;
-            Obs.Trace.replay events;
-            charge i;
-            r))
+        Obs.Metrics.flush mbuf;
+        Obs.Trace.replay events;
+        charge i;
+        r)
       (Exec.mapi pool buffered tasks)
   | _ ->
     Array.mapi
       (fun i x ->
-        join i (fun () ->
-            let r = run_task i x in
-            charge i;
-            r))
+        let r = run_task i x in
+        charge i;
+        r)
       tasks

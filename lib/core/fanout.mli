@@ -2,13 +2,11 @@
     merge-and-spend discipline behind the panel walk of {!Pin_access}
     and the library sweep.
 
-    The tasks of one call share [over] equal {!Budget.isolated} slices
-    of what [budget] has left (the call may run only a prefix of those
-    [over] tasks — a tuned wave — and leave the rest of the remainder
-    to later calls):
+    The tasks of one call share equal {!Budget.isolated} slices of
+    what [budget] has left:
 
-    - work units are split exactly and up front: [w / over] each, plus
-      one more unit for the first [w mod over] tasks in order, so the
+    - work units are split exactly and up front: [w / n] each, plus
+      one more unit for the first [w mod n] tasks in order, so the
       slices never sum past [w] and do not depend on scheduling.  A
       0-unit slice is exhausted from the start;
     - the deadline share is fixed when a task starts: an equal share
@@ -28,16 +26,8 @@
 val run :
   pool:Exec.t option ->
   budget:Budget.t ->
-  over:int ->
-  join:(int -> (unit -> 'b) -> 'c) ->
   (budget:Budget.t -> 'a -> 'b) ->
   'a array ->
-  'c array
-(** [run ~pool ~budget ~over ~join f tasks] applies [f] to every task
-    under its slice and returns the joined results in task order.
-    [join i step] is called on the caller in task order; [step ()]
-    lands task [i] — inline it runs the task, pooled it flushes the
-    task's metrics and replays its spans — then charges the parent
-    and returns [f]'s result.  So the metrics that change across
-    [step ()] are exactly task [i]'s.  Requires
-    [over >= Array.length tasks]. *)
+  'b array
+(** [run ~pool ~budget f tasks] applies [f] to every task under its
+    slice and returns the results in task order. *)

@@ -4,8 +4,6 @@ type config = {
   constant_step : float option;
   full_subgradient : bool;
   plateau_exit : int option;
-  stall_halving : bool;
-  warm_scale : float;
 }
 
 let default_config =
@@ -15,8 +13,6 @@ let default_config =
     constant_step = None;
     full_subgradient = true;
     plateau_exit = Some 50;
-    stall_halving = false;
-    warm_scale = 1.0;
   }
 
 (* metered in lockstep with [Budget.spend]: one LR iteration is one
@@ -234,28 +230,14 @@ let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
   let iterations = ref 0 in
   let k = ref 0 in
   let since_best = ref 0 in
-  (* step-schedule policies (lib/tune): with the default config the
-     factors below are exactly 1.0, so the computed step is bit-equal
-     to the paper's [L_m / k^alpha] *)
-  let warm_factor = if warm_start = None then 1.0 else config.warm_scale in
   (* the step of clique [m] at iteration [k]: every factor but
      [common_len.(m)] is fixed for the whole iteration *)
   let step_of k =
-    let halving =
-      if config.stall_halving && !since_best >= 10 then
-        Some (Float.pow 0.5 (float_of_int (!since_best / 10)))
-      else None
-    in
-    let finish base =
-      match halving with
-      | Some h -> warm_factor *. (base *. h)
-      | None -> warm_factor *. base
-    in
     match config.constant_step with
-    | Some t -> fun m -> finish (t *. common_len.(m))
+    | Some t -> fun m -> t *. common_len.(m)
     | None ->
       let denom = Float.pow (float_of_int k) config.alpha in
-      fun m -> finish (common_len.(m) /. denom)
+      fun m -> common_len.(m) /. denom
   in
   let stalled () =
     match config.plateau_exit with

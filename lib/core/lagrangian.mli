@@ -25,18 +25,6 @@ type config = {
       (** engineering addition: stop after this many iterations without
           a new best (min-violation) iterate; [None] reproduces the
           paper exactly (run to UB) *)
-  stall_halving : bool;
-      (** step-schedule policy ([lib/tune]): halve the step once per 10
-          iterations without a new best iterate, escaping oscillation
-          plateaus with smaller moves; [false] (default) is the paper's
-          pure [1/k^alpha] decay, bit-identical to the pre-policy
-          solver *)
-  warm_scale : float;
-      (** step-schedule policy ([lib/tune]): multiply every step by
-          this factor when the solve was [warm_start]ed — multipliers
-          near a previous optimum want smaller corrections; [1.0]
-          (default) leaves the schedule untouched (bit-identical) and
-          cold solves never scale *)
 }
 
 val default_config : config

@@ -181,78 +181,23 @@ let solve_problem ?warm_start config ~budget kind ~panel
   in
   { assignments; report; multipliers; warm_started = warm_start <> None }
 
-type tune_hook = {
-  tune_select : panel:int -> Problem.t -> config -> config * string;
-  tune_observe :
-    panel:int ->
-    policy:string ->
-    objective:float ->
-    delta:Obs.Metrics.snapshot ->
-    unit;
-}
-
-(* Under a tune hook the walk runs in waves of this many panels: a
-   wave's policies are selected panel-ascending before any of its
-   solves runs, and its per-panel metric windows are observed back
-   panel-ascending after it joins.  A policy can therefore depend on
-   the rewards of every earlier wave but never on an in-flight solve,
-   and since the wave size is a constant, the policy trace and the
-   output bytes do not depend on [j]. *)
-let tune_wave = 8
-
 (* The one panel walk (panels are independent subproblems, Sec. 3.4).
    [jobs] are the live panels in ascending order, each with the
-   builder of its problem.  The walk cuts them into waves — all of
-   them untuned, [tune_wave] under a hook — and fans each wave out
-   with [Fanout.run]: isolated equal slices of the remaining budget
-   over the remaining panels, merged back in panel order.  An untuned
-   task builds its own problem, so no more problems are resident than
-   are being solved; a tuned wave builds its problems first, since the
-   selector reads them.  [warm] runs in the task once the problem is
+   builder of its problem.  [Fanout.run] fans them out with isolated
+   equal slices of the budget and merges them back in panel order.
+   Each task builds its own problem, so no more problems are resident
+   than are being solved.  [warm] runs in the task once the problem is
    built and returns the LR warm start; [keep] packages whatever else
    the caller needs from the problem before it is dropped. *)
-let walk ?tune ~pool ~budget config kind ~warm ~keep jobs =
-  let n = Array.length jobs in
-  let solve config ~budget (panel, problem) =
-    let warm_start = warm ~panel problem in
-    let s = solve_problem ?warm_start config ~budget kind ~panel problem in
-    (s, keep ~panel problem s)
-  in
-  let wave start len =
-    let over = n - start and jobs = Array.sub jobs start len in
-    match tune with
-    | None ->
-      Fanout.run ~pool ~budget ~over ~join:(fun _ step -> step ())
-        (fun ~budget (panel, build) -> solve config ~budget (panel, build ()))
-        jobs
-    | Some hook ->
-      let built = Array.map (fun (panel, build) -> (panel, build ())) jobs in
-      let chosen =
-        Array.map
-          (fun (panel, problem) -> hook.tune_select ~panel problem config)
-          built
-      in
-      let join i step =
-        let before = Obs.Metrics.snapshot () in
-        let ((s, _) as r) = step () in
-        let after = Obs.Metrics.snapshot () in
-        hook.tune_observe ~panel:(fst built.(i)) ~policy:(snd chosen.(i))
-          ~objective:s.report.objective
-          ~delta:(Obs.Metrics.diff ~before ~after);
-        r
-      in
-      Fanout.run ~pool ~budget ~over ~join
-        (fun ~budget i -> solve (fst chosen.(i)) ~budget built.(i))
-        (Array.init len Fun.id)
-  in
-  let size = if tune = None then n else tune_wave in
-  let rec waves start acc =
-    if start >= n then List.concat (List.rev acc)
-    else
-      let len = min size (n - start) in
-      waves (start + len) (Array.to_list (wave start len) :: acc)
-  in
-  waves 0 []
+let walk ~pool ~budget config kind ~warm ~keep jobs =
+  Fanout.run ~pool ~budget
+    (fun ~budget (panel, build) ->
+      let problem = build () in
+      let warm_start = warm ~panel problem in
+      let s = solve_problem ?warm_start config ~budget kind ~panel problem in
+      (s, keep ~panel problem s))
+    jobs
+  |> Array.to_list
 
 (* Global TPL coloring pass: one deterministic greedy coloring over the
    distinct selected intervals of the whole design, run after the panel
@@ -320,23 +265,22 @@ let solve_panels config ~budget ~pool ~kind ~warm ~keep design panels =
   walk ~pool ~budget config kind ~warm ~keep (panel_jobs config design panels)
 
 (* [optimize] and [optimize_combined]: one walk, timed and assembled *)
-let run config ?budget ?(j = 1) ?tune ~kind design jobs =
+let run config ?budget ?(j = 1) ~kind design jobs =
   Obs.Trace.with_span "pao.optimize" @@ fun () ->
   let started = Obs.Clock.now () in
   let pool = if j > 1 then Some (Exec.shared ~domains:j) else None in
-  walk ?tune ~pool ~budget:(Budget.of_option budget) config kind
+  walk ~pool ~budget:(Budget.of_option budget) config kind
     ~warm:(fun ~panel:_ _ -> None)
     ~keep:(fun ~panel:_ _ _ -> ())
     jobs
   |> List.map (fun ((s : solved), ()) -> (s.assignments, s.report))
   |> assemble config ~kind design ~started
 
-let optimize ?(config = default_config) ?budget ?j ?stream:_ ?tune ~kind
-    design =
+let optimize ?(config = default_config) ?budget ?j ?stream:_ ~kind design =
   List.init (Netlist.Design.num_panels design) Fun.id
   |> List.filter (fun panel -> Netlist.Design.pins_of_panel design panel <> [])
   |> panel_jobs config design
-  |> run config ?budget ?j ?tune ~kind design
+  |> run config ?budget ?j ~kind design
 
 let optimize_combined ?(config = default_config) ?budget ~kind design ~panels =
   let build () =

@@ -82,36 +82,11 @@ type t = {
       (** [Some] iff the TPL deck was on in [config.gen.tpl] *)
 }
 
-type tune_hook = {
-  tune_select : panel:int -> Problem.t -> config -> config * string;
-      (** per-panel policy choice: given the built problem and the
-          run's base config, return the config this panel solves under
-          plus the canonical policy id for the trace.  Called in
-          ascending panel order within each scheduling wave. *)
-  tune_observe :
-    panel:int ->
-    policy:string ->
-    objective:float ->
-    delta:Obs.Metrics.snapshot ->
-    unit;
-      (** reward feedback: the panel's solved objective and its private
-          metrics window ({!Obs.Metrics.diff} over exactly the solve,
-          e.g. [lr.iterations]).  Called in ascending panel order after
-          the panel's wave completes. *)
-}
-(** The adaptive-scheduling hook ([lib/tune]): a policy selector plus a
-    reward observer, threaded through {!optimize}'s per-panel walk.
-    Panels are processed in fixed-size waves — selections of one wave
-    see the observations of every earlier wave but never an in-flight
-    solve — so the policy trace and the output are deterministic and
-    independent of [j]. *)
-
 val optimize :
   ?config:config ->
   ?budget:Budget.t ->
   ?j:int ->
   ?stream:bool ->
-  ?tune:tune_hook ->
   kind:solver_kind ->
   Netlist.Design.t ->
   t
@@ -121,15 +96,13 @@ val optimize :
     more problems are resident than are being solved — the memory
     contract large ([mega]-tier) designs need.
 
-    The walk runs in waves: all live panels at once, or fixed-size
-    waves under [tune].  Each wave hands its panels equal, isolated
-    slices of the remaining budget over the remaining live panels
-    ({!Fanout.run}: work units split exactly, never more than the
-    remainder; a deadline shared out as panels start).  A panel whose
-    slice is already exhausted is served directly by the minimum tier,
-    so the call still returns promptly with a feasible result.
+    The walk hands the live panels equal, isolated slices of the
+    budget ({!Fanout.run}: work units split exactly, never more than
+    the remainder; a deadline shared out as panels start).  A panel
+    whose slice is already exhausted is served directly by the minimum
+    tier, so the call still returns promptly with a feasible result.
 
-    [j] (default 1) is the number of domains a wave is fanned out
+    [j] (default 1) is the number of domains the walk is fanned out
     over, the paper's production-mode concurrency ([j > 1] reuses the
     process-wide {!Exec.shared} work-stealing pool — no domain spawns
     per call).  Per-panel results, metrics, spans and budget spend are
@@ -139,12 +112,6 @@ val optimize :
 
     [stream] is accepted and ignored: every run builds its panels in
     the task.
-
-    [tune] (default absent) threads a {!tune_hook} through the walk:
-    panels run in waves of 8, each panel solving under the config its
-    selector returned, with per-panel metric windows observed back in
-    panel order.  Absent, no hook is called and the output is that of
-    the untuned walk.
     @raise Cpr_error.Error ([Infeasible_panel]) when a pin has no
     access interval at all (blocked primary track) — no tier can serve
     such a design. *)
@@ -177,7 +144,7 @@ val solve_panels :
   Netlist.Design.t ->
   int list ->
   (solved * 'a) list
-(** The untuned walk of {!optimize} over the given live panels
+(** The walk of {!optimize} over the given live panels
     (ascending), on [pool] when it has more than one domain.  Inside
     each panel's task, once the problem is built, [warm] returns the
     LR warm start (one multiplier per clique, typically from a

@@ -8,12 +8,11 @@ module AI = Pinaccess.Access_interval
 module Grid = Rgrid.Grid
 module Route = Rgrid.Route
 
-type warm_policy = Warm_always | Warm_never | Warm_signature of float
+type warm_policy = Warm_always | Warm_never
 
 let warm_policy_to_string = function
   | Warm_always -> "warm-always"
   | Warm_never -> "warm-never"
-  | Warm_signature t -> Printf.sprintf "warm-sig:%g" t
 
 type config = {
   pao : PA.config;
@@ -108,21 +107,13 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
   done;
   (* In the walk's task: [Fault.Worker] is the service layer's injected
      worker-failure point, tripped once per miss so a supervisor above
-     can observe a single task dying; then the multiplier-reuse policy
-     (lib/tune), where [Warm_signature] additionally requires enough
-     clique signatures to survive the edit for the seed to be worth
-     anything. *)
+     can observe a single task dying; then the warm start, from the
+     previous entry that [Warm_always] recorded above. *)
   let warm ~panel problem =
     Pinaccess.Fault.trip Pinaccess.Fault.Worker;
     match Hashtbl.find_opt prev_entries panel with
     | Some prev when Array.length prev.Panel_cache.multipliers > 0 ->
-      let reuse =
-        match config.warm_policy with
-        | Warm_signature threshold ->
-          Panel_cache.signature_overlap prev problem >= threshold
-        | Warm_always | Warm_never -> true
-      in
-      if reuse then Some (Panel_cache.warm_start_for prev problem) else None
+      Some (Panel_cache.warm_start_for prev problem)
     | _ -> None
   in
   let keep ~panel problem (s : PA.solved) =
@@ -183,8 +174,6 @@ let cpr_config (config : config) =
         config.pao.PA.gen.Pinaccess.Interval_gen.tpl;
     jobs = 1;
     parallel_init = false;
-    order = Router.Negotiation.Hp;
-    tune = None;
   }
 
 (* Incremental routing: freeze every route the edit provably did not

@@ -26,15 +26,10 @@
 type warm_policy =
   | Warm_always  (** reuse cached multipliers whenever a previous entry has any *)
   | Warm_never  (** always cold-start (bit-identical to from-scratch) *)
-  | Warm_signature of float
-      (** reuse only when at least this fraction of the new problem's
-          clique signatures carry a cached multiplier
-          ({!Panel_cache.signature_overlap}) — a heavily-edited panel
-          cold-starts rather than chase a stale optimum *)
-(** ECO multiplier-reuse policies ([lib/tune]). *)
+(** ECO multiplier-reuse policies. *)
 
 val warm_policy_to_string : warm_policy -> string
-(** Canonical policy id, e.g. ["warm-sig:0.5"]. *)
+(** Canonical policy id, e.g. ["warm-always"]. *)
 
 type config = {
   pao : Pinaccess.Pin_access.config;

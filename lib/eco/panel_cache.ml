@@ -311,31 +311,6 @@ let materialize entry design ~panel =
   in
   (assignments, report)
 
-let signature_overlap entry (problem : Problem.t) =
-  let cliques = problem.Problem.cliques in
-  if Array.length cliques = 0 then 1.0
-  else begin
-    let by_sig = Hashtbl.create 64 in
-    Array.iter
-      (fun (track, cap, lo, hi, _lambda) ->
-        Hashtbl.replace by_sig (track, cap, lo, hi) ())
-      entry.multipliers;
-    let matched =
-      Array.fold_left
-        (fun acc (c : Conflict.clique) ->
-          if
-            Hashtbl.mem by_sig
-              ( c.Conflict.track,
-                c.Conflict.cap,
-                I.lo c.Conflict.common,
-                I.hi c.Conflict.common )
-          then acc + 1
-          else acc)
-        0 cliques
-    in
-    float_of_int matched /. float_of_int (Array.length cliques)
-  end
-
 let warm_start_for entry (problem : Problem.t) =
   let by_sig = Hashtbl.create 64 in
   Array.iter

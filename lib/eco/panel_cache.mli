@@ -101,13 +101,6 @@ val materialize :
     generator would have produced) with fresh per-panel ids, and the
     panel report under the new panel index. *)
 
-val signature_overlap : entry -> Pinaccess.Problem.t -> float
-(** Fraction of the problem's cliques whose signature [(track, cap,
-    common_lo, common_hi)] carries a multiplier in the entry — how much
-    of a warm start {!warm_start_for} could actually seed.  [1.0] for a
-    clique-free problem (a trivial warm start loses nothing).  The
-    gating measure of {!Engine}'s signature-gated warm-start policy. *)
-
 val warm_start_for : entry -> Pinaccess.Problem.t -> float array
 (** Align the entry's multipliers with a (possibly different) problem's
     cliques by signature; cliques with no surviving signature start at

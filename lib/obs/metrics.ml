@@ -238,9 +238,6 @@ let diff ~before ~after =
   in
   { counters = cs; histograms = hs }
 
-let counter_delta snap name =
-  Option.value ~default:0 (List.assoc_opt name snap.counters)
-
 let percentile h p =
   match h.reservoir with
   | None -> nan

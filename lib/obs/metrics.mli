@@ -117,12 +117,8 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     only ever widen), so a window's own extremes are unrecoverable —
     the diff carries the [after] values, which bound the window's.
     Entries whose count did not move are omitted, like {!snapshot}
-    omits zeros.  The tuner's reward tap ([lib/tune]), also usable for
-    per-request telemetry in the service layer. *)
-
-val counter_delta : snapshot -> string -> int
-(** [counter_delta snap name] is the named counter's value in [snap]
-    (0 when omitted) — convenience for reading {!diff} windows. *)
+    omits zeros.  Meters one window of a run, e.g. one benchmark
+    operation. *)
 
 val reset : unit -> unit
 (** Zero every registered metric in place (registrations survive, so

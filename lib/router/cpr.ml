@@ -6,8 +6,6 @@ type config = {
   tpl : Drc.Tpl.t option;
   jobs : int;
   parallel_init : bool;
-  order : Negotiation.order;
-  tune : Pinaccess.Pin_access.tune_hook option;
 }
 
 let default_config =
@@ -19,8 +17,6 @@ let default_config =
     tpl = None;
     jobs = 1;
     parallel_init = false;
-    order = Negotiation.Hp;
-    tune = None;
   }
 
 (* One source of truth for the deck: [config.tpl] also switches the
@@ -47,7 +43,7 @@ let run_with_pao ?(config = default_config) ?budget design pao =
   let specs = Spec_builder.build grid ~pao:(Some pao) in
   let negotiate ?pool () =
     Negotiation.run ~cost:config.cost ~rules:config.rules ?tpl:config.tpl
-      ?budget ?pool ~order:config.order grid specs
+      ?budget ?pool grid specs
   in
   let result =
     if config.parallel_init && config.jobs > 1 then
@@ -73,7 +69,6 @@ let run ?(config = default_config) ?budget ?pao_budget design =
   let pao_budget = match pao_budget with Some _ as b -> b | None -> budget in
   let pao =
     Pinaccess.Pin_access.optimize ~config:(pao_config config)
-      ?budget:pao_budget ~j:config.jobs ?tune:config.tune
-      ~kind:config.pao_kind design
+      ?budget:pao_budget ~j:config.jobs ~kind:config.pao_kind design
   in
   run_with_pao ~config ?budget design pao

@@ -24,14 +24,6 @@ type config = {
           negotiation router's initial-route stage through the same
           executor (identical routing, see {!Negotiation.run}).  Off
           by default; requires [jobs > 1] to have any effect. *)
-  order : Negotiation.order;
-      (** net ordering policy for both negotiation stages
-          ([lib/tune]); {!Negotiation.Hp} (default) is the pre-policy
-          engine, bit-identical *)
-  tune : Pinaccess.Pin_access.tune_hook option;
-      (** adaptive per-panel scheduling hook for the PAO stage
-          ([lib/tune]); [None] (default) is the untouched per-panel
-          walk, bit-identical *)
 }
 
 val default_config : config

@@ -71,14 +71,14 @@ let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
         | None -> ()
       end)
     fills;
-  let violations = Drc.Check.run rules layout in
-  (* the final verdict colors the *extended* metal: re-extract so the
-     line-end fills pushed in above are part of the decomposition *)
-  let tpl_stats =
-    Option.map
-      (fun deck -> Drc.Tpl.check deck (Drc.Extract.of_routes design routes))
-      tpl
+  (* DRC and the TPL verdict judge the metal the flow reports: a fill
+     crossing its own net's M3 adds a via to the route that only a
+     fresh extraction of the extended routes sees *)
+  let layout =
+    if fills = [] then layout else Drc.Extract.of_routes design routes
   in
+  let violations = Drc.Check.run rules layout in
+  let tpl_stats = Option.map (fun deck -> Drc.Tpl.check deck layout) tpl in
   let blamed =
     List.sort_uniq Int.compare
       (Drc.Check.blamed_nets violations

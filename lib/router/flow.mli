@@ -42,10 +42,11 @@ val finish :
   started:float ->
   Rgrid.Route.t option array ->
   t
-(** Runs extension + DRC over the routes, pushes extension fills back
-    into the routes and the grid, and computes [clean].  With [tpl] the
-    extended metal is also colored and nets with uncolorable features
-    are blamed (counted unrouted) alongside DRC blame.  [reused]
+(** Runs line-end extension over the routes, pushes its fills back
+    into the routes and the grid, checks DRC on the extended metal and
+    computes [clean].  With [tpl] the extended metal is also colored
+    and nets with uncolorable features are blamed (counted unrouted)
+    alongside DRC blame.  [reused]
     (default 0) records how many routes an incremental caller froze. *)
 
 val routed_count : t -> int

@@ -164,75 +164,16 @@ let drc_ripup ?(cost = Cost.default) ?(own = false) ?budget ?frozen ?tpl
   else drop_overused ();
   !reroutes
 
-type order = Hp | Area | Congestion | History
-
-let order_to_string = function
-  | Hp -> "hp"
-  | Area -> "area"
-  | Congestion -> "congestion"
-  | History -> "history"
-
-let bbox_area (spec : Net_router.spec) =
-  let bbox = spec.Net_router.bbox in
-  Geometry.Interval.length (Geometry.Rect.xs bbox)
-  * Geometry.Interval.length (Geometry.Rect.ys bbox)
-
-(* Per net, how many *other* net bboxes overlap its x-span — a cheap
-   contested-column proxy.  Interval stabbing by sorted endpoints:
-   overlaps(i) = #{lo_j <= hi_i} - #{hi_j < lo_i} - 1, each term one
-   binary search, so the whole vector is O(n log n). *)
-let overlap_degrees specs =
-  let n = Array.length specs in
-  let lo i = Geometry.Interval.lo (Geometry.Rect.xs specs.(i).Net_router.bbox)
-  and hi i =
-    Geometry.Interval.hi (Geometry.Rect.xs specs.(i).Net_router.bbox)
-  in
-  let los = Array.init n lo and his = Array.init n hi in
-  Array.sort Int.compare los;
-  Array.sort Int.compare his;
-  (* number of elements of [sorted] <= v *)
-  let count_le sorted v =
-    let l = ref 0 and r = ref (Array.length sorted) in
-    while !l < !r do
-      let m = (!l + !r) / 2 in
-      if sorted.(m) <= v then l := m + 1 else r := m
-    done;
-    !l
-  in
-  Array.init n (fun i -> count_le los (hi i) - count_le his (lo i - 1) - 1)
-
-(* Short nets first: they have the least routing freedom (the
-   default); the alternatives are the rip-up ordering policies of
-   [lib/tune]. *)
-let routing_order ?(order = Hp) specs =
-  let idx = Array.init (Array.length specs) (fun i -> i) in
+(* Short nets first: they have the least routing freedom. *)
+let routing_order specs =
   let hp i = Geometry.Rect.half_perimeter specs.(i).Net_router.bbox in
-  let by key =
-    Array.sort
-      (fun a b ->
-        let c = Int.compare (key a) (key b) in
-        if c <> 0 then c else Int.compare a b)
-      idx;
-    idx
-  in
-  match order with
-  | Hp -> by hp
-  | Area -> by (fun i -> bbox_area specs.(i))
-  | History ->
-    (* largest first: the nets that accumulate history get first pick *)
-    by (fun i -> -hp i)
-  | Congestion ->
-    let deg = overlap_degrees specs in
-    Array.sort
-      (fun a b ->
-        (* most contested first, then the hp tie-break of the default *)
-        let c = Int.compare deg.(b) deg.(a) in
-        if c <> 0 then c
-        else
-          let c = Int.compare (hp a) (hp b) in
-          if c <> 0 then c else Int.compare a b)
-      idx;
-    idx
+  let idx = Array.init (Array.length specs) Fun.id in
+  Array.sort
+    (fun a b ->
+      let c = Int.compare (hp a) (hp b) in
+      if c <> 0 then c else Int.compare a b)
+    idx;
+  idx
 
 (* A lock-free stack of idle mazes.  List cells are immutable, so a
    compare-and-set that finds the head it read also finds the list it
@@ -342,8 +283,7 @@ let overused_nets ?(is_frozen = fun _ -> false) grid routes =
   List.rev !result
 
 let run ?(cost = Cost.default) ?rules ?tpl ?budget ?pool ?frozen ?initial
-    ?(order = Hp) grid specs =
-  let policy = order in
+    grid specs =
   let maze = Maze.create grid in
   (* the run's idle mazes for parallel batches, seeded with the
      caller's own: a task takes one (or creates one) and gives it back,
@@ -361,30 +301,6 @@ let run ?(cost = Cost.default) ?rules ?tpl ?budget ?pool ?frozen ?initial
   let routes : Rgrid.Route.t option array = Array.make n None in
   let is_frozen net =
     match frozen with Some f -> f.(net) | None -> false
-  in
-  (* rip-up ordering policy: victims keep the default's net-id order
-     under [Hp] (bit-identical) and reorder deterministically under the
-     alternatives; [History] ranks by how often a net has been blamed
-     so far this run *)
-  let degrees =
-    match policy with Congestion -> Some (overlap_degrees specs) | _ -> None
-  in
-  let blame_count = Array.make n 0 in
-  let order_victims victims =
-    let by key =
-      List.stable_sort
-        (fun a b ->
-          let c = Int.compare (key a) (key b) in
-          if c <> 0 then c else Int.compare a b)
-        victims
-    in
-    match policy with
-    | Hp -> victims
-    | Area -> by (fun net -> bbox_area specs.(net))
-    | Congestion ->
-      let deg = Option.get degrees in
-      by (fun net -> -deg.(net))
-    | History -> by (fun net -> -blame_count.(net))
   in
   (* pre-committed routes (an incremental caller's reused metal): their
      usage and vias go on the grid up front, so stage 1 searches see
@@ -455,7 +371,7 @@ let run ?(cost = Cost.default) ?rules ?tpl ?budget ?pool ?frozen ?initial
   in
   (* Stage 1: independent routing (no present-sharing term); nets that
      arrived pre-routed via [initial] keep their metal *)
-  let order = routing_order ~order:policy specs in
+  let order = routing_order specs in
   let order =
     if Array.exists Option.is_some routes then
       Array.of_seq
@@ -512,10 +428,6 @@ let run ?(cost = Cost.default) ?rules ?tpl ?budget ?pool ?frozen ?initial
       List.sort_uniq Int.compare
         (overused_nets ~is_frozen grid routes @ !blamed)
     in
-    List.iter
-      (fun net -> blame_count.(net) <- blame_count.(net) + 1)
-      victims;
-    let victims = order_victims victims in
     (match parallel with
     | Some pool when List.compare_length_with victims 1 > 0 ->
       (* colored rip-up: each disjoint-influence batch of the round's

@@ -2,9 +2,11 @@
     [21]-style baseline).
 
     Stage 1 ("independent routing") routes every net with no present-
-    sharing penalty; the number of overused grids after this stage is
+    sharing penalty, by ascending bbox half-perimeter (short nets have
+    the least freedom); the number of overused grids after this stage is
     the paper's initial-congestion metric (Fig. 7(b)).  Stage 2 rips up
-    and reroutes only the nets crossing overused grids, with growing
+    and reroutes only the nets crossing overused grids, in ascending
+    net-id order, with growing
     present-sharing factor and accumulating history costs, until the
     overuse disappears or the iteration budget ends.  Nets still
     sharing grids at the end are dropped deterministically (latest net
@@ -17,32 +19,6 @@ type result = {
   total_reroutes : int;
 }
 
-type order =
-  | Hp
-      (** the default: stage 1 routes by ascending bbox half-perimeter
-          (shortest nets have the least freedom), rip-up victims keep
-          ascending net-id order — bit-identical to the pre-policy
-          engine *)
-  | Area  (** ascending bbox area, both stages *)
-  | Congestion
-      (** most-contested first: descending count of other net bboxes
-          overlapping the net's x-span (computed once, O(n log n)),
-          ties by the default's keys *)
-  | History
-      (** stage 1 routes largest half-perimeter first; rip-up victims
-          by descending blame count (how often the net has been a
-          victim this run) — the most-renegotiated nets pick first *)
-(** Net ordering policies for both negotiation stages ([lib/tune]).
-    Every policy is a deterministic function of the specs and the
-    run's own blame history, so any order stays bit-reproducible
-    across [pool] sizes (batches replay the given order exactly). *)
-
-val order_to_string : order -> string
-
-val routing_order : ?order:order -> Net_router.spec array -> int array
-(** The stage-1 net order under a policy (default [Hp]); exposed for
-    tests. *)
-
 val run :
   ?cost:Rgrid.Cost.t ->
   ?rules:Drc.Rules.t ->
@@ -51,7 +27,6 @@ val run :
   ?pool:Exec.t ->
   ?frozen:bool array ->
   ?initial:Rgrid.Route.t option array ->
-  ?order:order ->
   Rgrid.Grid.t ->
   Net_router.spec array ->
   result

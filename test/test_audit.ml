@@ -164,16 +164,28 @@ let test_whole_design_certifies () =
         Alcotest.failf "optimize output rejected: %s" (Audit.reason_to_string r))
     [ PA.Lr; PA.Ilp ]
 
+(* [div] at scale 0.1 with its generator seed offset by 16: a line-end
+   fill there crosses its own net's M3 and adds a via, which a DRC
+   count taken before the fills misses (41 reported, 42 replayed). *)
+let div_with_fill_via () =
+  let c = Workloads.Suite.find "div" in
+  Workloads.Suite.design ~scale:0.1
+    { c with Workloads.Suite.seed = Int64.add c.Workloads.Suite.seed 16L }
+
 let test_flow_audit_clean () =
   let d = fig3_design () in
   List.iter
     (fun (name, flow) ->
-      match Audit.Flow_audit.run flow with
+      match Audit.Flow_audit.run (flow ()) with
       | [] -> ()
       | i :: _ ->
         Alcotest.failf "%s flow failed audit: %s" name
           (Audit.Flow_audit.issue_to_string i))
-    [ ("cpr", Router.Cpr.run d); ("sequential", Router.Sequential.run d) ]
+    [
+      ("cpr", fun () -> Router.Cpr.run d);
+      ("sequential", fun () -> Router.Sequential.run d);
+      ("cpr div@0.1+16", fun () -> Router.Cpr.run (div_with_fill_via ()));
+    ]
 
 (* property: whatever the generator throws at it, every optimize
    result the solver calls valid also certifies clean externally *)

@@ -100,6 +100,66 @@ let test_check_raises () =
       | () -> Alcotest.fail "expected Budget_exhausted"
       | exception Pinaccess.Cpr_error.Error _ -> ())
 
+(* Fanout: the slice -> run -> charge discipline of the panel walk. *)
+
+module Fanout = Pinaccess.Fanout
+
+(* Slices are cut up front (10 = 4 + 3 + 3); each task spends [i + 1]
+   units, and inline each slice is charged to the parent before the
+   next task starts. *)
+let test_fanout_slices () =
+  let parent = Budget.start ~work_units:10 () in
+  let seen =
+    Fanout.run ~pool:None ~budget:parent
+      (fun ~budget i ->
+        let slice = Budget.remaining_work budget in
+        let charged = Budget.work_spent parent in
+        Budget.spend budget (i + 1);
+        (slice, charged))
+      [| 0; 1; 2 |]
+  in
+  check "slices 4, 3, 3 charged in task order" true
+    (seen = [| (Some 4, 0); (Some 3, 1); (Some 3, 3) |]);
+  check_int "parent charged every slice" 6 (Budget.work_spent parent)
+
+let test_fanout_starved () =
+  let parent = Budget.start ~work_units:2 () in
+  let seen =
+    Fanout.run ~pool:None ~budget:parent
+      (fun ~budget () -> (Budget.remaining_work budget, Budget.exhausted budget))
+      [| (); (); () |]
+  in
+  check "third slice exhausted from the start" true
+    (seen = [| (Some 1, false); (Some 1, false); (Some 0, true) |])
+
+let test_fanout_pool_identical () =
+  let run pool =
+    let parent = Budget.start ~work_units:23 () in
+    let results =
+      Fanout.run ~pool ~budget:parent
+        (fun ~budget i ->
+          let slice = Option.get (Budget.remaining_work budget) in
+          Budget.spend budget (min slice (i mod 4));
+          (i, slice, Budget.exhausted budget))
+        (Array.init 7 Fun.id)
+    in
+    (results, Budget.work_spent parent)
+  in
+  let inline = run None in
+  check "pooled = inline" true (run (Some (Exec.shared ~domains:2)) = inline);
+  check_int "parent charged" 9 (snd inline)
+
+let test_fanout_empty () =
+  List.iter
+    (fun pool ->
+      let parent = Budget.start ~work_units:5 () in
+      let results =
+        Fanout.run ~pool ~budget:parent (fun ~budget:_ () -> ()) [||]
+      in
+      check "no results" true (results = [||]);
+      check_int "nothing charged" 0 (Budget.work_spent parent))
+    [ None; Some (Exec.shared ~domains:2) ]
+
 let () =
   Alcotest.run "budget"
     [
@@ -116,5 +176,15 @@ let () =
             test_sub_inherits;
           Alcotest.test_case "check raises when exhausted" `Quick
             test_check_raises;
+        ] );
+      ( "fanout",
+        [
+          Alcotest.test_case "10 units over 3 tasks: 4, 3, 3 in order" `Quick
+            test_fanout_slices;
+          Alcotest.test_case "2 units over 3 tasks: third starved" `Quick
+            test_fanout_starved;
+          Alcotest.test_case "pooled = inline" `Quick
+            test_fanout_pool_identical;
+          Alcotest.test_case "no tasks, no charge" `Quick test_fanout_empty;
         ] );
     ]

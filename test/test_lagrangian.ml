@@ -331,8 +331,8 @@ let largest_panel d =
   done;
   !best
 
-(* (name, digest) pairs: Suite circuits, mega panels, a TPL deck, warm
-   starts, a truncated solve and every step-schedule option.  Each runs
+(* (name, digest) pairs: Suite circuits, mega panels, a TPL deck, a warm
+   start, a truncated solve and every step-schedule option.  Each runs
    on a freshly reset registry. *)
 let golden_cases () =
   let lr ?(config = LR.default_config) ?warm_start problem () =
@@ -356,11 +356,11 @@ let golden_cases () =
   in
   let mega = Workloads.Suite.design ~scale:0.02 Workloads.Suite.mega in
   let ecc = suite_design "ecc" 0.1 in
-  let warm ?(config = LR.default_config) () =
+  let warm () =
     let problem = panel ecc 0 in
     let cold = LR.solve problem in
     Obs.Metrics.reset ();
-    lr ~config ~warm_start:cold.LR.multipliers problem ()
+    lr ~warm_start:cold.LR.multipliers problem ()
   in
   let tpl =
     { cfg with Pinaccess.Interval_gen.tpl = Some (Solver.Color_graph.default ~colors:3) }
@@ -374,8 +374,7 @@ let golden_cases () =
       ("ecc@0.1/tpl3/p0", lr (panel ~cfg:tpl ecc 0));
       ("ecc@0.1/tpl3/p1", lr (panel ~cfg:tpl ecc 1));
       ("refine:ecc@0.1/tpl3/p1", fun () -> refine_digest (panel ~cfg:tpl ecc 1));
-      ("ecc@0.1/warm", warm ~config:LR.default_config);
-      ("ecc@0.1/warm-scaled", warm ~config:{ d with LR.warm_scale = 0.5 });
+      ("ecc@0.1/warm", warm);
       ( "ctl@0.05/max5",
         lr ~config:{ d with LR.max_iterations = 5 } (panel (suite_design "ctl" 0.05) 1) );
       ( "alu@0.05/literal",
@@ -384,9 +383,6 @@ let golden_cases () =
       ( "efc@0.05/constant-step",
         lr ~config:{ d with LR.constant_step = Some 0.5 }
           (panel (suite_design "efc" 0.05) 0) );
-      ( "div@0.05/stall-halving",
-        lr ~config:{ d with LR.stall_halving = true; plateau_exit = None }
-          (panel (suite_design "div" 0.05) 0) );
       ( "ecc@0.1/clearance0",
         lr (panel ~cfg:{ cfg with Pinaccess.Interval_gen.clearance = 0 } ecc 1) );
       ("ecc@0.1/panels01", lr (P.build_panels cfg ecc ~panels:[ 0; 1 ]));
@@ -427,11 +423,9 @@ let golden =
     ("ecc@0.1/tpl3/p1", "91b62196eed93d99b692d7d7f868a1cd");
     ("refine:ecc@0.1/tpl3/p1", "2610595774e0cffa7a1881dbfa8e94eb");
     ("ecc@0.1/warm", "d65f593baf817b65c7f74d71fdc6a056");
-    ("ecc@0.1/warm-scaled", "587954ce614e305dae1978bcdf475b92");
     ("ctl@0.05/max5", "da0eb9a213a1ffcb1bab0dd71295aa87");
     ("alu@0.05/literal", "76ffbbfbd9410647bf3ebffefeb35f72");
     ("efc@0.05/constant-step", "92b49886368550b982557d5fdbc04cd9");
-    ("div@0.05/stall-halving", "05ba4f56f90b912406ead812a1d0f653");
     ("ecc@0.1/clearance0", "fc34aafc92b5f3ddb0001ece3d87b1eb");
     ("ecc@0.1/panels01", "c65e4cb4f326731b97b5b4d4d595c014");
   ]

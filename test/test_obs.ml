@@ -208,10 +208,10 @@ let test_diff_window () =
   (* only what moved inside the window, as window-local deltas *)
   check "moved counter present" true
     (List.mem_assoc "test.win" d.Obs.Metrics.counters);
-  check_int "counter delta" 3 (Obs.Metrics.counter_delta d "test.win");
+  check "counter delta" true
+    (List.assoc_opt "test.win" d.Obs.Metrics.counters = Some 3);
   check "idle counter omitted" false
     (List.mem_assoc "test.idle" d.Obs.Metrics.counters);
-  check_int "omitted reads zero" 0 (Obs.Metrics.counter_delta d "test.idle");
   (match List.assoc_opt "test.winh" d.Obs.Metrics.histograms with
   | None -> Alcotest.fail "moved histogram omitted from diff"
   | Some s ->
