@@ -358,23 +358,6 @@ let fig7a () =
 (* Figure 7(b) — congested grids before rip-up, w/ and w/o PAO      *)
 (* --------------------------------------------------------------- *)
 
-let stage1_congestion design ~pao =
-  let grid = Rgrid.Grid.create design in
-  let pao =
-    if pao then Some (PA.optimize ~kind:PA.Lr design) else None
-  in
-  let specs = Router.Spec_builder.build grid ~pao in
-  let maze = Rgrid.Maze.create grid in
-  Array.iter
-    (fun spec ->
-      match
-        Router.Net_router.route maze ~cost:Rgrid.Cost.default ~pfac:0.0 spec
-      with
-      | Some r -> Router.Negotiation.apply_route grid r
-      | None -> ())
-    specs;
-  Rgrid.Grid.congested_nodes grid
-
 let fig7b () =
   section "Figure 7(b) — initial congested routing grids, w/ vs w/o PAO";
   pf "(paper: 5-10x reduction with pin access optimization)@.@.";
@@ -382,8 +365,10 @@ let fig7b () =
     List.map
       (fun c ->
         let design = Suite.design ~scale c in
-        let with_pao = stage1_congestion design ~pao:true in
-        let without = stage1_congestion design ~pao:false in
+        let with_pao = (Router.Cpr.run design).Router.Flow.initial_congestion in
+        let without =
+          (Router.Baseline_ncr.run design).Router.Flow.initial_congestion
+        in
         pf "  %s done@." c.Suite.id;
         [
           c.Suite.id;
@@ -681,8 +666,7 @@ let parallel_exp () =
       let flow_par, flow_par_wall =
         wall (fun () ->
             Router.Cpr.run
-              ~config:
-                { Router.Cpr.default_config with jobs; parallel_init = true }
+              ~config:{ Router.Cpr.default_config with jobs }
               design)
       in
       let sched = sched_delta ("parallel " ^ id) sched0 (sched_stats ()) in

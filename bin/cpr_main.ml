@@ -39,7 +39,7 @@ let violation_breakdown violations =
     violations;
   Hashtbl.fold (fun k c acc -> Printf.sprintf "%s=%d %s" k c acc) table ""
 
-let run_flow router pao_kind budget jobs parallel_init tpl design =
+let run_flow router pao_kind budget jobs tpl design =
   let budget =
     Option.map (fun seconds -> Pinaccess.Budget.start ~seconds ()) budget
   in
@@ -54,7 +54,6 @@ let run_flow router pao_kind budget jobs parallel_init tpl design =
           | `Lr -> Pinaccess.Pin_access.Lr
           | `Ilp -> Pinaccess.Pin_access.Ilp);
         jobs;
-        parallel_init;
         tpl;
       }
     in
@@ -200,7 +199,7 @@ let run_check_library pao budget jobs seed lib_cells report report_md verbose
   if weak > 0 || uncertified <> [] then 1 else 0
 
 let main circuit scale nets width height seed router pao budget jobs
-    parallel_init tpl verbose load repair save svg trace
+    tpl verbose load repair save svg trace
     metrics_out stats eco check_library lib_cells report report_md =
   if check_library then
     run_check_library pao budget jobs seed lib_cells report report_md verbose
@@ -230,7 +229,7 @@ let main circuit scale nets width height seed router pao budget jobs
         Option.map Obs.Trace.jsonl metrics_oc;
       ]
   in
-  let run () = run_flow router pao budget jobs parallel_init tpl design in
+  let run () = run_flow router pao budget jobs tpl design in
   let flow =
     match sinks with
     | [] -> run ()
@@ -324,12 +323,12 @@ let main circuit scale nets width height seed router pao budget jobs
    infeasible panels surface as clean cmdliner errors, never raw
    OCaml exception traces. *)
 let main circuit scale nets width height seed router pao budget jobs
-    parallel_init tpl verbose load repair save svg trace
+    tpl verbose load repair save svg trace
     metrics_out stats eco check_library lib_cells report report_md =
   match
     Pinaccess.Cpr_error.protect (fun () ->
         main circuit scale nets width height seed router pao budget jobs
-          parallel_init tpl verbose load repair save svg trace
+          tpl verbose load repair save svg trace
           metrics_out stats eco check_library lib_cells report report_md)
   with
   | Ok n -> Ok n
@@ -457,14 +456,6 @@ let jobs =
   let jobs_conv = Arg.conv ~docv:"N" (parse, Format.pp_print_int) in
   Arg.(value & opt jobs_conv 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
 
-let parallel_init =
-  let doc =
-    "Also batch independent nets of the negotiation router's initial \
-     routing stage across the $(b,-j) domains (feature flag; identical \
-     routing, only the wall clock changes). No effect with $(b,-j 1)."
-  in
-  Arg.(value & flag & info [ "parallel-init" ] ~doc)
-
 let tpl =
   let doc =
     "Enable the triple-patterning rule deck with $(docv) mask colors \
@@ -588,7 +579,7 @@ let cmd =
     Term.(
       term_result
         (const main $ circuit $ scale $ nets $ width $ height $ seed $ router
-        $ pao $ budget $ jobs $ parallel_init $ tpl $ verbose $ load $ repair $ save $ svg $ trace $ metrics_out $ stats
+        $ pao $ budget $ jobs $ tpl $ verbose $ load $ repair $ save $ svg $ trace $ metrics_out $ stats
         $ eco $ check_library $ lib_cells $ report $ report_md))
 
 (* 0 = ok, 1 = violation/weak pin, 2 = usage or I/O error: cmdliner's

@@ -108,6 +108,15 @@ let check_panels config design =
   in
   go 0 0.0
 
+(* the engine in bit-identity mode, routing whenever the campaign
+   routes, so the differential also audits every incremental flow *)
+let eco_config config =
+  {
+    Eco.Engine.default_config with
+    warm_policy = Eco.Engine.Warm_never;
+    routing = config.routing;
+  }
+
 (* The case's delta stream derives from the design text, so it
    regenerates identically for the original design and for every
    candidate the shrinker proposes. *)
@@ -190,8 +199,8 @@ let check_design config design =
     if not config.eco then Ok ()
     else
       invariant "eco-differential" (fun () ->
-          Eco_audit.check ~tolerance:config.tolerance design
-            (eco_stream config design))
+          Eco_audit.check ~tolerance:config.tolerance
+            ~config:(eco_config config) design (eco_stream config design))
   in
   let* () =
     match config.tpl with
@@ -357,7 +366,8 @@ let run ?(progress = fun _ -> ()) config =
               && String.starts_with ~prefix:"eco-differential" shrunk_reason
             then
               Eco_audit.shrink_stream ~tolerance:config.tolerance
-                ~rounds:config.shrink_rounds shrunk (eco_stream config shrunk)
+                ~config:(eco_config config) ~rounds:config.shrink_rounds
+                shrunk (eco_stream config shrunk)
             else ([], 0)
           in
           {

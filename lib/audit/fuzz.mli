@@ -18,7 +18,8 @@
       under {!Flow_audit.run};
     - a seeded ECO delta stream replayed through {!Eco.Engine} must
       stay certificate-identical to from-scratch re-optimization
-      ({!Eco_audit.check}).
+      ({!Eco_audit.check}); when [routing] is on, the engine also
+      routes incrementally and every batch's flow must certify clean.
 
     On a violation the failing design is shrunk — delta-debugging over
     its nets, then its blockages — to a minimal design that still
@@ -32,7 +33,9 @@ type config = {
   tolerance : float;  (** relative tolerance for objective comparisons *)
   max_nets : int;  (** upper bound on generated net count per case *)
   ilp : bool;  (** run the ILP cross-check (the slowest invariant) *)
-  routing : bool;  (** run and audit the CPR and sequential flows *)
+  routing : bool;
+      (** run and audit the CPR and sequential flows, and route the ECO
+          differential's engine *)
   parallel : bool;  (** check [~j:2] determinism *)
   ilp_nodes : int;
       (** deterministic branch-and-bound node budget per ILP run; the

@@ -161,42 +161,27 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
   PA.validate pao;
   (pao, keys)
 
-let cpr_config (config : config) =
-  {
-    Router.Cpr.pao_kind = config.kind;
-    pao = config.pao;
-    cost = config.cost;
-    rules = config.rules;
-    (* the PA config is the deck's single source of truth in ECO (it is
-       what panel-cache keys digest); the router deck derives from it *)
-    tpl =
-      Option.map Drc.Tpl.of_params
-        config.pao.PA.gen.Pinaccess.Interval_gen.tpl;
-    jobs = 1;
-    parallel_init = false;
-  }
-
-(* Incremental routing: freeze every route the edit provably did not
-   disturb and negotiate only the rest around them.  A route is frozen
+(* Route [design] under [pao] through the one negotiation engine.  With
+   [previous] (the design, pin access and flow before an edit, and the
+   edit's dirty rects) every route the edit provably did not disturb is
+   frozen and only the rest is negotiated around it.  A route is frozen
    iff its net survives by name (unambiguously), was clean, kept the
    same pin shapes and the same per-pin interval assignment, its search
    window stays clear of every dirty rect, and its metal is still
    passable on the new grid. *)
-let route_incremental (config : config) ~before ~(old_pao : PA.t)
-    ~(old_flow : Router.Flow.t) ~dirty_rects design new_pao =
+let route (config : config) ?previous design pao =
   Obs.Trace.with_span "eco.route" @@ fun () ->
   let started = Obs.Clock.now () in
   let grid = Grid.create design in
-  let specs = Router.Spec_builder.build grid ~pao:(Some new_pao) in
+  let specs = Router.Spec_builder.build grid ~pao:(Some pao) in
   let n = Array.length specs in
   let frozen = Array.make n false in
   let initial = Array.make n None in
   let space = Grid.space grid in
-  let same_space =
-    Design.width before = Design.width design
-    && Design.height before = Design.height design
-  in
-  if same_space then begin
+  (match previous with
+  | Some (before, (old_pao : PA.t), (old_flow : Router.Flow.t), dirty_rects)
+    when Design.width before = Design.width design
+         && Design.height before = Design.height design ->
     (* nets correspond by name; an ambiguous (duplicated) name never
        freezes *)
     let old_of_name =
@@ -228,7 +213,7 @@ let route_incremental (config : config) ~before ~(old_pao : PA.t)
         pao.PA.assignments;
       tbl
     in
-    let old_slots = slot_map old_pao and new_slots = slot_map new_pao in
+    let old_slots = slot_map old_pao and new_slots = slot_map pao in
     let new_pin_at = Hashtbl.create 256 in
     Array.iter
       (fun (p : Pin.t) ->
@@ -302,26 +287,18 @@ let route_incremental (config : config) ~before ~(old_pao : PA.t)
             end
           | _ -> ()))
       specs
-  end;
-  let result =
-    Router.Negotiation.run ~cost:config.cost ~rules:config.rules ~frozen
-      ~initial grid specs
-  in
-  let drc =
-    Router.Negotiation.drc_ripup ~cost:config.cost ~rules:config.rules ~frozen
-      grid
-      ~spec_of:(fun net -> Some specs.(net))
-      ~routes:result.Router.Negotiation.routes ~rounds:2
-  in
-  let reused = Array.fold_left (fun k f -> if f then k + 1 else k) 0 frozen in
-  let flow =
-    Router.Flow.finish ~rules:config.rules ~reused ~grid ~pao:(Some new_pao)
-      ~initial_congestion:result.Router.Negotiation.initial_congestion
-      ~ripup_iterations:result.Router.Negotiation.ripup_iterations
-      ~total_reroutes:(result.Router.Negotiation.total_reroutes + drc)
-      ~started result.Router.Negotiation.routes
-  in
-  (flow, reused, result.Router.Negotiation.total_reroutes + drc)
+  | Some _ | None -> ());
+  Router.Negotiation.run ~cost:config.cost ~rules:config.rules
+    (* the PA config is the deck's single source of truth in ECO (it is
+       what panel-cache keys digest); the router deck derives from it *)
+    ?tpl:
+      (Option.map Drc.Tpl.of_params
+         config.pao.PA.gen.Pinaccess.Interval_gen.tpl)
+    ~frozen ~initial ~pao:(Some pao) ~started grid specs
+
+let route_wall flow =
+  Option.fold ~none:0.0 ~some:(fun (f : Router.Flow.t) -> f.Router.Flow.elapsed)
+    flow
 
 let create ?(config = default_config) ?budget ?pool design =
   Obs.Trace.with_span "eco.create" @@ fun () ->
@@ -331,12 +308,8 @@ let create ?(config = default_config) ?budget ?pool design =
     solve_pao_stage ~cache ~config ~prev_key:(fun _ -> None) ?budget ?pool
       design stats
   in
-  let flow, cold_route_wall =
-    if config.routing then begin
-      let f = Router.Cpr.run_with_pao ~config:(cpr_config config) design pao in
-      (Some f, f.Router.Flow.elapsed -. pao.PA.elapsed)
-    end
-    else (None, 0.0)
+  let flow =
+    if config.routing then Some (route config design pao) else None
   in
   {
     config;
@@ -346,7 +319,7 @@ let create ?(config = default_config) ?budget ?pool design =
     flow;
     panel_keys;
     cold_pao_wall = pao.PA.elapsed;
-    cold_route_wall;
+    cold_route_wall = route_wall flow;
   }
 
 let apply ?budget ?pool t deltas =
@@ -366,23 +339,17 @@ let apply ?budget ?pool t deltas =
   let pao, panel_keys =
     solve_pao_stage ~cache:t.cache ~config ~prev_key ?budget ?pool after stats
   in
-  let flow, frozen_nets, rerouted_nets, route_wall =
-    if not config.routing then (None, 0, 0, 0.0)
+  let flow =
+    if not config.routing then None
     else
-      match t.flow with
-      | Some old_flow ->
-        let f, reused, rerouted =
-          route_incremental config ~before ~old_pao:t.pao ~old_flow
-            ~dirty_rects:dirty.Dirty.rects after pao
-        in
-        (Some f, reused, rerouted, f.Router.Flow.elapsed)
-      | None ->
-        let f = Router.Cpr.run_with_pao ~config:(cpr_config config) after pao in
-        ( Some f,
-          0,
-          f.Router.Flow.total_reroutes,
-          f.Router.Flow.elapsed -. pao.PA.elapsed )
+      let previous =
+        Option.map
+          (fun old_flow -> (before, t.pao, old_flow, dirty.Dirty.rects))
+          t.flow
+      in
+      Some (route config ?previous after pao)
   in
+  let field f = Option.fold ~none:0 ~some:f flow in
   t.design <- after;
   t.config <- config;
   t.pao <- pao;
@@ -395,10 +362,10 @@ let apply ?budget ?pool t deltas =
     cache_hits = stats.hits;
     solved = stats.solved;
     warm_started = stats.warm;
-    frozen_nets;
-    rerouted_nets;
+    frozen_nets = field (fun f -> f.Router.Flow.reused_routes);
+    rerouted_nets = field (fun f -> f.Router.Flow.total_reroutes);
     pao_wall = pao.PA.elapsed;
-    route_wall;
+    route_wall = route_wall flow;
     objective = pao.PA.objective;
   }
 

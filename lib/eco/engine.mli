@@ -15,7 +15,9 @@
       changed, or whose search window meets a {!Dirty} rect; every
       other clean route is frozen and re-committed, contributing
       congestion as a fixed obstacle
-      ({!Router.Negotiation.run}'s [frozen]/[initial]).
+      ({!Router.Negotiation.run}'s [frozen]/[initial]).  The cold
+      route and every incremental one are the same call, under the
+      TPL deck of [pao.gen.tpl] when one is set.
 
     With [warm_policy = Warm_never] the engine's pin access output is
     bit-identical to a from-scratch {!Pinaccess.Pin_access.optimize}
@@ -39,7 +41,8 @@ type config = {
           [Warm_always]) *)
   routing : bool;
       (** maintain a routed {!Router.Flow.t} incrementally (default
-          [false]: pin access only) *)
+          [false]: pin access only); a TPL deck in [pao.gen.tpl] also
+          drives the router's probe and the flow's coloring verdict *)
   cost : Rgrid.Cost.t;
   rules : Drc.Rules.t;
   max_cache_entries : int;

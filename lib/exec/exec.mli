@@ -1,9 +1,9 @@
 (** Deterministic work-stealing parallelism over OCaml 5 domains.
 
-    The panel pipeline, the router's batched stages and the library
-    sweep are embarrassingly parallel: each work item reads shared
-    immutable state and produces a private result.  This module gives
-    them one executor abstraction with two implementations:
+    The panel pipeline and the library sweep are embarrassingly
+    parallel: each work item reads shared immutable state and produces
+    a private result.  This module gives them one executor abstraction
+    with two implementations:
 
     - {!sequential} runs every task inline on the caller — the
       OCaml-4-style fallback, and the mode to use when debugging,

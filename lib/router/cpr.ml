@@ -5,7 +5,6 @@ type config = {
   rules : Drc.Rules.t;
   tpl : Drc.Tpl.t option;
   jobs : int;
-  parallel_init : bool;
 }
 
 let default_config =
@@ -16,7 +15,6 @@ let default_config =
     rules = Drc.Rules.default;
     tpl = None;
     jobs = 1;
-    parallel_init = false;
   }
 
 (* One source of truth for the deck: [config.tpl] also switches the
@@ -40,29 +38,9 @@ let run_with_pao ?(config = default_config) ?budget design pao =
   Obs.Trace.with_span "cpr.route" @@ fun () ->
   let started = Obs.Clock.now () -. pao.Pinaccess.Pin_access.elapsed in
   let grid = Rgrid.Grid.create design in
-  let specs = Spec_builder.build grid ~pao:(Some pao) in
-  let negotiate ?pool () =
-    Negotiation.run ~cost:config.cost ~rules:config.rules ?tpl:config.tpl
-      ?budget ?pool grid specs
-  in
-  let result =
-    if config.parallel_init && config.jobs > 1 then
-      (* the persistent process-wide pool: no domain spawns per flow,
-         and the same workers PAO already warmed up *)
-      negotiate ~pool:(Exec.shared ~domains:config.jobs) ()
-    else negotiate ()
-  in
-  let drc_reroutes =
-    Negotiation.drc_ripup ~cost:config.cost ?budget ?tpl:config.tpl
-      ~rules:config.rules grid
-      ~spec_of:(fun net -> Some specs.(net))
-      ~routes:result.Negotiation.routes ~rounds:2
-  in
-  Flow.finish ~rules:config.rules ?tpl:config.tpl ~grid ~pao:(Some pao)
-    ~initial_congestion:result.Negotiation.initial_congestion
-    ~ripup_iterations:result.Negotiation.ripup_iterations
-    ~total_reroutes:(result.Negotiation.total_reroutes + drc_reroutes)
-    ~started result.Negotiation.routes
+  Negotiation.run ~cost:config.cost ~rules:config.rules ?tpl:config.tpl
+    ?budget ~pao:(Some pao) ~started grid
+    (Spec_builder.build grid ~pao:(Some pao))
 
 let run ?(config = default_config) ?budget ?pao_budget design =
   Obs.Trace.with_span "cpr.run" @@ fun () ->

@@ -2,8 +2,8 @@
 
     Flow: concurrent pin access optimization on M2 (LR by default, ILP
     optionally) → selected intervals become partial routes and
-    exclusive blockages → negotiation-congestion routing → line-end
-    extension → DRC accounting. *)
+    exclusive blockages → {!Negotiation.run}: negotiation-congestion
+    routing, DRC rip-up, line-end extension and DRC accounting. *)
 
 type config = {
   pao_kind : Pinaccess.Pin_access.solver_kind;
@@ -16,14 +16,10 @@ type config = {
           TPL probe of the negotiation rip-up, and the final coloring
           verdict of {!Flow.finish} *)
   jobs : int;
-      (** domains for the parallel stages ([-j] on the CLI); 1 =
-          fully sequential.  Panels of the PAO stage fan out over
-          [jobs] domains with deterministic merge order. *)
-  parallel_init : bool;
-      (** feature flag: also batch independent nets of the
-          negotiation router's initial-route stage through the same
-          executor (identical routing, see {!Negotiation.run}).  Off
-          by default; requires [jobs > 1] to have any effect. *)
+      (** domains for the PAO stage ([-j] on the CLI); 1 = fully
+          sequential.  Panels fan out over [jobs] domains with
+          deterministic merge order, so the flow is identical at every
+          [jobs]; routing is sequential. *)
 }
 
 val default_config : config

@@ -1,58 +1,55 @@
-(** Negotiation-congestion routing (the engine shared by CPR and the
-    [21]-style baseline).
+(** Negotiation-congestion routing: the one engine shared by CPR, the
+    [21]-style baseline and the incremental ECO flows.
 
     Stage 1 ("independent routing") routes every net with no present-
     sharing penalty, by ascending bbox half-perimeter (short nets have
     the least freedom); the number of overused grids after this stage is
     the paper's initial-congestion metric (Fig. 7(b)).  Stage 2 rips up
-    and reroutes only the nets crossing overused grids, in ascending
-    net-id order, with growing
-    present-sharing factor and accumulating history costs, until the
-    overuse disappears or the iteration budget ends.  Nets still
-    sharing grids at the end are dropped deterministically (latest net
-    id loses) so the surviving routing is short-free. *)
-
-type result = {
-  routes : Rgrid.Route.t option array;  (** per net id; [None] = unrouted *)
-  initial_congestion : int;
-  ripup_iterations : int;
-  total_reroutes : int;
-}
+    and reroutes the nets crossing overused grids, in ascending net-id
+    order, with growing present-sharing factor and accumulating history
+    costs, until the overuse disappears or the iteration budget ends.
+    Every round also probes the current metal for DRC violations (and
+    TPL coloring failures), bumps history on the offending grids and
+    adds the blamed nets to the victims — the paper's combined
+    congestion + manufacturing-constraint rip-up.  Nets still sharing
+    grids at the end are dropped deterministically so the surviving
+    routing is short-free, two {!drc_ripup} rounds follow, and
+    {!Flow.finish} turns the routes into the reported flow. *)
 
 val run :
   ?cost:Rgrid.Cost.t ->
   ?rules:Drc.Rules.t ->
   ?tpl:Drc.Tpl.t ->
   ?budget:Pinaccess.Budget.t ->
-  ?pool:Exec.t ->
   ?frozen:bool array ->
   ?initial:Rgrid.Route.t option array ->
+  pao:Pinaccess.Pin_access.t option ->
+  started:float ->
   Rgrid.Grid.t ->
   Net_router.spec array ->
-  result
-(** With [rules], every rip-up iteration also probes the current metal
-    for DRC violations, bumps history on the offending grids and adds
-    the blamed nets to the victims — the paper's combined congestion +
-    manufacturing-constraint rip-up.
+  Flow.t
+(** Route [specs] (one per net id, built on [grid]) to a finished flow.
+    [rules] (default {!Drc.Rules.default}) drives the rip-up probe, the
+    DRC rip-up and the final verdict.
 
-    [tpl] extends the same probe with the triple-patterning deck: the
+    [tpl] extends all three with the triple-patterning deck: the
     current M2 metal is colored each round, history is bumped under
     uncolorable features (scaled by the deck's stitch cost) and their
     nets join the victims, so color-locked wires get negotiated apart
-    like any congestion.  Omitted, the engine is bit-identical to the
-    pre-TPL behaviour.
+    like any congestion; {!Flow.finish} then reports the coloring.
 
     [initial] pre-commits routes before stage 1 (an incremental
     caller's reused metal): their usage and vias are applied up front
     and stage 1 skips those nets.  [frozen] marks nets (by id) whose
     routes must survive untouched: they are never ripped up, never
-    blamed into the DRC victims and never dropped, but their metal
+    blamed into the victims and never dropped, but their metal
     contributes congestion and history like any other committed route —
     fixed obstacles the negotiation routes around.  A frozen net should
     arrive with an [initial] route; the caller must guarantee frozen
     routes are mutually overlap-free (e.g. they come from one previous
-    consistent flow).  Both default to "none" — without them [run] is
-    exactly the from-scratch negotiation.
+    consistent flow).  The flow's [reused_routes] counts the frozen
+    nets.  Both default to "none" — without them [run] is exactly the
+    from-scratch negotiation.
 
     [budget] bounds the work: it is checked before each rip-up round
     and inside every maze search, so on exhaustion the engine stops
@@ -60,20 +57,11 @@ val run :
     conflicting are dropped as usual — the result stays short-free,
     just with more unrouted nets).
 
-    [pool] (when its domain count exceeds 1) parallelizes both stages
-    by net dependency coloring: consecutive nets of the order being
-    processed (stage 1's routing order, or a rip-up round's victim
-    list) whose inflated influence regions are pairwise disjoint — and
-    therefore cannot read each other's metal, occupancy or history —
-    are routed concurrently and committed in order, producing the
-    exact sequential routing.  The between-round work (history sweep,
-    DRC probe, victim selection) negotiates through shared congestion
-    state and stays sequential. *)
+    [pao] is recorded in the flow; [started] is the clock reading the
+    flow's [elapsed] counts from. *)
 
 val apply_route : Rgrid.Grid.t -> Rgrid.Route.t -> unit
 (** Record a route's node usage and via pressure. *)
-
-val retract_route : Rgrid.Grid.t -> Rgrid.Route.t -> unit
 
 val drc_ripup :
   ?cost:Rgrid.Cost.t ->
@@ -91,8 +79,10 @@ val drc_ripup :
     routes, bump history on every violation grid, and reroute the
     blamed nets (at a high present-sharing factor) up to [rounds]
     times.  [own] re-claims exclusive ownership of committed metal
-    (the sequential baseline's hard-blocking mode).  [frozen] nets are
-    exempt from blame, rip-up and overuse dropping, as in {!run}.
+    (the sequential baseline's hard-blocking mode); without it, routes
+    still crossing overused grids are dropped before every check and
+    at the end.  [frozen] nets are exempt from blame, rip-up and
+    dropping, as in {!run}.
     Returns the number of reroute attempts.  [routes] is updated in
     place; a net whose reroute fails becomes unrouted.  [budget] is
     checked before each round; exhaustion stops the rip-up with the

@@ -530,6 +530,39 @@ let test_engine_routed () =
     stream;
   check "clean routes were frozen across steps" true (!frozen > 0)
 
+(* The deck in the PA config reaches every routed flow, cold and
+   incremental: each reports its coloring and audits clean. *)
+let test_engine_routed_tpl () =
+  let design = ecc ~scale:0.1 () in
+  let pao = PA.default_config in
+  let gen =
+    {
+      pao.PA.gen with
+      Pinaccess.Interval_gen.tpl =
+        Some (Drc.Tpl.params (Drc.Tpl.make ~colors:3 ()));
+    }
+  in
+  let config =
+    { Engine.default_config with Engine.routing = true; pao = { pao with PA.gen } }
+  in
+  let engine = Engine.create ~config design in
+  List.iteri
+    (fun i batch ->
+      ignore (Engine.apply engine batch);
+      match Engine.flow engine with
+      | None -> Alcotest.fail "flow dropped by an incremental step"
+      | Some flow ->
+        check
+          (Printf.sprintf "step %d: flow colored under the deck" (i + 1))
+          true
+          (Option.is_some flow.Router.Flow.tpl_stats);
+        check
+          (Printf.sprintf "step %d: flow audits clean" (i + 1))
+          true
+          (Audit.Flow_audit.run flow = []))
+    (Workloads.Eco_stream.local_moves ~seed:13L ~steps:2 ~dirty_fraction:0.1
+       design)
+
 (* ------------------------------------------------------------------ *)
 (* Audit plumbing                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -601,6 +634,8 @@ let () =
           Alcotest.test_case "invalid batch is atomic" `Quick
             test_engine_invalid_leaves_state;
           Alcotest.test_case "routed increments" `Quick test_engine_routed;
+          Alcotest.test_case "routed increments keep the TPL deck" `Quick
+            test_engine_routed_tpl;
         ] );
       ( "audit",
         [

@@ -280,16 +280,15 @@ let test_streamed_pao_identity () =
   check "streamed -j4 assignments identical" true
     (resident.PA.assignments = streamed_par.PA.assignments)
 
-(* Stage-2 coloring: on a design congested enough to need rip-up
-   rounds, the pooled flow must still reproduce the sequential routing
-   bit for bit — same routes, same iteration count, same verdicts. *)
+(* On a design congested enough to need rip-up rounds, a flow whose
+   PAO stage ran on 4 domains must still reproduce the sequential
+   routing bit for bit — same routes, same iteration count, same
+   verdicts. *)
 let test_ripup_coloring_determinism () =
   let design = Workloads.Suite.design ~scale:0.18 (Workloads.Suite.find "ctl") in
   let seq = Router.Cpr.run design in
   let par =
-    Router.Cpr.run
-      ~config:{ Router.Cpr.default_config with jobs = 4; parallel_init = true }
-      design
+    Router.Cpr.run ~config:{ Router.Cpr.default_config with jobs = 4 } design
   in
   check "rip-up rounds actually ran" true
     (seq.Router.Flow.ripup_iterations >= 1);
@@ -307,10 +306,7 @@ let test_flow_determinism () =
   let seq = Eval.of_flow (Router.Cpr.run design) in
   let par =
     Eval.of_flow
-      (Router.Cpr.run
-         ~config:
-           { Router.Cpr.default_config with jobs = 4; parallel_init = true }
-         design)
+      (Router.Cpr.run ~config:{ Router.Cpr.default_config with jobs = 4 } design)
   in
   check "routability identical" true
     (seq.Eval.routability = par.Eval.routability);

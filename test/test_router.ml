@@ -202,11 +202,11 @@ let test_negotiation_small () =
   let d = design () in
   let g = Grid.create d in
   let specs = Router.Spec_builder.build g ~pao:None in
-  let result = Router.Negotiation.run g specs in
+  let flow = Router.Negotiation.run ~pao:None ~started:0.0 g specs in
   check_int "both nets routed" 2
     (Array.fold_left
        (fun k r -> if Option.is_some r then k + 1 else k)
-       0 result.Router.Negotiation.routes);
+       0 flow.Router.Flow.routes);
   check "no congestion left" true (Grid.congested_nodes g = 0)
 
 let test_negotiation_resolves_sharing () =
@@ -223,33 +223,28 @@ let test_negotiation_resolves_sharing () =
   in
   let g = Grid.create d in
   let specs = Router.Spec_builder.build g ~pao:None in
-  let result = Router.Negotiation.run g specs in
+  let flow = Router.Negotiation.run ~pao:None ~started:0.0 g specs in
   let routed =
     Array.fold_left (fun k r -> if Option.is_some r then k + 1 else k) 0
-      result.Router.Negotiation.routes
+      flow.Router.Flow.routes
   in
   check_int "both nets routed" 2 routed;
   check "final metal short-free" true (Grid.congested_nodes g = 0)
 
 (* A finished run must leave nothing behind that reaches its grid: no
-   maze parked in the caller or in a pool worker after the run. *)
+   maze parked after the run. *)
 let test_negotiation_releases_grid () =
-  let released pool =
-    let w = Weak.create 1 in
-    let route () =
-      let d = Workloads.Suite.design ~scale:0.05 (Workloads.Suite.find "ecc") in
-      let g = Grid.create d in
-      let specs = Router.Spec_builder.build g ~pao:None in
-      ignore (Router.Negotiation.run ?pool g specs);
-      Weak.set w 0 (Some g)
-    in
-    route ();
-    Gc.full_major ();
-    not (Weak.check w 0)
+  let w = Weak.create 1 in
+  let route () =
+    let d = Workloads.Suite.design ~scale:0.05 (Workloads.Suite.find "ecc") in
+    let g = Grid.create d in
+    let specs = Router.Spec_builder.build g ~pao:None in
+    ignore (Router.Negotiation.run ~pao:None ~started:0.0 g specs);
+    Weak.set w 0 (Some g)
   in
-  check "no pool: grid collected" true (released None);
-  check "pool of 2: grid collected" true
-    (released (Some (Exec.shared ~domains:2)))
+  route ();
+  Gc.full_major ();
+  check "grid collected" true (not (Weak.check w 0))
 
 (* ----- Golden route digests ----- *)
 
@@ -277,14 +272,24 @@ let flow_digest (f : Router.Flow.t) =
     (List.length f.Router.Flow.violations);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
+(* The final flow of a routed ECO engine after three local-move
+   batches: two incremental routes over frozen metal. *)
+let eco_final () =
+  let d = Workloads.Suite.design ~scale:0.1 (Workloads.Suite.find "ecc") in
+  let config = { Eco.Engine.default_config with Eco.Engine.routing = true } in
+  let engine = Eco.Engine.create ~config d in
+  List.iter
+    (fun batch -> ignore (Eco.Engine.apply engine batch))
+    (Workloads.Eco_stream.local_moves ~seed:13L ~steps:3 ~dirty_fraction:0.1
+       d);
+  Option.get (Eco.Engine.flow engine)
+
 (* (name, digest) pairs: three small Suite circuits, each through CPR
-   at -j 1 and at -j 2 with a batched initial stage, the
-   negotiation-only baseline and the sequential baseline (whose first
-   passes search with hard spacing). *)
+   at -j 1 and at -j 2 (PAO on two domains), the negotiation-only
+   baseline and the sequential baseline (whose first passes search with
+   hard spacing); then one routed ECO stream. *)
 let golden_cases () =
-  let parallel =
-    { Router.Cpr.default_config with jobs = 2; parallel_init = true }
-  in
+  let parallel = { Router.Cpr.default_config with jobs = 2 } in
   List.concat_map
     (fun (id, scale) ->
       let name = Printf.sprintf "%s@%g" id scale in
@@ -296,8 +301,10 @@ let golden_cases () =
         (name ^ "/seq", fun () -> Router.Sequential.run (d ()));
       ])
     [ ("ecc", 0.05); ("ctl", 0.05); ("top", 0.03) ]
+  @ [ ("ecc@0.1/eco", eco_final) ]
 
-(* recorded before the relax step was fused; CPR_ROUTE_GOLDEN=print
+(* recorded before the relax step was fused, and the eco entry before
+   ECO routing moved onto [Negotiation.run]; CPR_ROUTE_GOLDEN=print
    prints the table afresh *)
 let golden =
   [
@@ -313,6 +320,7 @@ let golden =
     ("top@0.03/cpr-j2", "c646c3c7a8cd176ae2545aba55153b90");
     ("top@0.03/ncr", "d484aec53baf1cc2e31ad31aef7aeb78");
     ("top@0.03/seq", "ef8ba2fc943cf197f106538e92e9d566");
+    ("ecc@0.1/eco", "09fed49c2ecfe023dacfdf214c5726b3");
   ]
 
 let test_golden_digests () =
