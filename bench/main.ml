@@ -562,9 +562,9 @@ let kernels () =
 (* Parallel execution — seq vs [-j jobs] wall-clock and determinism  *)
 (* --------------------------------------------------------------- *)
 
-(* The PR-3 executor promises *bit-identical* results: the panels of
-   the PAO stage and the disjoint batches of the initial-route stage
-   produce exactly the sequential answer, whatever [jobs] is.  This
+(* The executor promises *bit-identical* results: the panels of the
+   PAO stage and the reroute phases of the router produce exactly the
+   sequential answer, whatever [jobs] is.  This
    experiment measures the seq and parallel wall-clock per circuit
    (CPU seconds via [Sys.time] mislead under multiple domains) and
    checks the equality.  On a single-core container the parallel runs
@@ -638,7 +638,7 @@ let parallel_exp () =
     (Printf.sprintf
        "Parallel execution — sequential vs -j %d (available domains: %d)" jobs
        (Domain.recommended_domain_count ()));
-  pf "(parallel PAO and flow results must be bit-identical to sequential;@.";
+  pf "(parallel PAO and routed flows must be bit-identical to sequential;@.";
   pf " the wall-clock fields separate once domains > 1, where the parallel@.";
   pf " PAO must not lose by more than 5%%%s; chunk/steal and alloc/node@."
     (if speedup_armed then "" else " — not checked here");
@@ -659,7 +659,9 @@ let parallel_exp () =
       let identical = same_pao pao_seq pao_par in
       check identical "parallel %s: -j %d PAO differs from sequential" id jobs;
       check_speedup ("parallel " ^ id) ~seq:pao_seq_wall ~par:pao_par_wall;
+      let seq_nodes0 = counter_value "maze.expansions" in
       let flow_seq, flow_seq_wall = wall (fun () -> Router.Cpr.run design) in
+      let seq_nodes = counter_value "maze.expansions" - seq_nodes0 in
       let sched0 = sched_stats () in
       let alloc0 = counter_value "maze.alloc_words" in
       let nodes0 = counter_value "maze.expansions" in
@@ -670,13 +672,31 @@ let parallel_exp () =
               design)
       in
       let sched = sched_delta ("parallel " ^ id) sched0 (sched_stats ()) in
+      let nodes = counter_value "maze.expansions" - nodes0 in
       let alloc_per_node =
-        let nodes = counter_value "maze.expansions" - nodes0 in
         if nodes = 0 then 0.0
         else
           float_of_int (counter_value "maze.alloc_words" - alloc0)
           /. float_of_int nodes
       in
+      (* routing on [jobs] domains commits in net order: the routes,
+         verdicts, reroutes, violations and maze work of the
+         sequential flow, the fields test_router's digests cover *)
+      let same_routing =
+        flow_seq.Router.Flow.routes = flow_par.Router.Flow.routes
+        && flow_seq.Router.Flow.clean = flow_par.Router.Flow.clean
+        && flow_seq.Router.Flow.total_reroutes
+           = flow_par.Router.Flow.total_reroutes
+        && List.length flow_seq.Router.Flow.violations
+           = List.length flow_par.Router.Flow.violations
+      in
+      check same_routing
+        "parallel %s: -j %d routes, verdicts, reroutes or violation count \
+         differ from sequential"
+        id jobs;
+      check (nodes = seq_nodes)
+        "parallel %s: -j %d expanded %d maze nodes, sequential %d" id jobs
+        nodes seq_nodes;
       check (alloc_per_node <= 8.0)
         "parallel %s: %.1f minor words per maze expansion, above the relax \
          loop's bound of 8"

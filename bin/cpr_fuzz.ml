@@ -69,9 +69,10 @@ let run_campaign iterations seed tolerance max_nets no_ilp no_routing
     (match outcome.Audit.Fuzz.failure with
     | None ->
       Format.printf
-        "fuzz: %d cases clean (%d infertile skips), seed %Ld — no invariant \
-         violated@."
-        outcome.Audit.Fuzz.cases outcome.Audit.Fuzz.skipped config.Audit.Fuzz.seed;
+        "fuzz: %d cases clean (%d infertile skips, %d routed past a first \
+         window at -j 2), seed %Ld — no invariant violated@."
+        outcome.Audit.Fuzz.cases outcome.Audit.Fuzz.skipped
+        outcome.Audit.Fuzz.outgrown config.Audit.Fuzz.seed;
       0
     | Some f ->
       Format.printf "fuzz: FAILURE at case %d (case seed %Ld)@."

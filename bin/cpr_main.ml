@@ -442,9 +442,10 @@ let budget =
 let jobs =
   let doc =
     "Domains for the parallel stages of the $(b,cpr) flow (default 1 = \
-     sequential). Pin access solves independent panels on $(docv) domains \
-     with a deterministic merge, so results are identical to $(b,-j 1); \
-     pass 0 to use every core the machine recommends."
+     sequential). Pin access solves independent panels and the router \
+     searches nets with disjoint regions on $(docv) domains, merging in \
+     order, so results are identical to $(b,-j 1); pass 0 to use every \
+     core the machine recommends."
   in
   let parse s =
     match int_of_string_opt s with

@@ -50,7 +50,12 @@ type failure = {
   shrink_steps : int;
 }
 
-type outcome = { cases : int; skipped : int; failure : failure option }
+type outcome = {
+  cases : int;
+  skipped : int;
+  outgrown : int;
+  failure : failure option;
+}
 
 let scale tolerance a b =
   tolerance *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
@@ -186,14 +191,56 @@ let check_design config design =
   let* () =
     if not config.routing then Ok ()
     else
-      let audit name flow =
+      let audit name route =
         invariant name (fun () ->
+            let flow = route () in
             match Flow_audit.run flow with
-            | [] -> Ok ()
+            | [] -> Ok flow
             | i :: _ -> Error (Flow_audit.issue_to_string i))
       in
-      let* () = audit "cpr-flow" (Router.Cpr.run design) in
-      audit "sequential-flow" (Router.Sequential.run design)
+      let* cpr = audit "cpr-flow" (fun () -> Router.Cpr.run design) in
+      let* () =
+        if not config.parallel then Ok ()
+        else
+          (* Routing on two domains must reproduce the sequential flow.
+             The default first window almost always holds the path on
+             designs this small, so the check also runs with a one-grid
+             first window, where searches outgrow it and are redone in
+             order. *)
+          let same name (seq : Router.Flow.t) (par : Router.Flow.t) =
+            let open Router.Flow in
+            if par.routes <> seq.routes then Error (name ^ ": routes diverged")
+            else if par.clean <> seq.clean then
+              Error (name ^ ": clean verdicts diverged")
+            else if par.total_reroutes <> seq.total_reroutes then
+              Error
+                (Printf.sprintf "%s: reroutes diverged: seq %d, -j2 %d" name
+                   seq.total_reroutes par.total_reroutes)
+            else if par.violations <> seq.violations then
+              Error (name ^ ": violations diverged")
+            else Ok ()
+          in
+          let narrow =
+            {
+              Router.Cpr.default_config with
+              cost = { Rgrid.Cost.default with bbox_margin = 1 };
+            }
+          in
+          invariant "routed-parallel-determinism" (fun () ->
+              let* () =
+                same "-j 2" cpr
+                  (Router.Cpr.run
+                     ~config:{ Router.Cpr.default_config with jobs = 2 }
+                     design)
+              in
+              same "-j 2, one-grid window"
+                (Router.Cpr.run ~config:narrow design)
+                (Router.Cpr.run ~config:{ narrow with jobs = 2 } design))
+      in
+      let* _ =
+        audit "sequential-flow" (fun () -> Router.Sequential.run design)
+      in
+      Ok ()
   in
   let* () =
     if not config.eco then Ok ()
@@ -330,11 +377,19 @@ let shrink config design =
     (rebuild design ~nets:!nets ~blockages:!blockages, !steps)
   end
 
+let m_outgrown = Obs.Metrics.counter "exec.route_outgrown"
+
 let run ?(progress = fun _ -> ()) config =
   let rng = Rng.create config.seed in
+  let outgrown = ref 0 in
   let rec go case skipped =
     if case > config.iterations then
-      { cases = config.iterations; skipped; failure = None }
+      {
+        cases = config.iterations;
+        skipped;
+        outgrown = !outgrown;
+        failure = None;
+      }
     else begin
       let case_seed = Rng.next rng in
       let params =
@@ -347,8 +402,10 @@ let run ?(progress = fun _ -> ()) config =
         progress case;
         go (case + 1) (skipped + 1)
       | design ->
+        let before = Obs.Metrics.value m_outgrown in
         (match check_design config design with
         | Ok () ->
+          if Obs.Metrics.value m_outgrown > before then incr outgrown;
           progress case;
           go (case + 1) skipped
         | Error reason ->
@@ -373,6 +430,7 @@ let run ?(progress = fun _ -> ()) config =
           {
             cases = case;
             skipped;
+            outgrown = !outgrown;
             failure =
               Some
                 {

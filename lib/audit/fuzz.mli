@@ -15,7 +15,10 @@
     - a parallel [~j:2] LR run must be bit-identical to the sequential
       run (objective, reports and assignments);
     - the CPR and sequential routing flows must both certify clean
-      under {!Flow_audit.run};
+      under {!Flow_audit.run}, and CPR routed at [jobs = 2] must
+      reproduce the [jobs = 1] flow (routes, clean verdicts, reroute
+      count and violations), with the default costs and with a
+      one-grid first search window, which makes searches outgrow it;
     - a seeded ECO delta stream replayed through {!Eco.Engine} must
       stay certificate-identical to from-scratch re-optimization
       ({!Eco_audit.check}); when [routing] is on, the engine also
@@ -36,7 +39,9 @@ type config = {
   routing : bool;
       (** run and audit the CPR and sequential flows, and route the ECO
           differential's engine *)
-  parallel : bool;  (** check [~j:2] determinism *)
+  parallel : bool;
+      (** check [~j:2] determinism: of the LR result, and with
+          [routing] of the CPR flow *)
   ilp_nodes : int;
       (** deterministic branch-and-bound node budget per ILP run; the
           comparison is skipped (never failed) when the budget expires
@@ -75,6 +80,10 @@ type failure = {
 type outcome = {
   cases : int;  (** cases executed (= iterations unless a case failed) *)
   skipped : int;  (** cases whose generation was infeasible *)
+  outgrown : int;
+      (** clean cases in which a parallel route outgrew its first
+          search window and was redone in order (the
+          [exec.route_outgrown] counter moved) *)
   failure : failure option;
 }
 

@@ -113,13 +113,21 @@ let check_cut_alignment rules layer tracks acc =
   done;
   !out
 
+(* one cut class at a time, so (x, y, net) is the whole order *)
+let compare_via (x1, y1, _, n1) (x2, y2, _, n2) =
+  let c = Int.compare x1 x2 in
+  if c <> 0 then c
+  else
+    let c = Int.compare y1 y2 in
+    if c <> 0 then c else Int.compare n1 n2
+
 let check_via_spacing rules (layout : Extract.layout) acc =
   let classes = [ Extract.V1; Extract.V2 ] in
   List.fold_left
     (fun acc cls ->
       let vias =
         List.filter (fun (_, _, k, _) -> k = cls) layout.Extract.vias
-        |> List.sort compare
+        |> List.sort compare_via
       in
       let arr = Array.of_list vias in
       let out = ref acc in

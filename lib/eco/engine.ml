@@ -169,7 +169,7 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
    same pin shapes and the same per-pin interval assignment, its search
    window stays clear of every dirty rect, and its metal is still
    passable on the new grid. *)
-let route (config : config) ?previous design pao =
+let route (config : config) ?pool ?previous design pao =
   Obs.Trace.with_span "eco.route" @@ fun () ->
   let started = Obs.Clock.now () in
   let grid = Grid.create design in
@@ -288,7 +288,7 @@ let route (config : config) ?previous design pao =
           | _ -> ()))
       specs
   | Some _ | None -> ());
-  Router.Negotiation.run ~cost:config.cost ~rules:config.rules
+  Router.Negotiation.run ?pool ~cost:config.cost ~rules:config.rules
     (* the PA config is the deck's single source of truth in ECO (it is
        what panel-cache keys digest); the router deck derives from it *)
     ?tpl:
@@ -309,7 +309,7 @@ let create ?(config = default_config) ?budget ?pool design =
       design stats
   in
   let flow =
-    if config.routing then Some (route config design pao) else None
+    if config.routing then Some (route config ?pool design pao) else None
   in
   {
     config;
@@ -347,7 +347,7 @@ let apply ?budget ?pool t deltas =
           (fun old_flow -> (before, t.pao, old_flow, dirty.Dirty.rects))
           t.flow
       in
-      Some (route config ?previous after pao)
+      Some (route config ?pool ?previous after pao)
   in
   let field f = Option.fold ~none:0 ~some:f flow in
   t.design <- after;

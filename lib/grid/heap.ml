@@ -9,6 +9,7 @@ type t = {
   mutable prio : (float, float64_elt, c_layout) Array1.t;
   mutable data : (int, int_elt, c_layout) Array1.t;
   mutable len : int;
+  mutable growth_words : int;
 }
 
 let create ?(capacity = 256) () =
@@ -16,6 +17,7 @@ let create ?(capacity = 256) () =
     prio = Array1.create float64 c_layout capacity;
     data = Array1.create int c_layout capacity;
     len = 0;
+    growth_words = 0;
   }
 
 let clear t = t.len <- 0
@@ -23,13 +25,18 @@ let is_empty t = t.len = 0
 let size t = t.len
 
 let grow t =
+  let before = Gc.minor_words () in
   let cap = Array1.dim t.prio * 2 in
   let prio = Array1.create float64 c_layout cap
   and data = Array1.create int c_layout cap in
   Array1.blit t.prio (Array1.sub prio 0 (Array1.dim t.prio));
   Array1.blit t.data (Array1.sub data 0 (Array1.dim t.data));
   t.prio <- prio;
-  t.data <- data
+  t.data <- data;
+  t.growth_words <-
+    t.growth_words + int_of_float (Gc.minor_words () -. before)
+
+let growth_words t = t.growth_words
 
 let swap t i j =
   let p = t.prio.{i} and d = t.data.{i} in

@@ -23,3 +23,7 @@ val pop_payload : t -> int
 
 val pop : t -> (float * int) option
 (** Convenience (allocating) pop of [(priority, payload)]. *)
+
+val growth_words : t -> int
+(** Minor-heap words the heap's doublings have allocated so far: the
+    new arrays' headers, a one-time cost per capacity, not per push. *)

@@ -227,13 +227,17 @@ let search_impl ?(should_stop = fun () -> false) t ~(cost : Cost.t) ~net
     !result
   end
 
+(* [maze.alloc_words] leaves out the heap's doublings: each maze pays
+   them once per capacity, so with one maze per domain they would
+   depend on which domain ran the largest searches. *)
 let search ?should_stop t ~cost ~net ~pfac ~sources ~targets ~window =
-  let before = Gc.minor_words () in
+  let before = Gc.minor_words () and grown = Heap.growth_words t.heap in
   let outcome =
     search_impl ?should_stop t ~cost ~net ~pfac ~sources ~targets ~window
   in
   let allocated = Gc.minor_words () -. before in
   Obs.Metrics.add m_expansions t.expansions;
   Obs.Metrics.add m_pushes t.pushes;
-  Obs.Metrics.add m_alloc_words (int_of_float allocated);
+  Obs.Metrics.add m_alloc_words
+    (int_of_float allocated - (Heap.growth_words t.heap - grown));
   outcome

@@ -38,8 +38,10 @@ let run_with_pao ?(config = default_config) ?budget design pao =
   Obs.Trace.with_span "cpr.route" @@ fun () ->
   let started = Obs.Clock.now () -. pao.Pinaccess.Pin_access.elapsed in
   let grid = Rgrid.Grid.create design in
-  Negotiation.run ~cost:config.cost ~rules:config.rules ?tpl:config.tpl
-    ?budget ~pao:(Some pao) ~started grid
+  Negotiation.run
+    ~pool:(Exec.shared ~domains:config.jobs)
+    ~cost:config.cost ~rules:config.rules ?tpl:config.tpl ?budget
+    ~pao:(Some pao) ~started grid
     (Spec_builder.build grid ~pao:(Some pao))
 
 let run ?(config = default_config) ?budget ?pao_budget design =

@@ -16,10 +16,12 @@ type config = {
           TPL probe of the negotiation rip-up, and the final coloring
           verdict of {!Flow.finish} *)
   jobs : int;
-      (** domains for the PAO stage ([-j] on the CLI); 1 = fully
-          sequential.  Panels fan out over [jobs] domains with
-          deterministic merge order, so the flow is identical at every
-          [jobs]; routing is sequential. *)
+      (** domains for the PAO stage and the router ([-j] on the CLI);
+          1 = fully sequential.  Panels fan out over [jobs] domains
+          with deterministic merge order, and each reroute phase runs
+          on [jobs] domains with commits in net order
+          ({!Negotiation.run}'s [pool]), so the flow is identical at
+          every [jobs]. *)
 }
 
 val default_config : config

@@ -2,10 +2,16 @@ module Grid = Rgrid.Grid
 module Maze = Rgrid.Maze
 module Cost = Rgrid.Cost
 module Node = Rgrid.Node
+module Route = Rgrid.Route
+module Rect = Geometry.Rect
+module I = Geometry.Interval
+module Budget = Pinaccess.Budget
 
 let m_ripup_rounds = Obs.Metrics.counter "negotiation.ripup_rounds"
 let m_reroutes = Obs.Metrics.counter "negotiation.reroutes"
 let m_drc_rounds = Obs.Metrics.counter "negotiation.drc_rounds"
+let m_outgrown = Obs.Metrics.counter "exec.route_outgrown"
+let m_invalidated = Obs.Metrics.counter "exec.route_invalidated"
 
 let apply_route grid (route : Rgrid.Route.t) =
   let space = Grid.space grid in
@@ -90,16 +96,12 @@ let probe ~rules ?tpl ~scale ~is_frozen grid routes =
     (List.sort_uniq Int.compare
        (Drc.Check.blamed_nets violations @ tpl_blamed))
 
-let drc_ripup ?(cost = Cost.default) ?(own = false) ?budget ?frozen ?tpl
-    ~rules grid ~spec_of ~routes ~rounds =
-  let design = Grid.design grid in
-  let space = Grid.space grid in
-  let maze = Maze.create grid in
+(* The DRC rip-up rounds: probe the metal and hand the blamed nets to
+   [reroute], up to [rounds] times, calling [drop] before every probe
+   and at the end. *)
+let drc_rounds ~rules ?tpl ?budget ~is_frozen ~drop ~reroute grid routes
+    ~rounds =
   let reroutes = ref 0 in
-  let is_frozen = is_frozen frozen in
-  (* a soft (pfac-based) reroute may introduce sharing; resolve it by
-     dropping before the probe *)
-  let drop () = if not own then drop_overused ~is_frozen grid routes in
   let round = ref 0 in
   let continue_ = ref true in
   while !continue_ && !round < rounds && not (exhausted budget) do
@@ -110,54 +112,414 @@ let drc_ripup ?(cost = Cost.default) ?(own = false) ?budget ?frozen ?tpl
     match probe ~rules ?tpl ~scale:4.0 ~is_frozen grid routes with
     | [] -> continue_ := false
     | blamed ->
-      List.iter
-        (fun net ->
-          let old = routes.(net) in
-          (match old with
-          | Some r ->
-            retract_route grid r;
-            if own then
-              List.iter
-                (fun node -> Grid.clear_owner grid node ~net)
-                r.Rgrid.Route.nodes;
-            routes.(net) <- None
-          | None -> ());
-          incr reroutes;
-          Obs.Metrics.incr m_reroutes;
-          let reown (r : Rgrid.Route.t) =
-            if own then
-              List.iter
-                (fun node ->
-                  if Grid.owner grid node = -1 then
-                    Grid.set_owner grid node ~net)
-                r.Rgrid.Route.nodes
-          in
-          match
-            Option.bind (spec_of net)
-              (Net_router.route ?budget maze ~cost ~pfac:4.0)
-          with
-          | Some r ->
-            apply_route grid r;
-            reown r;
-            routes.(net) <- Some r
-          | None -> ignore old)
-        blamed
+      reroutes := !reroutes + List.length blamed;
+      reroute blamed
   done;
-  if own then
-    (* failed reroutes must not leave their pins grabbable *)
-    Array.iter
-      (fun (p : Netlist.Pin.t) ->
-        for tr = Geometry.Interval.lo p.Netlist.Pin.tracks
-            to Geometry.Interval.hi p.Netlist.Pin.tracks do
-          let node =
-            Node.pack space ~layer:Rgrid.Layer.M2 ~x:p.Netlist.Pin.x ~y:tr
-          in
-          if Grid.owner grid node = -1 && not (Grid.blocked grid node) then
-            Grid.set_owner grid node ~net:p.Netlist.Pin.net
-        done)
-      (Netlist.Design.pins design)
-  else drop ();
+  drop ();
   !reroutes
+
+let drc_ripup ?(cost = Cost.default) ?budget ?tpl ~rules grid ~spec_of
+    ~routes ~rounds =
+  let design = Grid.design grid in
+  let space = Grid.space grid in
+  let maze = Maze.create grid in
+  let reroute net =
+    (match routes.(net) with
+    | Some r ->
+      retract_route grid r;
+      List.iter (fun node -> Grid.clear_owner grid node ~net) r.Route.nodes;
+      routes.(net) <- None
+    | None -> ());
+    Obs.Metrics.incr m_reroutes;
+    match
+      Option.bind (spec_of net) (Net_router.route ?budget maze ~cost ~pfac:4.0)
+    with
+    | Some r ->
+      apply_route grid r;
+      List.iter
+        (fun node ->
+          if Grid.owner grid node = -1 then Grid.set_owner grid node ~net)
+        r.Route.nodes;
+      routes.(net) <- Some r
+    | None -> ()
+  in
+  let reroutes =
+    drc_rounds ~rules ?tpl ?budget
+      ~is_frozen:(fun _ -> false)
+      ~drop:ignore ~reroute:(List.iter reroute) grid routes ~rounds
+  in
+  (* failed reroutes must not leave their pins grabbable *)
+  Array.iter
+    (fun (p : Netlist.Pin.t) ->
+      for tr = I.lo p.Netlist.Pin.tracks to I.hi p.Netlist.Pin.tracks do
+        let node =
+          Node.pack space ~layer:Rgrid.Layer.M2 ~x:p.Netlist.Pin.x ~y:tr
+        in
+        if Grid.owner grid node = -1 && not (Grid.blocked grid node) then
+          Grid.set_owner grid node ~net:p.Netlist.Pin.net
+      done)
+    (Netlist.Design.pins design);
+  reroutes
+
+(* ------------------------------------------------------------------ *)
+(* Reroute phases                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A phase is one ordered list of nets to reroute at one present-
+   sharing factor: stage 1, the victims of a round, or the blamed nets
+   of a DRC rip-up round.  In order, each net retracts its old route,
+   searches and applies its new one. *)
+type router = {
+  grid : Grid.t;
+  specs : Net_router.spec array;
+  routes : Route.t option array;
+  cost : Cost.t;
+  budget : Budget.t option;
+  pool : Exec.t option;  (** [Some] only with more than one domain *)
+  mazes : Maze.t option array;
+      (** one per domain, index 0 for in-order work; see [maze] *)
+}
+
+(* A run's mazes are made on first use, by the domain that searches
+   with them: a maze's hot counters and its heap's length are written
+   on every expansion, and blocks one domain allocates stay apart from
+   another's, so two domains never write one cache line. *)
+let maze r p =
+  match r.mazes.(p) with
+  | Some m -> m
+  | None ->
+    let m = Maze.create r.grid in
+    r.mazes.(p) <- Some m;
+    m
+
+let reroute_in_order r ~pfac net =
+  (match r.routes.(net) with
+  | Some old ->
+    retract_route r.grid old;
+    r.routes.(net) <- None
+  | None -> ());
+  match
+    Net_router.route ?budget:r.budget (maze r 0) ~cost:r.cost ~pfac
+      r.specs.(net)
+  with
+  | Some route ->
+    apply_route r.grid route;
+    r.routes.(net) <- Some route
+  | None -> ()
+
+(* The region rule of a scheduled phase.  A search whose first window
+   (the bbox grown by [cost.bbox_margin]) holds a path reads the grid
+   only inside that window grown by the kernel's reach: the clearance
+   term looks two grids along the track ([Maze]'s [clearance_level])
+   and the forbidden-via test one grid across ([Grid.via_forbidden]).
+   It writes only its old route and its new one, inside the window.
+   Two nets of a phase conflict when either one's writes meet the
+   other's reads or writes; a net starts once every earlier net it
+   conflicts with has committed.  A search that needs a wider window
+   has read outside its region: it is redone in order (see [redo]). *)
+let reach = 2
+
+(* how far past the commit frontier a worker looks for a ready net *)
+let lookahead = 16
+
+type searched = {
+  found : Route.t option;
+  spends : int list;  (** work of each search, in order *)
+  metrics : Obs.Metrics.buffer;
+  events : Obs.Trace.event list;
+}
+
+type slot =
+  | Pending  (** not started: its old route is on the grid *)
+  | Running  (** searching: its old route is retracted *)
+  | Searched of searched  (** waiting for its turn to commit *)
+  | Redo
+      (** outgrew its first window, or the budget would have stopped it
+          earlier: routed again, in order, at the frontier *)
+
+type phase = {
+  nets : int array;
+  old : Route.t option array;
+  reads : Rect.t array;
+  deps : int array;  (** latest earlier conflicting net, or [-1] *)
+  slots : slot array;
+  merged : (Obs.Metrics.buffer * Obs.Trace.event list) option array;
+  m : Mutex.t;
+  changed : Condition.t;
+  mutable frontier : int;  (** nets before it have committed *)
+  mutable running : int;
+  mutable outgrown : int;
+  mutable invalidated : int;
+  mutable error : (exn * Printexc.raw_backtrace) option;
+}
+
+(* The grid points a route writes: its nodes and its V1 landings (a
+   V2 sits on a node). *)
+let points ~space (route : Route.t) =
+  Seq.append
+    (Seq.map
+       (fun n -> (Node.x space n, Node.y space n))
+       (List.to_seq route.Route.nodes))
+    (Seq.map (fun (_pin, x, y) -> (x, y)) (List.to_seq route.Route.pin_vias))
+
+(* [rect] grown to cover [route]'s points *)
+let hull_route ~space rect route =
+  let xs = Rect.xs rect and ys = Rect.ys rect in
+  let lo_x = ref (I.lo xs) and hi_x = ref (I.hi xs)
+  and lo_y = ref (I.lo ys) and hi_y = ref (I.hi ys) in
+  Seq.iter
+    (fun (x, y) ->
+      lo_x := Int.min !lo_x x;
+      hi_x := Int.max !hi_x x;
+      lo_y := Int.min !lo_y y;
+      hi_y := Int.max !hi_y y)
+    (points ~space route);
+  Rect.make ~xs:(I.make ~lo:!lo_x ~hi:!hi_x) ~ys:(I.make ~lo:!lo_y ~hi:!hi_y)
+
+let touches ~space rect = function
+  | None -> false
+  | Some route ->
+    let xs = Rect.xs rect and ys = Rect.ys rect in
+    Seq.exists
+      (fun (x, y) -> I.contains xs x && I.contains ys y)
+      (points ~space route)
+
+(* [deps.(i)]: the latest [j < i] whose writes meet net [i]'s reads or
+   writes, or whose reads meet net [i]'s writes.  Only the [lookahead]
+   nets before [i] matter: by the time [i] is within [lookahead] of
+   the frontier, every earlier net has committed. *)
+let dependencies writes foots =
+  Array.mapi
+    (fun i foot ->
+      let rec latest j =
+        if j < 0 || j < i - lookahead then -1
+        else if
+          Rect.overlaps writes.(j) foot || Rect.overlaps writes.(i) foots.(j)
+        then j
+        else latest (j - 1)
+      in
+      latest (i - 1))
+    foots
+
+let plan r nets =
+  let space = Grid.space r.grid in
+  let die = Netlist.Design.die (Grid.design r.grid) in
+  let k = Array.length nets in
+  let old = Array.map (fun net -> r.routes.(net)) nets in
+  let windows =
+    Array.map
+      (fun net ->
+        Rect.inflate r.specs.(net).Net_router.bbox ~by:r.cost.Cost.bbox_margin
+          ~within:die)
+      nets
+  in
+  let reads =
+    Array.map (fun w -> Rect.inflate w ~by:reach ~within:die) windows
+  in
+  let with_old i rect =
+    Option.fold ~none:rect ~some:(hull_route ~space rect) old.(i)
+  in
+  {
+    nets;
+    old;
+    reads;
+    deps =
+      dependencies (Array.mapi with_old windows) (Array.mapi with_old reads);
+    slots = Array.make k Pending;
+    merged = Array.make k None;
+    m = Mutex.create ();
+    changed = Condition.create ();
+    frontier = 0;
+    running = 0;
+    outgrown = 0;
+    invalidated = 0;
+    error = None;
+  }
+
+(* One phase on every domain of [pool].  Each domain runs a worker
+   loop: commit whatever is ready at the frontier, else take the
+   lowest-index ready net within [lookahead] and search it with the
+   first margin only.  Commits happen in phase order and apply the
+   route, charge the budget and keep the net's metrics and spans,
+   which the calling domain merges after the join — so the phase
+   leaves the grid, routes, budget and observability exactly as the
+   in-order loop does. *)
+let scheduled r pool ~pfac nets =
+  let space = Grid.space r.grid in
+  let k = Array.length nets in
+  let ph = plan r nets in
+  let trace_on = Obs.Trace.enabled () in
+  let buffered f =
+    let (x, events), metrics =
+      Obs.Metrics.buffered (fun () ->
+          if trace_on then Obs.Trace.buffered f else (f (), []))
+    in
+    (x, metrics, events)
+  in
+  (* a speculative search: the first window only, the budget on a
+     private counter that starts from what was left at the start *)
+  let search maze i budget =
+    let spends = ref [] in
+    let should_stop, charge =
+      match budget with
+      | None -> ((fun () -> false), fun e -> spends := e :: !spends)
+      | Some b ->
+        ( (fun () -> Budget.exhausted b),
+          fun e ->
+            Budget.spend b e;
+            spends := e :: !spends )
+    in
+    let outcome, metrics, events =
+      buffered (fun () ->
+          Net_router.attempt ~should_stop ~charge
+            ~margins:[ r.cost.Cost.bbox_margin ] maze ~cost:r.cost ~pfac
+            r.specs.(nets.(i)))
+    in
+    match outcome with
+    | Net_router.Unreachable -> None
+    | Net_router.Routed route ->
+      Some { found = Some route; spends = List.rev !spends; metrics; events }
+    | Net_router.Stopped ->
+      Some { found = None; spends = List.rev !spends; metrics; events }
+  in
+  (* The in-order run checks the budget before every search and charges
+     after it, so a net's searches see what the nets before it spent:
+     whether it would have stopped before one of [spends]. *)
+  let cut_short spends =
+    match r.budget with
+    | None -> false
+    | Some b ->
+      spends <> []
+      && (Budget.exhausted b
+         ||
+         match Budget.remaining_work b with
+         | None -> false
+         | Some left ->
+           let rec go left = function
+             | [] -> false
+             | e :: rest -> left <= 0 || go (left - e) rest
+           in
+           go left spends)
+  in
+  let commit i found obs =
+    Option.iter (apply_route r.grid) found;
+    r.routes.(nets.(i)) <- found;
+    ph.merged.(i) <- Some obs;
+    ph.frontier <- i + 1;
+    Condition.broadcast ph.changed
+  in
+  (* Route the frontier net in order, with no search running: put back
+     the old routes of the later nets already started (as the in-order
+     run would see them), route with every margin and the real budget,
+     then take the old routes out again — except where a later net's
+     reads meet this net's new or old route: its result is stale, so it
+     goes back to [Pending] with its old route in place. *)
+  let redo maze f =
+    let started =
+      List.filter
+        (fun m ->
+          match ph.slots.(m) with
+          | Searched _ | Redo -> true
+          | Pending | Running -> false)
+        (List.init (min k (f + lookahead) - f - 1) (fun d -> f + 1 + d))
+    in
+    List.iter (fun m -> Option.iter (apply_route r.grid) ph.old.(m)) started;
+    let found, metrics, events =
+      buffered (fun () ->
+          Net_router.route ?budget:r.budget maze ~cost:r.cost ~pfac
+            r.specs.(nets.(f)))
+    in
+    List.iter
+      (fun m ->
+        match ph.slots.(m) with
+        | Searched _
+          when touches ~space ph.reads.(m) found
+               || touches ~space ph.reads.(m) ph.old.(f) ->
+          ph.slots.(m) <- Pending;
+          ph.invalidated <- ph.invalidated + 1
+        | Searched _ | Redo | Pending | Running ->
+          Option.iter (retract_route r.grid) ph.old.(m))
+      started;
+    commit f found (metrics, events)
+  in
+  let pick () =
+    let stop = min k (ph.frontier + lookahead) in
+    let rec go i =
+      if i >= stop then None
+      else
+        match ph.slots.(i) with
+        | Pending when ph.deps.(i) < ph.frontier -> Some i
+        | Pending | Running | Searched _ | Redo -> go (i + 1)
+    in
+    go ph.frontier
+  in
+  (* under the lock: commit what is ready, then claim a net to search *)
+  let rec next p =
+    if Option.is_some ph.error || ph.frontier >= k then None
+    else
+      let f = ph.frontier in
+      match ph.slots.(f) with
+      | Searched s when cut_short s.spends ->
+        ph.slots.(f) <- Redo;
+        next p
+      | Searched s ->
+        Option.iter (fun b -> List.iter (Budget.spend b) s.spends) r.budget;
+        commit f s.found (s.metrics, s.events);
+        next p
+      | Redo when ph.running = 0 ->
+        redo (maze r p) f;
+        next p
+      | Redo | Pending | Running ->
+        (match (ph.slots.(f), pick ()) with
+        | (Pending | Running), Some i ->
+          ph.slots.(i) <- Running;
+          ph.running <- ph.running + 1;
+          Some (i, Option.map (fun b -> Budget.isolated b ()) r.budget)
+        | _ ->
+          Condition.wait ph.changed ph.m;
+          next p)
+  in
+  let worker p =
+    let rec loop () =
+      match Mutex.protect ph.m (fun () -> next p) with
+      | None -> ()
+      | Some (i, budget) ->
+        Option.iter (retract_route r.grid) ph.old.(i);
+        let result = search (maze r p) i budget in
+        Mutex.protect ph.m (fun () ->
+            ph.running <- ph.running - 1;
+            (ph.slots.(i) <-
+               match result with
+               | Some s -> Searched s
+               | None ->
+                 ph.outgrown <- ph.outgrown + 1;
+                 Redo);
+            Condition.broadcast ph.changed);
+        loop ()
+    in
+    try loop ()
+    with e ->
+      let bt = Printexc.get_raw_backtrace () in
+      Mutex.protect ph.m (fun () ->
+          if Option.is_none ph.error then ph.error <- Some (e, bt);
+          Condition.broadcast ph.changed)
+  in
+  ignore (Exec.map pool worker (Array.init (Array.length r.mazes) Fun.id));
+  Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) ph.error;
+  Array.iter
+    (Option.iter (fun (metrics, events) ->
+         Obs.Metrics.flush metrics;
+         Obs.Trace.replay events))
+    ph.merged;
+  Obs.Metrics.add m_outgrown ph.outgrown;
+  Obs.Metrics.add m_invalidated ph.invalidated
+
+let reroute_phase r ~pfac nets =
+  let nets = Array.of_list nets in
+  Obs.Metrics.add m_reroutes (Array.length nets);
+  match r.pool with
+  | Some pool when Array.length nets > 1 -> scheduled r pool ~pfac nets
+  | Some _ | None -> Array.iter (reroute_in_order r ~pfac) nets
 
 (* Short nets first: they have the least routing freedom. *)
 let routing_order specs =
@@ -170,11 +532,25 @@ let routing_order specs =
     idx;
   idx
 
-let run ?(cost = Cost.default) ?(rules = Drc.Rules.default) ?tpl ?budget
-    ?frozen ?initial ~pao ~started grid specs =
-  let maze = Maze.create grid in
+let run ?pool ?(cost = Cost.default) ?(rules = Drc.Rules.default) ?tpl
+    ?budget ?frozen ?initial ~pao ~started grid specs =
+  let pool =
+    match pool with Some p when Exec.domains p > 1 -> Some p | _ -> None
+  in
+  let domains = Option.fold ~none:1 ~some:Exec.domains pool in
   let n = Array.length specs in
-  let routes : Rgrid.Route.t option array = Array.make n None in
+  let router =
+    {
+      grid;
+      specs;
+      routes = Array.make n None;
+      cost;
+      budget;
+      pool;
+      mazes = Array.make domains None;
+    }
+  in
+  let routes = router.routes in
   let is_frozen = is_frozen frozen in
   (* pre-committed routes (an incremental caller's reused metal): their
      usage and vias go on the grid up front, so stage 1 searches see
@@ -188,26 +564,17 @@ let run ?(cost = Cost.default) ?(rules = Drc.Rules.default) ?tpl ?budget
          | None -> ()))
     initial;
   let total_reroutes = ref 0 in
-  let route_net ~pfac net =
-    (match routes.(net) with
-    | Some r ->
-      retract_route grid r;
-      routes.(net) <- None
-    | None -> ());
-    incr total_reroutes;
-    Obs.Metrics.incr m_reroutes;
-    match Net_router.route ?budget maze ~cost ~pfac specs.(net) with
-    | Some r ->
-      apply_route grid r;
-      routes.(net) <- Some r
-    | None -> ()
+  let reroute ~pfac nets =
+    total_reroutes := !total_reroutes + List.length nets;
+    reroute_phase router ~pfac nets
   in
   let probe () = probe ~rules ?tpl ~scale:2.0 ~is_frozen grid routes in
   (* Stage 1: independent routing (no present-sharing term); nets that
      arrived pre-routed via [initial] keep their metal *)
-  Array.iter
-    (fun net -> if routes.(net) = None then route_net ~pfac:0.0 net)
-    (routing_order specs);
+  reroute ~pfac:0.0
+    (List.filter
+       (fun net -> routes.(net) = None)
+       (Array.to_list (routing_order specs)));
   let initial_congestion = Grid.congested_nodes grid in
   (* Stage 2: rip-up and reroute with negotiation *)
   let iterations = ref 0 in
@@ -241,7 +608,7 @@ let run ?(cost = Cost.default) ?(rules = Drc.Rules.default) ?tpl ?budget
       | Some r -> crosses_overuse grid r
       | None -> true
     in
-    List.iter (route_net ~pfac)
+    reroute ~pfac
       (List.sort_uniq Int.compare
          (List.filter overused (List.init n Fun.id) @ !blamed));
     blamed := probe ();
@@ -250,11 +617,13 @@ let run ?(cost = Cost.default) ?(rules = Drc.Rules.default) ?tpl ?budget
       || Seq.exists unfrozen_unrouted (Seq.init n Fun.id)
       || !blamed <> []
   done;
-  (* the DRC rip-up first drops the nets still sharing grids *)
+  (* the DRC rip-up first drops the nets still sharing grids: a soft
+     (pfac-based) reroute may introduce sharing *)
   let drc_reroutes =
-    drc_ripup ~cost ?budget ?frozen ?tpl ~rules grid
-      ~spec_of:(fun net -> Some specs.(net))
-      ~routes ~rounds:2
+    drc_rounds ~rules ?tpl ?budget ~is_frozen
+      ~drop:(fun () -> drop_overused ~is_frozen grid routes)
+      ~reroute:(reroute_phase router ~pfac:4.0)
+      grid routes ~rounds:2
   in
   let reused =
     Option.fold ~none:0

@@ -14,9 +14,15 @@
     congestion + manufacturing-constraint rip-up.  Nets still sharing
     grids at the end are dropped deterministically so the surviving
     routing is short-free, two {!drc_ripup} rounds follow, and
-    {!Flow.finish} turns the routes into the reported flow. *)
+    {!Flow.finish} turns the routes into the reported flow.
+
+    Every reroute phase — stage 1, the victims of one round, the
+    blamed nets of one DRC rip-up round — may run on several domains
+    ([?pool] of {!run}) and still produce the bytes of the in-order
+    loop: see {!run}. *)
 
 val run :
+  ?pool:Exec.t ->
   ?cost:Rgrid.Cost.t ->
   ?rules:Drc.Rules.t ->
   ?tpl:Drc.Tpl.t ->
@@ -58,16 +64,31 @@ val run :
     just with more unrouted nets).
 
     [pao] is recorded in the flow; [started] is the clock reading the
-    flow's [elapsed] counts from. *)
+    flow's [elapsed] counts from.
+
+    [pool] (with more than one domain) routes the nets of each phase
+    on all its domains, one maze per domain, and commits them in phase
+    order, so the flow, the budget spend, the metrics and the spans
+    are those of the in-order run.  A net's search first reads only
+    its first-margin window grown by the kernel's reach; it starts
+    once every earlier net of its phase whose old or new route could
+    meet that region has committed.  A net whose search outgrows the
+    window is routed again, with every margin, when it reaches the
+    commit frontier with no search running; a later net already
+    searched whose region meets its new or old route is searched
+    again.  Under a work-unit budget each net is charged its searches
+    at its commit, and a net the in-order budget would have stopped
+    earlier is also routed again in order.  A deadline stays
+    best-effort.  The [exec.route_outgrown] and
+    [exec.route_invalidated] counters meter that extra work; nothing
+    else counts discarded searches. *)
 
 val apply_route : Rgrid.Grid.t -> Rgrid.Route.t -> unit
 (** Record a route's node usage and via pressure. *)
 
 val drc_ripup :
   ?cost:Rgrid.Cost.t ->
-  ?own:bool ->
   ?budget:Pinaccess.Budget.t ->
-  ?frozen:bool array ->
   ?tpl:Drc.Tpl.t ->
   rules:Drc.Rules.t ->
   Rgrid.Grid.t ->
@@ -75,14 +96,13 @@ val drc_ripup :
   routes:Rgrid.Route.t option array ->
   rounds:int ->
   int
-(** The paper's manufacturing-constraint rip-up: check the current
-    routes, bump history on every violation grid, and reroute the
-    blamed nets (at a high present-sharing factor) up to [rounds]
-    times.  [own] re-claims exclusive ownership of committed metal
-    (the sequential baseline's hard-blocking mode); without it, routes
-    still crossing overused grids are dropped before every check and
-    at the end.  [frozen] nets are exempt from blame, rip-up and
-    dropping, as in {!run}.
+(** The paper's manufacturing-constraint rip-up in the sequential
+    baseline's hard-blocking mode: check the current routes, bump
+    history on every violation grid, and reroute the blamed nets (at a
+    high present-sharing factor) up to [rounds] times, in order, each
+    reroute releasing its old metal's ownership and claiming the new
+    one's ({!run} does the same rounds without ownership, dropping
+    routes that still cross overused grids).
     Returns the number of reroute attempts.  [routes] is updated in
     place; a net whose reroute fails becomes unrouted.  [budget] is
     checked before each round; exhaustion stops the rip-up with the

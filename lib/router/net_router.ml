@@ -67,17 +67,9 @@ let trim_component space (c : component) ~keeps =
         | None -> false)
       c.nodes
 
-let route_impl ?budget maze ~cost ~pfac spec =
-  let should_stop =
-    match budget with
-    | None -> fun () -> false
-    | Some b -> fun () -> Pinaccess.Budget.exhausted b
-  in
-  let spend_expansions () =
-    match budget with
-    | None -> ()
-    | Some b -> Pinaccess.Budget.spend b (Maze.expansions maze)
-  in
+type attempt = Routed of Rgrid.Route.t | Stopped | Unreachable
+
+let attempt_impl ~should_stop ~charge ~margins maze ~cost ~pfac spec =
   let grid = Maze.grid maze in
   let space = Grid.space grid in
   let die = Netlist.Design.die (Grid.design grid) in
@@ -105,14 +97,15 @@ let route_impl ?budget maze ~cost ~pfac spec =
         Maze.search ~should_stop maze ~cost ~net:spec.net ~pfac ~sources:!tree
           ~targets:component.nodes ~window:(window margin)
       in
-      spend_expansions ();
+      charge (Maze.expansions maze);
       match outcome with
       | Maze.Found { path; _ } -> Some path
       | Maze.Unreachable -> None
     in
+    (* [None] once connected, else why the component stays apart *)
     let rec attempt = function
-      | [] -> false
-      | _ when should_stop () -> false
+      | [] -> Some Unreachable
+      | _ when should_stop () -> Some Stopped
       | margin :: more ->
         (match try_margin margin with
         | Some path ->
@@ -124,14 +117,18 @@ let route_impl ?budget maze ~cost ~pfac spec =
             touch last);
           paths := path :: !paths;
           tree := List.rev_append path (List.rev_append component.nodes !tree);
-          true
+          None
         | None -> attempt more)
     in
-    attempt (cost.Cost.bbox_margin :: cost.Cost.retry_margins)
+    attempt margins
   in
-  let rec connect_all i = i >= ncomp || (connect i && connect_all (i + 1)) in
-  if not (connect_all 1) then None
-  else begin
+  let rec connect_all i =
+    if i >= ncomp then None
+    else match connect i with None -> connect_all (i + 1) | failed -> failed
+  in
+  match connect_all 1 with
+  | Some failed -> failed
+  | None -> begin
     (* keep points: fixed V1 landings plus path touch points *)
     let kept = ref [] in
     let pin_vias = ref [] in
@@ -164,9 +161,24 @@ let route_impl ?budget maze ~cost ~pfac spec =
           c.anchors)
       comp_arr;
     let nodes = List.concat (!kept :: !paths) in
-    Some (Rgrid.Route.make ~space ~net:spec.net ~nodes ~pin_vias:!pin_vias)
+    Routed (Rgrid.Route.make ~space ~net:spec.net ~nodes ~pin_vias:!pin_vias)
   end
 
-let route ?budget maze ~cost ~pfac spec =
+let attempt ~should_stop ~charge ~margins maze ~cost ~pfac spec =
   Obs.Trace.with_span "route.net" @@ fun () ->
-  route_impl ?budget maze ~cost ~pfac spec
+  attempt_impl ~should_stop ~charge ~margins maze ~cost ~pfac spec
+
+let route ?budget maze ~cost ~pfac spec =
+  let should_stop, charge =
+    match budget with
+    | None -> ((fun () -> false), ignore)
+    | Some b ->
+      ((fun () -> Pinaccess.Budget.exhausted b), Pinaccess.Budget.spend b)
+  in
+  match
+    attempt ~should_stop ~charge
+      ~margins:(cost.Cost.bbox_margin :: cost.Cost.retry_margins)
+      maze ~cost ~pfac spec
+  with
+  | Routed r -> Some r
+  | Stopped | Unreachable -> None

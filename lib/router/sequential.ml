@@ -192,7 +192,7 @@ let run ?(config = default_config) ?budget design =
   (* per-net design-rule legalization, hard-blocked like the rest of
      the flow ([12] legalizes during sequential routing) *)
   let drc_reroutes =
-    Negotiation.drc_ripup ~cost:(wide hard_cost) ~own:true ?budget
+    Negotiation.drc_ripup ~cost:(wide hard_cost) ?budget
       ?tpl:config.tpl ~rules:config.rules grid
       ~spec_of:(build_spec grid config)
       ~routes ~rounds:3

@@ -232,19 +232,25 @@ let test_negotiation_resolves_sharing () =
   check "final metal short-free" true (Grid.congested_nodes g = 0)
 
 (* A finished run must leave nothing behind that reaches its grid: no
-   maze parked after the run. *)
+   maze parked after the run, in order or with one maze per domain of
+   a pool that outlives it. *)
 let test_negotiation_releases_grid () =
-  let w = Weak.create 1 in
-  let route () =
-    let d = Workloads.Suite.design ~scale:0.05 (Workloads.Suite.find "ecc") in
-    let g = Grid.create d in
-    let specs = Router.Spec_builder.build g ~pao:None in
-    ignore (Router.Negotiation.run ~pao:None ~started:0.0 g specs);
-    Weak.set w 0 (Some g)
+  let routed ?pool () =
+    let w = Weak.create 1 in
+    let route () =
+      let d = Workloads.Suite.design ~scale:0.05 (Workloads.Suite.find "ecc") in
+      let g = Grid.create d in
+      let specs = Router.Spec_builder.build g ~pao:None in
+      ignore (Router.Negotiation.run ?pool ~pao:None ~started:0.0 g specs);
+      Weak.set w 0 (Some g)
+    in
+    route ();
+    Gc.full_major ();
+    w
   in
-  route ();
-  Gc.full_major ();
-  check "grid collected" true (not (Weak.check w 0))
+  check "grid collected" true (not (Weak.check (routed ()) 0));
+  check "grid collected after a pooled run" true
+    (not (Weak.check (routed ~pool:(Exec.shared ~domains:2) ()) 0))
 
 (* ----- Golden route digests ----- *)
 
@@ -285,18 +291,20 @@ let eco_final () =
   Option.get (Eco.Engine.flow engine)
 
 (* (name, digest) pairs: three small Suite circuits, each through CPR
-   at -j 1 and at -j 2 (PAO on two domains), the negotiation-only
-   baseline and the sequential baseline (whose first passes search with
-   hard spacing); then one routed ECO stream. *)
+   at -j 1, -j 2 and -j 4 (PAO and routing on two or four domains),
+   the negotiation-only baseline and the sequential baseline (whose
+   first passes search with hard spacing); then one routed ECO
+   stream. *)
 let golden_cases () =
-  let parallel = { Router.Cpr.default_config with jobs = 2 } in
+  let parallel jobs = { Router.Cpr.default_config with jobs } in
   List.concat_map
     (fun (id, scale) ->
       let name = Printf.sprintf "%s@%g" id scale in
       let d () = Workloads.Suite.design ~scale (Workloads.Suite.find id) in
       [
         (name ^ "/cpr", fun () -> Router.Cpr.run (d ()));
-        (name ^ "/cpr-j2", fun () -> Router.Cpr.run ~config:parallel (d ()));
+        (name ^ "/cpr-j2", fun () -> Router.Cpr.run ~config:(parallel 2) (d ()));
+        (name ^ "/cpr-j4", fun () -> Router.Cpr.run ~config:(parallel 4) (d ()));
         (name ^ "/ncr", fun () -> Router.Baseline_ncr.run (d ()));
         (name ^ "/seq", fun () -> Router.Sequential.run (d ()));
       ])
@@ -310,14 +318,17 @@ let golden =
   [
     ("ecc@0.05/cpr", "868b287b2894bc04f999fd4e3f1de643");
     ("ecc@0.05/cpr-j2", "868b287b2894bc04f999fd4e3f1de643");
+    ("ecc@0.05/cpr-j4", "868b287b2894bc04f999fd4e3f1de643");
     ("ecc@0.05/ncr", "7e7b7c6f3c620234dba9bdd3f56e0374");
     ("ecc@0.05/seq", "49b456264690e48afd53bf9318e07299");
     ("ctl@0.05/cpr", "55e437f80fd503bb23a6b99ad9417b05");
     ("ctl@0.05/cpr-j2", "55e437f80fd503bb23a6b99ad9417b05");
+    ("ctl@0.05/cpr-j4", "55e437f80fd503bb23a6b99ad9417b05");
     ("ctl@0.05/ncr", "548bbc14f10a1cc47bf8535430d17c7f");
     ("ctl@0.05/seq", "e54ae0f5f7952b8b81fbbebf82611d7d");
     ("top@0.03/cpr", "c646c3c7a8cd176ae2545aba55153b90");
     ("top@0.03/cpr-j2", "c646c3c7a8cd176ae2545aba55153b90");
+    ("top@0.03/cpr-j4", "c646c3c7a8cd176ae2545aba55153b90");
     ("top@0.03/ncr", "d484aec53baf1cc2e31ad31aef7aeb78");
     ("top@0.03/seq", "ef8ba2fc943cf197f106538e92e9d566");
     ("ecc@0.1/eco", "09fed49c2ecfe023dacfdf214c5726b3");
@@ -334,6 +345,115 @@ let test_golden_digests () =
           (Option.value ~default:"<missing>" (List.assoc_opt name golden))
           digest)
     (golden_cases ())
+
+(* ----- Parallel routing ----- *)
+
+(* A design whose nets must outgrow the first search window: a wall of
+   blockages on both layers at x = 30 leaves a gap only above track
+   30, farther than [bbox_margin] from the nets that cross it.  Nets
+   that stay on one side run beside them, and two long nets over the
+   gap come later in stage 1's order, so a detour found in order can
+   meet a region already searched (how often depends on the
+   schedule). *)
+let walled_design () =
+  let wall =
+    Netlist.Blockage.make ~layer:Netlist.Blockage.M3 ~track:30
+      ~span:(I.make ~lo:0 ~hi:30)
+    :: List.init 31 (fun y ->
+           Netlist.Blockage.make ~layer:Netlist.Blockage.M2 ~track:y
+             ~span:(I.make ~lo:30 ~hi:30))
+  in
+  let crossing =
+    List.init 6 (fun k ->
+        ( Printf.sprintf "x%d" k,
+          [ B.pin_at (18 + k) (3 + (4 * k)); B.pin_at (42 - k) (5 + (4 * k)) ] ))
+  in
+  let local =
+    List.concat
+      (List.init 6 (fun k ->
+           [
+             ( Printf.sprintf "l%d" k,
+               [ B.pin_at (4 + k) (2 + (5 * k)); B.pin_at (14 + k) (4 + (5 * k)) ]
+             );
+             ( Printf.sprintf "r%d" k,
+               [ B.pin_at (46 + k) (3 + (5 * k)); B.pin_at (56 + k) (1 + (5 * k)) ]
+             );
+             ( Printf.sprintf "t%d" k,
+               [ B.pin_at (20 + (3 * k)) 33; B.pin_at (24 + (3 * k)) 37 ] );
+           ]))
+  in
+  let over =
+    [
+      ("u0", [ B.pin_at 14 35; B.pin_at 46 37 ]);
+      ("u1", [ B.pin_at 12 38; B.pin_at 48 36 ]);
+    ]
+  in
+  B.design ~width:64 ~height:40 ~nets:(crossing @ local @ over)
+    ~blockages:wall ()
+
+(* The flow digest and the counters a -j run must reproduce, plus how
+   many searches outgrew their first window. *)
+let counted f =
+  let counter name = Obs.Metrics.value (Obs.Metrics.counter name) in
+  let names =
+    [ "maze.expansions"; "negotiation.reroutes"; "exec.route_outgrown" ]
+  in
+  let before = List.map counter names in
+  let flow = f () in
+  match List.map2 (fun n b -> counter n - b) names before with
+  | [ expansions; reroutes; outgrown ] ->
+    (flow, expansions, reroutes, outgrown)
+  | _ -> assert false
+
+(* Parallel routing reproduces the in-order run byte for byte, also
+   when nets outgrow their window and when a work-unit budget runs out
+   in the middle of a phase. *)
+let test_parallel_outgrow_and_budget () =
+  let route ?work_units jobs =
+    counted (fun () ->
+        let d = walled_design () in
+        let g = Grid.create d in
+        let specs = Router.Spec_builder.build g ~pao:None in
+        let budget =
+          Option.map
+            (fun w -> Pinaccess.Budget.start ~work_units:w ())
+            work_units
+        in
+        let flow =
+          Router.Negotiation.run ~pool:(Exec.shared ~domains:jobs) ?budget
+            ~pao:None ~started:0.0 g specs
+        in
+        (flow, Option.map Pinaccess.Budget.exhausted budget))
+  in
+  let same label (ref_flow, ref_exp, ref_rr, _) (flow, exp, rr, _) =
+    Alcotest.(check string) (label ^ ": flow digest")
+      (flow_digest (fst ref_flow)) (flow_digest (fst flow));
+    check_int (label ^ ": maze.expansions") ref_exp exp;
+    check_int (label ^ ": negotiation.reroutes") ref_rr rr
+  in
+  let ((full, _), full_exp, _, outgrown1) as seq = route 1 in
+  check_int "no speculation at -j 1" 0 outgrown1;
+  check "some crossing net routes around the wall" true
+    (Option.is_some full.Router.Flow.routes.(0));
+  List.iter
+    (fun jobs ->
+      let ((_, _, _, outgrown) as par) = route jobs in
+      same (Printf.sprintf "-j %d" jobs) seq par;
+      check
+        (Printf.sprintf "-j %d takes the outgrow path" jobs)
+        true (outgrown > 0))
+    [ 2; 4 ];
+  let work_units = full_exp / 2 in
+  let (((flow, exhausted), _, _, _) as seq) = route ~work_units 1 in
+  check "the budget runs out" true (exhausted = Some true);
+  check "the budget cut the routing short" true
+    (flow_digest flow <> flow_digest full);
+  List.iter
+    (fun jobs ->
+      same
+        (Printf.sprintf "-j %d, %d work units" jobs work_units)
+        seq (route ~work_units jobs))
+    [ 2; 4 ]
 
 let () =
   Alcotest.run "router"
@@ -362,6 +482,8 @@ let () =
           Alcotest.test_case "resolves sharing" `Quick test_negotiation_resolves_sharing;
           Alcotest.test_case "releases its grid" `Quick
             test_negotiation_releases_grid;
+          Alcotest.test_case "parallel outgrow and budget" `Quick
+            test_parallel_outgrow_and_budget;
         ] );
       ( "identity",
         [ Alcotest.test_case "golden route digests" `Quick test_golden_digests ] );
