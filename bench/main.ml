@@ -609,28 +609,6 @@ let check_speedup what ~seq ~par =
     "%s: -j %d PAO wall %.3fs exceeds 1.05 x the sequential %.3fs" what jobs
     par seq
 
-(* Scheduler counters of the process-wide shared pool the parallel runs
-   execute on; deltas around a run attribute chunks/steals to it. *)
-let sched_stats () = Exec.stats (Exec.shared ~domains:jobs)
-
-let sched_delta what (before : Exec.stats) (after : Exec.stats) =
-  let depth =
-    Array.init
-      (Array.length after.Exec.queue_depth)
-      (fun i -> after.Exec.queue_depth.(i) - before.Exec.queue_depth.(i))
-  in
-  check
-    (Array.length depth = 16)
-    "%s: queue-depth histogram has %d buckets, not 16" what (Array.length depth);
-  Obs.Json.
-    [
-      ("chunks", num_int (after.Exec.chunks - before.Exec.chunks));
-      ("steals", num_int (after.Exec.chunks_stolen - before.Exec.chunks_stolen));
-      ( "steal_misses",
-        num_int (after.Exec.steal_misses - before.Exec.steal_misses) );
-      ("queue_depth", List (Array.to_list (Array.map num_int depth)));
-    ]
-
 let counter_value name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 let parallel_exp () =
@@ -640,13 +618,13 @@ let parallel_exp () =
        (Domain.recommended_domain_count ()));
   pf "(parallel PAO and routed flows must be bit-identical to sequential;@.";
   pf " the wall-clock fields separate once domains > 1, where the parallel@.";
-  pf " PAO must not lose by more than 5%%%s; chunk/steal and alloc/node@."
+  pf " PAO must not lose by more than 5%%%s; chunks and alloc/node@."
     (if speedup_armed then "" else " — not checked here");
   pf " read against docs/PERF.md's cost model)@.@.";
   check (jobs >= 2) "parallel: runs at -j %d; CPR_BENCH_JOBS must be >= 2" jobs;
   (* spawn the pool now, so domain start-up is not charged to the first
      circuit's parallel wall *)
-  ignore (sched_stats ());
+  ignore (Exec.shared ~domains:jobs);
   List.map
     (fun c ->
       let id = c.Suite.id in
@@ -662,7 +640,7 @@ let parallel_exp () =
       let seq_nodes0 = counter_value "maze.expansions" in
       let flow_seq, flow_seq_wall = wall (fun () -> Router.Cpr.run design) in
       let seq_nodes = counter_value "maze.expansions" - seq_nodes0 in
-      let sched0 = sched_stats () in
+      let chunks0 = counter_value "exec.chunks" in
       let alloc0 = counter_value "maze.alloc_words" in
       let nodes0 = counter_value "maze.expansions" in
       let flow_par, flow_par_wall =
@@ -671,7 +649,7 @@ let parallel_exp () =
               ~config:{ Router.Cpr.default_config with jobs }
               design)
       in
-      let sched = sched_delta ("parallel " ^ id) sched0 (sched_stats ()) in
+      let chunks = counter_value "exec.chunks" - chunks0 in
       let nodes = counter_value "maze.expansions" - nodes0 in
       let alloc_per_node =
         if nodes = 0 then 0.0
@@ -723,9 +701,9 @@ let parallel_exp () =
           ("flow_par", summary_json s_par);
           ("flow_seq_wall", Num flow_seq_wall);
           ("flow_par_wall", Num flow_par_wall);
-        ]
-      @ sched
-      @ [ ("alloc_per_node", Obs.Json.Num alloc_per_node) ])
+          ("chunks", num_int chunks);
+          ("alloc_per_node", Num alloc_per_node);
+        ])
     (circuits ())
 
 (* --------------------------------------------------------------- *)
@@ -738,7 +716,7 @@ let parallel_exp () =
    as it is solved): this experiment runs the PAO stage sequential vs
    parallel and checks bit-identity.  Routing is out of
    scope here — the point is panel throughput on a workload deep
-   enough that the work-stealing pool has something worth stealing. *)
+   enough that the pool's cursor has many chunks to hand out. *)
 let mega_exp () =
   section
     (Printf.sprintf "mega — streamed PAO at 10x top (-j %d, scale %.2f)" jobs
@@ -757,11 +735,11 @@ let mega_exp () =
   let pao_seq, seq_wall =
     wall (fun () -> PA.optimize ~kind:PA.Lr design)
   in
-  let sched0 = sched_stats () in
+  let chunks0 = counter_value "exec.chunks" in
   let pao_par, par_wall =
     wall (fun () -> PA.optimize ~kind:PA.Lr ~j:jobs design)
   in
-  let sched = sched_delta "mega" sched0 (sched_stats ()) in
+  let chunks = counter_value "exec.chunks" - chunks0 in
   let identical = same_pao pao_seq pao_par in
   check identical "mega: -j %d PAO differs from sequential" jobs;
   check_speedup "mega" ~seq:seq_wall ~par:par_wall;
@@ -775,8 +753,8 @@ let mega_exp () =
         ("pao_seq_wall", Num seq_wall);
         ("pao_par_wall", Num par_wall);
         ("identical", Bool identical);
-      ]
-    @ sched;
+        ("chunks", num_int chunks);
+      ];
   ]
 
 (* --------------------------------------------------------------- *)

@@ -20,8 +20,7 @@ let run ~pool ~budget f tasks =
     f ~budget x
   in
   let charge i = Budget.spend budget (Budget.work_spent slices.(i)) in
-  match pool with
-  | Some pool when Exec.domains pool > 1 && n > 1 ->
+  if Exec.domains pool > 1 && n > 1 then begin
     let trace_on = Obs.Trace.enabled () in
     let buffered i x =
       let task () = run_task i x in
@@ -35,7 +34,8 @@ let run ~pool ~budget f tasks =
         charge i;
         r)
       (Exec.mapi pool buffered tasks)
-  | _ ->
+  end
+  else
     Array.mapi
       (fun i x ->
         let r = run_task i x in

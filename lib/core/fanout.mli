@@ -18,13 +18,13 @@
     [pool]; with no budget at all they never do.
 
     A call runs {e inline} — tasks directly on the caller, in order,
-    with no observability buffering — when there is no pool, the pool
-    has one domain, or there is at most one task.  Otherwise tasks run
-    on the pool with their metrics and spans buffered, and the buffers
-    are merged back in task order. *)
+    with no observability buffering — when [pool] has one domain
+    ({!Exec.sequential} does) or there is at most one task.  Otherwise
+    tasks run on the pool with their metrics and spans buffered, and
+    the buffers are merged back in task order. *)
 
 val run :
-  pool:Exec.t option ->
+  pool:Exec.t ->
   budget:Budget.t ->
   (budget:Budget.t -> 'a -> 'b) ->
   'a array ->

@@ -268,9 +268,8 @@ let solve_panels config ~budget ~pool ~kind ~warm ~keep design panels =
 let run config ?budget ?(j = 1) ~kind design jobs =
   Obs.Trace.with_span "pao.optimize" @@ fun () ->
   let started = Obs.Clock.now () in
-  let pool = if j > 1 then Some (Exec.shared ~domains:j) else None in
-  walk ~pool ~budget:(Budget.of_option budget) config kind
-    ~warm:(fun ~panel:_ _ -> None)
+  walk ~pool:(Exec.shared ~domains:j) ~budget:(Budget.of_option budget)
+    config kind ~warm:(fun ~panel:_ _ -> None)
     ~keep:(fun ~panel:_ _ _ -> ())
     jobs
   |> List.map (fun ((s : solved), ()) -> (s.assignments, s.report))

@@ -104,11 +104,11 @@ val optimize :
 
     [j] (default 1) is the number of domains the walk is fanned out
     over, the paper's production-mode concurrency ([j > 1] reuses the
-    process-wide {!Exec.shared} work-stealing pool — no domain spawns
-    per call).  Per-panel results, metrics, spans and budget spend are
-    merged back in panel order, so with no budget or a work-unit
-    budget, [~j:n] returns bit-identical assignments, reports,
-    objective and coloring to [~j:1] for any [n].
+    process-wide {!Exec.shared} pool — no domain spawns per call).
+    Per-panel results, metrics, spans and budget spend are merged back
+    in panel order, so with no budget or a work-unit budget, [~j:n]
+    returns bit-identical assignments, reports, objective and coloring
+    to [~j:1] for any [n].
 
     [stream] is accepted and ignored: every run builds its panels in
     the task.
@@ -137,7 +137,7 @@ val build_panel : config -> Netlist.Design.t -> panel:int -> Problem.t
 val solve_panels :
   config ->
   budget:Budget.t ->
-  pool:Exec.t option ->
+  pool:Exec.t ->
   kind:solver_kind ->
   warm:(panel:int -> Problem.t -> float array option) ->
   keep:(panel:int -> Problem.t -> solved -> 'a) ->

@@ -73,8 +73,8 @@ type pao_stats = {
    previous entry peeked here, on the caller; the walk's task turns it
    into a warm start once the problem is built.  Hits are free: [budget]
    meters the misses alone.  With [Warm_never] the result is
-   bit-identical to a from-scratch [PA.optimize], pool or no pool. *)
-let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
+   bit-identical to a from-scratch [PA.optimize], on any pool. *)
+let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ~pool design
     stats =
   Obs.Trace.with_span "eco.pao" @@ fun () ->
   let started = Obs.Clock.now () in
@@ -169,7 +169,7 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ?pool design
    same pin shapes and the same per-pin interval assignment, its search
    window stays clear of every dirty rect, and its metal is still
    passable on the new grid. *)
-let route (config : config) ?pool ?previous design pao =
+let route (config : config) ~pool ?previous design pao =
   Obs.Trace.with_span "eco.route" @@ fun () ->
   let started = Obs.Clock.now () in
   let grid = Grid.create design in
@@ -288,7 +288,7 @@ let route (config : config) ?pool ?previous design pao =
           | _ -> ()))
       specs
   | Some _ | None -> ());
-  Router.Negotiation.run ?pool ~cost:config.cost ~rules:config.rules
+  Router.Negotiation.run ~pool ~cost:config.cost ~rules:config.rules
     (* the PA config is the deck's single source of truth in ECO (it is
        what panel-cache keys digest); the router deck derives from it *)
     ?tpl:
@@ -300,16 +300,17 @@ let route_wall flow =
   Option.fold ~none:0.0 ~some:(fun (f : Router.Flow.t) -> f.Router.Flow.elapsed)
     flow
 
-let create ?(config = default_config) ?budget ?pool design =
+let create ?(config = default_config) ?budget ?(pool = Exec.sequential)
+    design =
   Obs.Trace.with_span "eco.create" @@ fun () ->
   let cache = Panel_cache.create ~max_entries:config.max_cache_entries () in
   let stats = { hits = 0; solved = 0; warm = 0 } in
   let pao, panel_keys =
-    solve_pao_stage ~cache ~config ~prev_key:(fun _ -> None) ?budget ?pool
+    solve_pao_stage ~cache ~config ~prev_key:(fun _ -> None) ?budget ~pool
       design stats
   in
   let flow =
-    if config.routing then Some (route config ?pool design pao) else None
+    if config.routing then Some (route config ~pool design pao) else None
   in
   {
     config;
@@ -322,7 +323,7 @@ let create ?(config = default_config) ?budget ?pool design =
     cold_route_wall = route_wall flow;
   }
 
-let apply ?budget ?pool t deltas =
+let apply ?budget ?(pool = Exec.sequential) t deltas =
   Obs.Trace.with_span "eco.apply" @@ fun () ->
   let before = t.design in
   let after, dirty = Dirty.compute ~before deltas in
@@ -337,7 +338,7 @@ let apply ?budget ?pool t deltas =
     else None
   in
   let pao, panel_keys =
-    solve_pao_stage ~cache:t.cache ~config ~prev_key ?budget ?pool after stats
+    solve_pao_stage ~cache:t.cache ~config ~prev_key ?budget ~pool after stats
   in
   let flow =
     if not config.routing then None
@@ -347,7 +348,7 @@ let apply ?budget ?pool t deltas =
           (fun old_flow -> (before, t.pao, old_flow, dirty.Dirty.rects))
           t.flow
       in
-      Some (route config ?pool ?previous after pao)
+      Some (route config ~pool ?previous after pao)
   in
   let field f = Option.fold ~none:0 ~some:f flow in
   t.design <- after;

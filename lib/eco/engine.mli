@@ -72,9 +72,10 @@ val create :
 (** Cold start: solve every panel from scratch (populating the cache),
     route if configured.  The solves go through the panel walk of
     {!Pinaccess.Pin_access.optimize}: [budget] meters them through
-    the same degradation ladder and slices, and [pool] fans them (and,
-    with [routing], each reroute phase of {!Router.Negotiation.run})
-    over its domains without changing the output.
+    the same degradation ladder and slices, and [pool] (default
+    {!Exec.sequential}) fans them (and, with [routing], each reroute
+    phase of {!Router.Negotiation.run}) over its domains without
+    changing the output.
     @raise Pinaccess.Cpr_error.Error as [optimize] would. *)
 
 val apply :

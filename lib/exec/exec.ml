@@ -1,212 +1,38 @@
-(* Work-stealing executor.  A [map] call is one job: the index range
-   [0, total) is cut into contiguous chunks, the chunks are dealt
-   block-wise into one deque per participating domain, and every
-   domain drains its own deque LIFO before stealing chunks FIFO from
-   the others.  Between jobs the worker domains park on a condition
-   variable, so a long-lived pool costs nothing while idle and a job
-   dispatch is one broadcast — no domain is ever spawned per call. *)
-
-(* ------------------------------------------------------------------ *)
-(* Chase–Lev deque                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Deque = struct
-  (* Fixed-capacity Chase–Lev deque of ints.  The owner pushes and
-     pops at [bottom]; thieves race a CAS on [top].  Slots are atomic,
-     so a thief that read a stale slot always fails its CAS (the owner
-     can only recycle a slot after [top] moved past it) and no value is
-     ever lost or duplicated. *)
-  type t = {
-    buf : int Atomic.t array;
-    mask : int;
-    top : int Atomic.t;  (* next index to steal *)
-    bottom : int Atomic.t;  (* next index to push *)
-  }
-
-  let create ~capacity =
-    if capacity < 1 then invalid_arg "Exec.Deque.create: capacity < 1";
-    let cap =
-      let c = ref 1 in
-      while !c < capacity do
-        c := !c * 2
-      done;
-      !c
-    in
-    {
-      buf = Array.init cap (fun _ -> Atomic.make 0);
-      mask = cap - 1;
-      top = Atomic.make 0;
-      bottom = Atomic.make 0;
-    }
-
-  let size t = max 0 (Atomic.get t.bottom - Atomic.get t.top)
-
-  (* Owner only.  Capacity is fixed: the pool sizes each deque for the
-     whole job up front, so overflow is a caller bug, not a runtime
-     condition. *)
-  let push t v =
-    let b = Atomic.get t.bottom in
-    if b - Atomic.get t.top >= Array.length t.buf then
-      invalid_arg "Exec.Deque.push: deque full";
-    Atomic.set t.buf.(b land t.mask) v;
-    Atomic.set t.bottom (b + 1)
-
-  (* Owner only: LIFO end.  On the last element the owner races the
-     thieves with the same CAS they use. *)
-  let pop t =
-    let b = Atomic.get t.bottom - 1 in
-    Atomic.set t.bottom b;
-    let tp = Atomic.get t.top in
-    if b < tp then begin
-      Atomic.set t.bottom tp;
-      None
-    end
-    else if b > tp then Some (Atomic.get t.buf.(b land t.mask))
-    else begin
-      let won = Atomic.compare_and_set t.top tp (tp + 1) in
-      Atomic.set t.bottom (tp + 1);
-      if won then Some (Atomic.get t.buf.(b land t.mask)) else None
-    end
-
-  type steal = Stolen of int | Empty | Retry
-
-  (* Any domain: FIFO end.  [Retry] means another thief (or the owner
-     taking the last element) won the race — the deque may still hold
-     work, so the caller should come back. *)
-  let steal t =
-    let tp = Atomic.get t.top in
-    let b = Atomic.get t.bottom in
-    if tp >= b then Empty
-    else begin
-      let v = Atomic.get t.buf.(tp land t.mask) in
-      if Atomic.compare_and_set t.top tp (tp + 1) then Stolen v else Retry
-    end
-end
-
-(* ------------------------------------------------------------------ *)
-(* Scheduler telemetry                                                *)
-(* ------------------------------------------------------------------ *)
-
-let depth_buckets = 16
-
-(* log2 bucket of a victim-queue depth: bucket 0 is depth 1, bucket k
-   is depth [2^k, 2^(k+1)), the last bucket absorbs the tail *)
-let depth_bucket n =
-  let rec go n b =
-    if n <= 1 || b = depth_buckets - 1 then b else go (n lsr 1) (b + 1)
-  in
-  go (max 1 n) 0
-
-type stats = {
-  jobs : int;
-  tasks : int;
-  chunks : int;  (** chunks run by their owner (local pops) *)
-  chunks_stolen : int;  (** chunks obtained by stealing *)
-  steal_misses : int;  (** scan passes that found every deque empty *)
-  queue_depth : int array;
-      (** log2-bucketed victim depth at each successful steal *)
-}
-
-let empty_stats () =
-  {
-    jobs = 0;
-    tasks = 0;
-    chunks = 0;
-    chunks_stolen = 0;
-    steal_misses = 0;
-    queue_depth = Array.make depth_buckets 0;
-  }
-
-(* Per-participant scratch: written by exactly one domain during a
-   job, folded into the pool totals by the caller after the join (the
-   join's mutex gives the happens-before edge). *)
-type pstat = {
-  mutable p_chunks : int;
-  mutable p_stolen : int;
-  mutable p_misses : int;
-  p_depth : int array;
-}
+(* One job cursor.  A [map] call is one job: every participant — the
+   parked workers and the caller — claims the next contiguous chunk of
+   indices with one fetch-and-add on the job's cursor until the range
+   is drained, so a domain whose chunk ran short just claims the next
+   one and skewed task costs rebalance by construction.  Between jobs
+   the worker domains park on a condition variable, so a long-lived
+   pool costs nothing while idle and a job dispatch is one broadcast —
+   no domain is ever spawned per call. *)
 
 let m_jobs = Obs.Metrics.counter "exec.jobs"
 let m_tasks = Obs.Metrics.counter "exec.tasks"
 let m_chunks = Obs.Metrics.counter "exec.chunks"
-let m_steals = Obs.Metrics.counter "exec.steals"
-let m_steal_misses = Obs.Metrics.counter "exec.steal_misses"
-let m_queue_depth = Obs.Metrics.histogram "exec.queue_depth"
-
-(* ------------------------------------------------------------------ *)
-(* Jobs                                                               *)
-(* ------------------------------------------------------------------ *)
 
 (* A job is one [map] call: [run] executes one task index and never
    raises (the wrapper in [mapi] stores results and exceptions into
    per-index slots). *)
-type job = {
-  run : int -> unit;
-  total : int;
-  chunk : int;
-  deques : Deque.t array;  (* one per participant *)
-  pstats : pstat array;
-}
+type job = { run : int -> unit; total : int; chunk : int; next : int Atomic.t }
 
-let run_chunk job start =
-  let stop = min job.total (start + job.chunk) in
-  for i = start to stop - 1 do
-    job.run i
-  done
-
-(* One participant's share of a job: drain the own deque LIFO, then
-   steal FIFO from the others until a full scan pass finds everything
-   empty.  Tasks never enqueue new work, so an empty pass is final —
-   any chunk not in a deque is already being executed by its claimant,
-   and the caller's join waits for those through [running]. *)
-let participate job p =
-  let st = job.pstats.(p) in
-  let mine = job.deques.(p) in
-  let rec own () =
-    match Deque.pop mine with
-    | Some s ->
-      st.p_chunks <- st.p_chunks + 1;
-      run_chunk job s;
-      own ()
-    | None -> ()
-  in
-  own ();
-  let np = Array.length job.deques in
-  if np > 1 then begin
-    let continue_ = ref true in
-    while !continue_ do
-      let found = ref false and contended = ref false in
-      for k = 1 to np - 1 do
-        let d = job.deques.((p + k) mod np) in
-        match Deque.steal d with
-        | Deque.Stolen s ->
-          found := true;
-          st.p_stolen <- st.p_stolen + 1;
-          let b = depth_bucket (Deque.size d + 1) in
-          st.p_depth.(b) <- st.p_depth.(b) + 1;
-          run_chunk job s
-        | Deque.Retry ->
-          contended := true;
-          Domain.cpu_relax ()
-        | Deque.Empty -> ()
+let participate job =
+  let rec claim () =
+    let start = Atomic.fetch_and_add job.next job.chunk in
+    if start < job.total then begin
+      for i = start to min job.total (start + job.chunk) - 1 do
+        job.run i
       done;
-      if not (!found || !contended) then begin
-        st.p_misses <- st.p_misses + 1;
-        continue_ := false
-      end
-    done
-  end
-
-(* ------------------------------------------------------------------ *)
-(* The pool                                                           *)
-(* ------------------------------------------------------------------ *)
+      claim ()
+    end
+  in
+  claim ()
 
 (* Workers park on [ready] between jobs.  An epoch counter tells a
    waking worker whether a new job was published since the one it last
    ran; [running] counts workers still inside the current job so the
    caller knows when the join is complete.  All fields are guarded by
-   [m] except the deques, which carry their own atomics. *)
+   [m] except the job's cursor, which is atomic. *)
 type pool_state = {
   size : int;
   m : Mutex.t;
@@ -217,20 +43,13 @@ type pool_state = {
   mutable running : int;
   mutable stop : bool;
   mutable workers : unit Domain.t list;
-  (* cumulative scheduler telemetry, folded in at each join *)
-  mutable s_jobs : int;
-  mutable s_tasks : int;
-  mutable s_chunks : int;
-  mutable s_stolen : int;
-  mutable s_misses : int;
-  s_depth : int array;
 }
 
 type t = Sequential | Pool of pool_state
 
 let sequential = Sequential
 
-let worker_loop state ~participant =
+let worker_loop state =
   let my_epoch = ref 0 in
   let rec loop () =
     Mutex.lock state.m;
@@ -242,7 +61,7 @@ let worker_loop state ~participant =
       my_epoch := state.epoch;
       let job = Option.get state.job in
       Mutex.unlock state.m;
-      participate job participant;
+      participate job;
       Mutex.lock state.m;
       state.running <- state.running - 1;
       if state.running = 0 then Condition.broadcast state.finished;
@@ -252,116 +71,69 @@ let worker_loop state ~participant =
   in
   loop ()
 
-let pool ~domains =
-  let size = max 1 domains in
-  if size = 1 then Sequential
-  else begin
-    let state =
-      {
-        size;
-        m = Mutex.create ();
-        ready = Condition.create ();
-        finished = Condition.create ();
-        epoch = 0;
-        job = None;
-        running = 0;
-        stop = false;
-        workers = [];
-        s_jobs = 0;
-        s_tasks = 0;
-        s_chunks = 0;
-        s_stolen = 0;
-        s_misses = 0;
-        s_depth = Array.make depth_buckets 0;
-      }
-    in
-    (* the caller is participant 0; workers take 1 .. size-1 *)
-    state.workers <-
-      List.init (size - 1) (fun i ->
-          Domain.spawn (fun () -> worker_loop state ~participant:(i + 1)));
-    Pool state
-  end
+(* [size - 1] parked workers; the caller of [map] is the last
+   participant *)
+let spawn size =
+  let state =
+    {
+      size;
+      m = Mutex.create ();
+      ready = Condition.create ();
+      finished = Condition.create ();
+      epoch = 0;
+      job = None;
+      running = 0;
+      stop = false;
+      workers = [];
+    }
+  in
+  state.workers <-
+    List.init (size - 1) (fun _ -> Domain.spawn (fun () -> worker_loop state));
+  state
 
-let shutdown = function
-  | Sequential -> ()
-  | Pool state ->
-    Mutex.lock state.m;
-    state.stop <- true;
-    Condition.broadcast state.ready;
-    Mutex.unlock state.m;
-    List.iter Domain.join state.workers;
-    state.workers <- []
-
-let with_pool ~domains f =
-  let t = pool ~domains in
-  Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
+let join state =
+  Mutex.lock state.m;
+  state.stop <- true;
+  Condition.broadcast state.ready;
+  Mutex.unlock state.m;
+  List.iter Domain.join state.workers;
+  state.workers <- []
 
 let domains = function Sequential -> 1 | Pool state -> state.size
 
 let default_domains () = Domain.recommended_domain_count ()
 
-let stats = function
-  | Sequential -> empty_stats ()
-  | Pool state ->
-    Mutex.lock state.m;
-    let s =
-      {
-        jobs = state.s_jobs;
-        tasks = state.s_tasks;
-        chunks = state.s_chunks;
-        chunks_stolen = state.s_stolen;
-        steal_misses = state.s_misses;
-        queue_depth = Array.copy state.s_depth;
-      }
-    in
-    Mutex.unlock state.m;
-    s
-
-(* ------------------------------------------------------------------ *)
-(* The shared process pool                                            *)
-(* ------------------------------------------------------------------ *)
-
 (* One persistent pool per requested size, created on first use and
    parked between jobs; callers never pay a domain spawn per call.
    The pools are joined at process exit, so no domain outlives main. *)
-let shared_pools : (int, t) Hashtbl.t = Hashtbl.create 4
+let shared_pools : (int, pool_state) Hashtbl.t = Hashtbl.create 4
 let shared_m = Mutex.create ()
-let shared_exit_registered = ref false
+
+let join_shared () =
+  Mutex.lock shared_m;
+  let pools = Hashtbl.fold (fun _ p acc -> p :: acc) shared_pools [] in
+  Hashtbl.reset shared_pools;
+  Mutex.unlock shared_m;
+  List.iter join pools
 
 let shared ~domains =
   let size = max 1 domains in
   if size = 1 then Sequential
-  else begin
-    Mutex.lock shared_m;
-    if not !shared_exit_registered then begin
-      shared_exit_registered := true;
-      at_exit (fun () ->
-          Mutex.lock shared_m;
-          let pools = Hashtbl.fold (fun _ p acc -> p :: acc) shared_pools [] in
-          Hashtbl.reset shared_pools;
-          Mutex.unlock shared_m;
-          List.iter shutdown pools)
-    end;
-    let p =
-      match Hashtbl.find_opt shared_pools size with
-      | Some p -> p
-      | None ->
-        let p = pool ~domains:size in
-        Hashtbl.add shared_pools size p;
-        p
-    in
-    Mutex.unlock shared_m;
-    p
-  end
-
-(* ------------------------------------------------------------------ *)
-(* map / mapi                                                         *)
-(* ------------------------------------------------------------------ *)
+  else
+    Mutex.protect shared_m (fun () ->
+        (* the first pool registers the exit join *)
+        if Hashtbl.length shared_pools = 0 then at_exit join_shared;
+        match Hashtbl.find_opt shared_pools size with
+        | Some p -> Pool p
+        | None ->
+          let p = spawn size in
+          Hashtbl.add shared_pools size p;
+          Pool p)
 
 type 'b slot = Done of 'b | Failed of exn * Printexc.raw_backtrace
 
-(* chunks per participant at even load; smaller chunks mean more steal
-   granularity at slightly more cursor traffic *)
+(* chunks per participant at even load; smaller chunks rebalance a
+   skewed tail finer at slightly more cursor traffic *)
 let chunks_per_domain = 8
 
 let mapi t f xs =
@@ -379,69 +151,26 @@ let mapi t f xs =
             (try Done (f i xs.(i))
              with e -> Failed (e, Printexc.get_raw_backtrace ()))
       in
-      let np = state.size in
-      let chunk = max 1 (n / (np * chunks_per_domain)) in
-      let nchunks = (n + chunk - 1) / chunk in
-      let deques =
-        Array.init np (fun _ -> Deque.create ~capacity:(max 1 nchunks))
-      in
-      let pstats =
-        Array.init np (fun _ ->
-            {
-              p_chunks = 0;
-              p_stolen = 0;
-              p_misses = 0;
-              p_depth = Array.make depth_buckets 0;
-            })
-      in
-      (* Block distribution, pushed in reverse so each owner's LIFO
-         pops walk its block in ascending index order while thieves
-         steal from the block's tail. *)
-      for c = nchunks - 1 downto 0 do
-        Deque.push deques.(c * np / nchunks) (c * chunk)
-      done;
-      let job = { run; total = n; chunk; deques; pstats } in
+      let chunk = max 1 (n / (state.size * chunks_per_domain)) in
+      let job = { run; total = n; chunk; next = Atomic.make 0 } in
       Mutex.lock state.m;
       state.job <- Some job;
       state.running <- List.length state.workers;
       state.epoch <- state.epoch + 1;
       Condition.broadcast state.ready;
       Mutex.unlock state.m;
-      (* the caller is the pool's participant 0 *)
-      participate job 0;
+      participate job;
       Mutex.lock state.m;
       while state.running > 0 do
         Condition.wait state.finished state.m
       done;
       state.job <- None;
-      (* fold the per-participant telemetry into the pool totals and
-         the metrics registry — single-writer here, workers are parked *)
-      state.s_jobs <- state.s_jobs + 1;
-      state.s_tasks <- state.s_tasks + n;
-      Array.iter
-        (fun st ->
-          state.s_chunks <- state.s_chunks + st.p_chunks;
-          state.s_stolen <- state.s_stolen + st.p_stolen;
-          state.s_misses <- state.s_misses + st.p_misses;
-          Array.iteri
-            (fun b c -> state.s_depth.(b) <- state.s_depth.(b) + c)
-            st.p_depth)
-        pstats;
       Mutex.unlock state.m;
+      (* the telemetry is the caller's, after the join, so the
+         registry keeps its single-domain ownership *)
       Obs.Metrics.incr m_jobs;
       Obs.Metrics.add m_tasks n;
-      Array.iter
-        (fun st ->
-          Obs.Metrics.add m_chunks st.p_chunks;
-          Obs.Metrics.add m_steals st.p_stolen;
-          Obs.Metrics.add m_steal_misses st.p_misses;
-          Array.iteri
-            (fun b c ->
-              for _ = 1 to c do
-                Obs.Metrics.observe m_queue_depth (float_of_int (1 lsl b))
-              done)
-            st.p_depth)
-        pstats;
+      Obs.Metrics.add m_chunks ((n + chunk - 1) / chunk);
       (* deterministic failure: surface the lowest-index exception,
          exactly what a left-to-right sequential run would raise first *)
       Array.iter

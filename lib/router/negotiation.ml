@@ -175,7 +175,7 @@ type router = {
   routes : Route.t option array;
   cost : Cost.t;
   budget : Budget.t option;
-  pool : Exec.t option;  (** [Some] only with more than one domain *)
+  pool : Exec.t;
   mazes : Maze.t option array;
       (** one per domain, index 0 for in-order work; see [maze] *)
 }
@@ -336,7 +336,7 @@ let plan r nets =
     error = None;
   }
 
-(* One phase on every domain of [pool].  Each domain runs a worker
+(* One phase on every domain of [r.pool].  Each domain runs a worker
    loop: commit whatever is ready at the frontier, else take the
    lowest-index ready net within [lookahead] and search it with the
    first margin only.  Commits happen in phase order and apply the
@@ -344,7 +344,7 @@ let plan r nets =
    which the calling domain merges after the join — so the phase
    leaves the grid, routes, budget and observability exactly as the
    in-order loop does. *)
-let scheduled r pool ~pfac nets =
+let scheduled r ~pfac nets =
   let space = Grid.space r.grid in
   let k = Array.length nets in
   let ph = plan r nets in
@@ -504,7 +504,10 @@ let scheduled r pool ~pfac nets =
           if Option.is_none ph.error then ph.error <- Some (e, bt);
           Condition.broadcast ph.changed)
   in
-  ignore (Exec.map pool worker (Array.init (Array.length r.mazes) Fun.id));
+  (* one pool job of [domains] worker loops; the caller claims loop 0
+     right after its wake-up broadcast, so on two domains each loop's
+     maze stays with the domain that made it *)
+  ignore (Exec.map r.pool worker (Array.init (Array.length r.mazes) Fun.id));
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) ph.error;
   Array.iter
     (Option.iter (fun (metrics, events) ->
@@ -517,9 +520,9 @@ let scheduled r pool ~pfac nets =
 let reroute_phase r ~pfac nets =
   let nets = Array.of_list nets in
   Obs.Metrics.add m_reroutes (Array.length nets);
-  match r.pool with
-  | Some pool when Array.length nets > 1 -> scheduled r pool ~pfac nets
-  | Some _ | None -> Array.iter (reroute_in_order r ~pfac) nets
+  if Exec.domains r.pool > 1 && Array.length nets > 1 then
+    scheduled r ~pfac nets
+  else Array.iter (reroute_in_order r ~pfac) nets
 
 (* Short nets first: they have the least routing freedom. *)
 let routing_order specs =
@@ -532,12 +535,9 @@ let routing_order specs =
     idx;
   idx
 
-let run ?pool ?(cost = Cost.default) ?(rules = Drc.Rules.default) ?tpl
-    ?budget ?frozen ?initial ~pao ~started grid specs =
-  let pool =
-    match pool with Some p when Exec.domains p > 1 -> Some p | _ -> None
-  in
-  let domains = Option.fold ~none:1 ~some:Exec.domains pool in
+let run ?(pool = Exec.sequential) ?(cost = Cost.default)
+    ?(rules = Drc.Rules.default) ?tpl ?budget ?frozen ?initial ~pao ~started
+    grid specs =
   let n = Array.length specs in
   let router =
     {
@@ -547,7 +547,7 @@ let run ?pool ?(cost = Cost.default) ?(rules = Drc.Rules.default) ?tpl
       cost;
       budget;
       pool;
-      mazes = Array.make domains None;
+      mazes = Array.make (Exec.domains pool) None;
     }
   in
   let routes = router.routes in

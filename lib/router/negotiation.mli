@@ -13,8 +13,10 @@
     adds the blamed nets to the victims — the paper's combined
     congestion + manufacturing-constraint rip-up.  Nets still sharing
     grids at the end are dropped deterministically so the surviving
-    routing is short-free, two {!drc_ripup} rounds follow, and
-    {!Flow.finish} turns the routes into the reported flow.
+    routing is short-free, two DRC rip-up rounds follow (run's own,
+    through the same reroute phases; {!drc_ripup} is the sequential
+    baseline's), and {!Flow.finish} turns the routes into the reported
+    flow.
 
     Every reroute phase — stage 1, the victims of one round, the
     blamed nets of one DRC rip-up round — may run on several domains
@@ -66,22 +68,22 @@ val run :
     [pao] is recorded in the flow; [started] is the clock reading the
     flow's [elapsed] counts from.
 
-    [pool] (with more than one domain) routes the nets of each phase
-    on all its domains, one maze per domain, and commits them in phase
-    order, so the flow, the budget spend, the metrics and the spans
-    are those of the in-order run.  A net's search first reads only
-    its first-margin window grown by the kernel's reach; it starts
-    once every earlier net of its phase whose old or new route could
-    meet that region has committed.  A net whose search outgrows the
-    window is routed again, with every margin, when it reaches the
-    commit frontier with no search running; a later net already
-    searched whose region meets its new or old route is searched
-    again.  Under a work-unit budget each net is charged its searches
-    at its commit, and a net the in-order budget would have stopped
-    earlier is also routed again in order.  A deadline stays
-    best-effort.  The [exec.route_outgrown] and
-    [exec.route_invalidated] counters meter that extra work; nothing
-    else counts discarded searches. *)
+    [pool] (default {!Exec.sequential}), when it has more than one
+    domain, routes the nets of each phase on all its domains, one maze
+    per domain, and commits them in phase order, so the flow, the
+    budget spend, the metrics and the spans are those of the in-order
+    run.  A net's search first reads only its first-margin window
+    grown by the kernel's reach; it starts once every earlier net of
+    its phase whose old or new route could meet that region has
+    committed.  A net whose search outgrows the window is routed
+    again, with every margin, when it reaches the commit frontier with
+    no search running; a later net already searched whose region meets
+    its new or old route is searched again.  Under a work-unit budget
+    each net is charged its searches at its commit, and a net the
+    in-order budget would have stopped earlier is also routed again in
+    order.  A deadline stays best-effort.  The [exec.route_outgrown]
+    and [exec.route_invalidated] counters meter that extra work;
+    nothing else counts discarded searches. *)
 
 val apply_route : Rgrid.Grid.t -> Rgrid.Route.t -> unit
 (** Record a route's node usage and via pressure. *)

@@ -62,16 +62,14 @@ type session = {
 type t = {
   config : config;
   sessions : (string, session) Hashtbl.t;
-  pool : Exec.t option;
+  pool : Exec.t;
   mutable global_queued : int;
 }
 
 let create config =
   (* the process-wide persistent pool: broker restarts (and the soak
      harness's create/shutdown cycles) reuse the same worker domains *)
-  let pool =
-    if config.jobs > 1 then Some (Exec.shared ~domains:config.jobs) else None
-  in
+  let pool = Exec.shared ~domains:config.jobs in
   { config; sessions = Hashtbl.create 8; pool; global_queued = 0 }
 
 let session_names t =
@@ -151,7 +149,7 @@ let with_retries t f =
    when the result is an error (Engine.apply's atomicity contract). *)
 let apply_supervised t s ~budget deltas =
   match
-    with_retries t (fun () -> Engine.apply ~budget ?pool:t.pool s.engine deltas)
+    with_retries t (fun () -> Engine.apply ~budget ~pool:t.pool s.engine deltas)
   with
   | Ok report -> Ok report
   | Error e ->
@@ -182,7 +180,7 @@ let apply_supervised t s ~budget deltas =
 let build_recovered t cfg (recovery : Wal.recovery) =
   match
     with_retries t (fun () ->
-        Engine.create ~config:cfg ?pool:t.pool recovery.Wal.design)
+        Engine.create ~config:cfg ~pool:t.pool recovery.Wal.design)
   with
   | Error e -> Error e
   | Ok engine ->
@@ -191,7 +189,7 @@ let build_recovered t cfg (recovery : Wal.recovery) =
       | (_, deltas) :: rest -> (
         match
           with_retries t (fun () ->
-              ignore (Engine.apply ?pool:t.pool engine deltas))
+              ignore (Engine.apply ~pool:t.pool engine deltas))
         with
         | Ok () -> go rest
         | Error e -> Error e)
@@ -336,7 +334,7 @@ let handle_open t name body =
     | design -> (
       match
         with_retries t (fun () ->
-            Engine.create ~config:t.config.engine ?pool:t.pool design)
+            Engine.create ~config:t.config.engine ~pool:t.pool design)
       with
       | exception Cpr_error.Error (Cpr_error.Infeasible_panel { reason; _ }) ->
         err P.Infeasible "%s" reason

@@ -71,8 +71,9 @@ val default_config : root:string -> config
 type t
 
 val create : config -> t
-(** Start a broker (spawning the solver pool when [jobs > 1]).  No
-    sessions are attached — recovery is per-session via [attach]. *)
+(** Start a broker on the process-wide {!Exec.shared} pool of [jobs]
+    domains, which broker restarts reuse.  No sessions are attached —
+    recovery is per-session via [attach]. *)
 
 val handle : t -> Protocol.request -> Protocol.response
 (** Serve one request.  Never raises for protocol-level failures
@@ -84,5 +85,6 @@ val session_names : t -> string list
 (** Sessions currently attached in memory, sorted. *)
 
 val shutdown : t -> unit
-(** Checkpoint and close every attached session, then shut the pool
-    down.  The broker must not be used afterwards. *)
+(** Checkpoint and close every attached session.  The shared pool
+    stays up: it belongs to the process, not the broker.  The broker
+    must not be used afterwards. *)

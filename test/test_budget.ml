@@ -110,7 +110,7 @@ module Fanout = Pinaccess.Fanout
 let test_fanout_slices () =
   let parent = Budget.start ~work_units:10 () in
   let seen =
-    Fanout.run ~pool:None ~budget:parent
+    Fanout.run ~pool:Exec.sequential ~budget:parent
       (fun ~budget i ->
         let slice = Budget.remaining_work budget in
         let charged = Budget.work_spent parent in
@@ -125,7 +125,7 @@ let test_fanout_slices () =
 let test_fanout_starved () =
   let parent = Budget.start ~work_units:2 () in
   let seen =
-    Fanout.run ~pool:None ~budget:parent
+    Fanout.run ~pool:Exec.sequential ~budget:parent
       (fun ~budget () -> (Budget.remaining_work budget, Budget.exhausted budget))
       [| (); (); () |]
   in
@@ -145,8 +145,8 @@ let test_fanout_pool_identical () =
     in
     (results, Budget.work_spent parent)
   in
-  let inline = run None in
-  check "pooled = inline" true (run (Some (Exec.shared ~domains:2)) = inline);
+  let inline = run Exec.sequential in
+  check "pooled = inline" true (run (Exec.shared ~domains:2) = inline);
   check_int "parent charged" 9 (snd inline)
 
 let test_fanout_empty () =
@@ -158,7 +158,7 @@ let test_fanout_empty () =
       in
       check "no results" true (results = [||]);
       check_int "nothing charged" 0 (Budget.work_spent parent))
-    [ None; Some (Exec.shared ~domains:2) ]
+    [ Exec.sequential; Exec.shared ~domains:2 ]
 
 let () =
   Alcotest.run "budget"

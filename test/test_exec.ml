@@ -15,26 +15,28 @@ let check_int = Alcotest.(check int)
 let test_map_joins_all () =
   let xs = Array.init 100 (fun i -> i) in
   let expected = Array.map (fun i -> (i * 7) + 1) xs in
-  Exec.with_pool ~domains:4 (fun pool ->
-      let got = Exec.map pool (fun i -> (i * 7) + 1) xs in
-      check "map equals Array.map" true (got = expected);
-      (* the pool is reusable across calls *)
-      let again = Exec.map pool (fun i -> i - 3) xs in
-      check "second map on same pool" true
-        (again = Array.map (fun i -> i - 3) xs))
+  let pool = Exec.shared ~domains:4 in
+  let got = Exec.map pool (fun i -> (i * 7) + 1) xs in
+  check "map equals Array.map" true (got = expected);
+  (* the pool is reusable across calls *)
+  let again = Exec.map pool (fun i -> i - 3) xs in
+  check "second map on same pool" true (again = Array.map (fun i -> i - 3) xs)
 
 let test_mapi_indices () =
   let xs = Array.make 50 "x" in
-  Exec.with_pool ~domains:3 (fun pool ->
-      let got = Exec.mapi pool (fun i s -> Printf.sprintf "%s%d" s i) xs in
-      check "mapi passes the element index" true
-        (got = Array.init 50 (fun i -> Printf.sprintf "x%d" i)))
+  let got =
+    Exec.mapi (Exec.shared ~domains:3) (fun i s -> Printf.sprintf "%s%d" s i) xs
+  in
+  check "mapi passes the element index" true
+    (got = Array.init 50 (fun i -> Printf.sprintf "x%d" i))
 
 let test_sequential_executor () =
   let xs = Array.init 17 (fun i -> i) in
   let got = Exec.map Exec.sequential (fun i -> i * i) xs in
   check "sequential map" true (got = Array.map (fun i -> i * i) xs);
-  check_int "sequential reports one domain" 1 (Exec.domains Exec.sequential)
+  check_int "sequential reports one domain" 1 (Exec.domains Exec.sequential);
+  check_int "a one-domain pool is sequential" 1
+    (Exec.domains (Exec.shared ~domains:1))
 
 (* Uneven sizes: every index must be computed exactly once, whatever
    the chunking does at the ragged end. *)
@@ -42,15 +44,14 @@ let test_uneven_chunks () =
   List.iter
     (fun n ->
       let hits = Array.init n (fun _ -> Atomic.make 0) in
-      Exec.with_pool ~domains:4 (fun pool ->
-          let got =
-            Exec.mapi pool
-              (fun i () ->
-                Atomic.incr hits.(i);
-                i)
-              (Array.make n ())
-          in
-          check "results in order" true (got = Array.init n (fun i -> i)));
+      let got =
+        Exec.mapi (Exec.shared ~domains:4)
+          (fun i () ->
+            Atomic.incr hits.(i);
+            i)
+          (Array.make n ())
+      in
+      check "results in order" true (got = Array.init n (fun i -> i));
       Array.iteri
         (fun i h ->
           check_int (Printf.sprintf "n=%d index %d computed once" n i) 1
@@ -67,167 +68,106 @@ let test_exception_propagation () =
       (Pinaccess.Cpr_error.Solver_failure
          { solver = string_of_int i; reason = "boom" })
   in
-  Exec.with_pool ~domains:4 (fun pool ->
-      Alcotest.check_raises "lowest failing index wins" (boom 37) (fun () ->
-          ignore
-            (Exec.mapi pool
-               (fun i () -> if i = 37 || i = 73 then raise (boom i) else i)
-               (Array.make 100 ()))))
+  Alcotest.check_raises "lowest failing index wins" (boom 37) (fun () ->
+      ignore
+        (Exec.mapi (Exec.shared ~domains:4)
+           (fun i () -> if i = 37 || i = 73 then raise (boom i) else i)
+           (Array.make 100 ())))
 
-(* with_pool must shut the domains down even when the body raises. *)
-let test_with_pool_cleanup () =
-  (try
-     Exec.with_pool ~domains:2 (fun _ -> failwith "body blew up")
-   with Failure _ -> ());
-  (* a fresh pool still works afterwards *)
-  Exec.with_pool ~domains:2 (fun pool ->
-      check "pool after failed body" true
-        (Exec.map pool (fun i -> i + 1) [| 1; 2; 3 |] = [| 2; 3; 4 |]))
+let counter name = Obs.Metrics.value (Obs.Metrics.counter name)
 
-(* ------------------------------------------------------------------ *)
-(* Work-stealing deque                                                *)
-(* ------------------------------------------------------------------ *)
+exception Boom of int
 
-(* With a single thread the Chase–Lev deque must behave exactly like a
-   model double-ended list: push/pop LIFO at the bottom, steal FIFO at
-   the top, and no [Retry] (nobody to lose a race against). *)
-let prop_deque_matches_model =
+(* The park, wake and join protocol across consecutive jobs: on every
+   pool size, each job of a back-to-back sequence runs each of its
+   indices exactly once and returns them in order; a failing job
+   raises its lowest failing index only once every other index has
+   run; and each job with n > 1 adds its ceil (n / chunk) chunks to
+   [exec.chunks]. *)
+let prop_back_to_back_jobs =
   let open QCheck in
-  let op_gen = Gen.oneofl [ `Push; `Pop; `Steal ] in
-  let ops = make ~print:(fun l -> string_of_int (List.length l))
-      (Gen.list_size (Gen.int_range 1 200) op_gen) in
-  Test.make ~name:"deque matches sequential model" ~count:200 ops (fun ops ->
-      let d = Exec.Deque.create ~capacity:256 in
-      let model = ref [] (* top is the head, bottom the tail *) in
-      let next = ref 0 in
-      List.iter
-        (fun op ->
-          match op with
-          | `Push ->
-            Exec.Deque.push d !next;
-            model := !model @ [ !next ];
-            incr next
-          | `Pop -> (
-            let got = Exec.Deque.pop d in
-            match (got, List.rev !model) with
-            | Some v, last :: rest ->
-              assert (v = last);
-              model := List.rev rest
-            | None, [] -> ()
-            | _ -> assert false)
-          | `Steal -> (
-            match (Exec.Deque.steal d, !model) with
-            | Exec.Deque.Stolen v, first :: rest ->
-              assert (v = first);
-              model := rest
-            | Exec.Deque.Empty, [] -> ()
-            | Exec.Deque.Retry, _ -> assert false
-            | _ -> assert false))
-        ops;
-      (* drain: everything still queued comes out FIFO from the top *)
-      List.iter
-        (fun expected ->
-          match Exec.Deque.steal d with
-          | Exec.Deque.Stolen v -> assert (v = expected)
-          | _ -> assert false)
-        !model;
-      Exec.Deque.steal d = Exec.Deque.Empty)
-
-(* The concurrent contract: whatever the interleaving of the owner's
-   pushes/pops with thief domains stealing, every pushed value is
-   consumed exactly once — none lost, none duplicated. *)
-let prop_deque_no_lost_tasks =
-  let open QCheck in
-  let cfg = make
-      ~print:(fun (n, thieves) -> Printf.sprintf "n=%d thieves=%d" n thieves)
-      Gen.(pair (int_range 64 2000) (int_range 1 3)) in
-  Test.make ~name:"no task lost or duplicated under steals" ~count:12 cfg
-    (fun (n, thieves) ->
-      let d = Exec.Deque.create ~capacity:n in
-      let done_ = Atomic.make false in
-      let thief () =
-        let mine = ref [] in
-        let rec loop () =
-          match Exec.Deque.steal d with
-          | Exec.Deque.Stolen v ->
-            mine := v :: !mine;
-            loop ()
-          | Exec.Deque.Retry ->
-            Domain.cpu_relax ();
-            loop ()
-          | Exec.Deque.Empty ->
-            if Atomic.get done_ then !mine
-            else begin
-              Domain.cpu_relax ();
-              loop ()
-            end
-        in
-        loop ()
-      in
-      let thieves = List.init thieves (fun _ -> Domain.spawn thief) in
-      let owner = ref [] in
-      (* interleave pushes with occasional pops so the owner races the
-         thieves at both ends, then drain LIFO *)
-      for i = 0 to n - 1 do
-        Exec.Deque.push d i;
-        if i land 7 = 0 then
-          match Exec.Deque.pop d with
-          | Some v -> owner := v :: !owner
-          | None -> ()
-      done;
-      let rec drain () =
-        match Exec.Deque.pop d with
-        | Some v ->
-          owner := v :: !owner;
-          drain ()
-        | None -> ()
-      in
-      drain ();
-      Atomic.set done_ true;
-      let stolen = List.concat_map Domain.join thieves in
-      let all = List.sort compare (!owner @ stolen) in
-      all = List.init n (fun i -> i))
-
-let test_deque_capacity () =
-  let d = Exec.Deque.create ~capacity:4 in
-  for i = 0 to 3 do
-    Exec.Deque.push d i
-  done;
-  check "push past capacity raises" true
-    (match Exec.Deque.push d 4 with
-    | () -> false
-    | exception Invalid_argument _ -> true)
+  let job =
+    Gen.(
+      int_range 0 2000 >>= fun n ->
+      (if n = 0 then return []
+       else
+         frequency
+           [
+             (1, return []);
+             (1, list_size (int_range 1 4) (int_bound (n - 1)));
+           ])
+      >|= fun fails -> (n, fails))
+  in
+  let print (d, jobs) =
+    Printf.sprintf "domains=%d jobs=[%s]" d
+      (String.concat "; "
+         (List.map
+            (fun (n, fails) ->
+              String.concat " !" (string_of_int n :: List.map string_of_int fails))
+            jobs))
+  in
+  Test.make ~name:"back-to-back jobs stay exact" ~count:40
+    (make ~print Gen.(pair (int_range 2 4) (list_size (int_range 1 20) job)))
+    (fun (d, jobs) ->
+      let pool = Exec.shared ~domains:d in
+      List.for_all
+        (fun (n, fails) ->
+          let hits = Array.init n (fun _ -> Atomic.make 0) in
+          let chunks0 = counter "exec.chunks" in
+          let outcome =
+            match
+              Exec.mapi pool
+                (fun i () ->
+                  Atomic.incr hits.(i);
+                  if List.mem i fails then raise (Boom i);
+                  i * 3)
+                (Array.make n ())
+            with
+            | got -> Ok got
+            | exception Boom i -> Error i
+          in
+          (* read at once: a task still running would show 0 here *)
+          let once = Array.for_all (fun h -> Atomic.get h = 1) hits in
+          let chunk = max 1 (n / (d * 8)) in
+          let chunks = if n > 1 then (n + chunk - 1) / chunk else 0 in
+          once
+          && counter "exec.chunks" - chunks0 = chunks
+          &&
+          match (outcome, fails) with
+          | Ok got, [] -> got = Array.init n (fun i -> i * 3)
+          | Error i, _ :: _ -> i = List.fold_left min max_int fails
+          | Ok _, _ :: _ | Error _, [] -> false)
+        jobs)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduler telemetry                                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_stats_accounting () =
-  Exec.with_pool ~domains:3 (fun pool ->
-      let n = 100 in
-      ignore (Exec.map pool (fun i -> i * 2) (Array.init n (fun i -> i)));
-      let s = Exec.stats pool in
-      check_int "one job fanned out" 1 s.Exec.jobs;
-      check_int "every task counted" n s.Exec.tasks;
-      (* chunk = max 1 (100 / (3 * 8)) = 4, so 25 chunks; each is
-         either popped by its owner or stolen, exactly once *)
-      check_int "chunks + steals covers the job" 25
-        (s.Exec.chunks + s.Exec.chunks_stolen);
-      check_int "depth histogram counts one entry per steal"
-        s.Exec.chunks_stolen
-        (Array.fold_left ( + ) 0 s.Exec.queue_depth);
-      (* a second job accumulates *)
-      ignore (Exec.map pool (fun i -> i) (Array.init n (fun i -> i)));
-      let s2 = Exec.stats pool in
-      check_int "jobs accumulate" 2 s2.Exec.jobs;
-      check_int "tasks accumulate" (2 * n) s2.Exec.tasks)
+let counters () =
+  (counter "exec.jobs", counter "exec.tasks", counter "exec.chunks")
 
-let test_stats_sequential_zero () =
+let delta (j0, t0, c0) =
+  let j, t, c = counters () in
+  (j - j0, t - t0, c - c0)
+
+(* Pooled jobs add to the [exec.*] counters from the caller. *)
+let test_stats_accounting () =
+  let pool = Exec.shared ~domains:3 in
+  let n = 100 in
+  let before = counters () in
+  ignore (Exec.map pool (fun i -> i * 2) (Array.init n (fun i -> i)));
+  (* chunk = max 1 (100 / (3 * 8)) = 4, so 25 chunks *)
+  check "one job, every task, 25 chunks" true (delta before = (1, n, 25));
+  ignore (Exec.map pool (fun i -> i) (Array.init n (fun i -> i)));
+  check "a second job accumulates" true (delta before = (2, 2 * n, 50))
+
+(* Inline runs (sequential, or a single task on a pool) add nothing. *)
+let test_sequential_stats_zero () =
+  let pool = Exec.shared ~domains:3 in
+  let before = counters () in
   ignore (Exec.map Exec.sequential (fun i -> i) (Array.init 10 (fun i -> i)));
-  let s = Exec.stats Exec.sequential in
-  check "sequential stats all zero" true
-    (s.Exec.jobs = 0 && s.Exec.tasks = 0 && s.Exec.chunks = 0
-   && s.Exec.chunks_stolen = 0)
+  ignore (Exec.map pool (fun i -> i) [| 1 |]);
+  check "inline runs add nothing" true (delta before = (0, 0, 0))
 
 (* ------------------------------------------------------------------ *)
 (* Domain-local observability buffers                                 *)
@@ -325,19 +265,13 @@ let () =
           Alcotest.test_case "uneven chunk coverage" `Quick test_uneven_chunks;
           Alcotest.test_case "exception propagation" `Quick
             test_exception_propagation;
-          Alcotest.test_case "with_pool cleanup" `Quick test_with_pool_cleanup;
-        ] );
-      ( "deque",
-        [
-          QCheck_alcotest.to_alcotest prop_deque_matches_model;
-          QCheck_alcotest.to_alcotest prop_deque_no_lost_tasks;
-          Alcotest.test_case "capacity is hard" `Quick test_deque_capacity;
+          QCheck_alcotest.to_alcotest prop_back_to_back_jobs;
         ] );
       ( "telemetry",
         [
           Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
           Alcotest.test_case "sequential stats are zero" `Quick
-            test_stats_sequential_zero;
+            test_sequential_stats_zero;
         ] );
       ( "observability",
         [

@@ -50,6 +50,32 @@ let batch2 =
 
 let batch3 = [ Delta.Remove_pin { Delta.at_x = 13; at_track = 2 } ]
 
+(* [base_design] with a copy of its nets in a second row, and [batch1]
+   made in both rows: the batch dirties two panels, so a broker with
+   [jobs > 1] re-solves them on its pool. *)
+let two_row_design () =
+  B.design ~width:20 ~height:20
+    ~nets:
+      [
+        ("a", [ B.pin_at 2 2; B.pin_at 17 6 ]);
+        ("b", [ B.pin_at 9 3; B.pin_at 9 8 ]);
+        ("c", [ B.pin_at 3 2; B.pin_at 13 2 ]);
+        ("d", [ B.pin_at 2 12; B.pin_at 17 16 ]);
+        ("e", [ B.pin_at 9 13; B.pin_at 9 18 ]);
+        ("f", [ B.pin_at 3 12; B.pin_at 13 12 ]);
+      ]
+    ()
+
+let two_row_batch =
+  batch1
+  @ [
+      Delta.Move_pin
+        {
+          from_ = { Delta.at_x = 2; at_track = 12 };
+          shape = { Delta.x = 4; tracks = I.point 12 };
+        };
+    ]
+
 let design_text batches =
   Design_io.to_string
     (List.fold_left Delta.apply_all (base_design ()) batches)
@@ -70,7 +96,7 @@ let with_temp_root f =
 (* A config with no real sleeping and deterministic clocks. *)
 let test_config ?(checkpoint_every = 1000) ?(queue_capacity = 64)
     ?(global_capacity = 256) ?(max_retries = 2) ?(on_backoff = fun _ -> ())
-    root =
+    ?(jobs = 1) root =
   {
     (Server.default_config ~root) with
     Server.checkpoint_every;
@@ -78,7 +104,10 @@ let test_config ?(checkpoint_every = 1000) ?(queue_capacity = 64)
     global_capacity;
     max_retries;
     on_backoff;
+    jobs;
   }
+
+let exec_jobs () = Obs.Metrics.value (Obs.Metrics.counter "exec.jobs")
 
 let ok_field resp key =
   match resp with
@@ -102,10 +131,10 @@ let dump t session =
   | P.Resp_data (_, payload) -> payload
   | _ -> Alcotest.fail "design dump failed"
 
-let open_session t name =
+let open_session ?(design = base_design ()) t name =
   ignore
     (expect_ok "open"
-       (Server.handle t (P.Open (name, Design_io.to_string (base_design ())))))
+       (Server.handle t (P.Open (name, Design_io.to_string design))))
 
 let edit ?(opts = P.no_opts) t name deltas =
   Server.handle t (P.Edit (name, opts, Delta.to_string deltas))
@@ -397,23 +426,33 @@ let test_server_worker_retry () =
   check_str "design advanced" (design_text [ batch1 ]) (dump t "s");
   Server.shutdown t
 
-let test_server_worker_exhausted () =
+(* At [jobs = 2] on the two-row design the failing tasks run on the
+   pool: [exec.jobs] must move, and only then. *)
+let test_server_worker_exhausted ~jobs () =
+  let design, batch =
+    if jobs > 1 then (two_row_design (), two_row_batch)
+    else (base_design (), batch1)
+  in
   with_temp_root @@ fun root ->
-  let t = Server.create (test_config ~max_retries:1 root) in
-  open_session t "s";
+  let t = Server.create (test_config ~max_retries:1 ~jobs root) in
+  open_session ~design t "s";
   let before = dump t "s" in
+  let jobs0 = exec_jobs () in
   let resp =
     Fault.with_hook
       (fun p -> if p = Fault.Worker then failwith "worker keeps dying")
-      (fun () -> edit t "s" batch1)
+      (fun () -> edit t "s" batch)
   in
   expect_err "refused after bounded retries" P.Worker_failed resp;
+  check "the failing solves ran on the pool iff jobs > 1" (jobs > 1)
+    (exec_jobs () > jobs0);
   check_str "engine state unchanged" before (dump t "s");
   (* the journal stayed parseable: the failed batch was aborted, and
      the session keeps working once the fault clears *)
-  ignore (expect_ok "next edit lands" (edit t "s" batch1));
+  ignore (expect_ok "next edit lands" (edit t "s" batch));
   check_str "design is the fold of acked batches only"
-    (design_text [ batch1 ]) (dump t "s");
+    (Design_io.to_string (Delta.apply_all design batch))
+    (dump t "s");
   Server.shutdown t
 
 (* Process death between journal append and engine apply: the
@@ -533,11 +572,13 @@ let test_server_sessions_listing () =
 
 (* -- load generator ------------------------------------------------- *)
 
-let test_loadgen_in_process () =
+let test_loadgen_in_process ~jobs () =
   with_temp_root @@ fun root ->
-  let t = Server.create (test_config root) in
+  let t = Server.create (test_config ~jobs root) in
+  let jobs0 = exec_jobs () in
   let outcome =
-    Serve.Loadgen.run ~design:(base_design ())
+    Serve.Loadgen.run
+      ~design:(if jobs > 1 then two_row_design () else base_design ())
       { Serve.Loadgen.default with clients = 2; steps = 4; edits_per_step = 2 }
       (Server.handle t)
   in
@@ -547,6 +588,8 @@ let test_loadgen_in_process () =
   check "latency percentiles populated" true
     (outcome.Serve.Loadgen.p50_ms >= 0.0
     && outcome.Serve.Loadgen.p99_ms >= outcome.Serve.Loadgen.p50_ms);
+  check "solves ran on the pool iff jobs > 1" (jobs > 1)
+    (exec_jobs () > jobs0);
   Server.shutdown t
 
 let () =
@@ -582,7 +625,9 @@ let () =
           Alcotest.test_case "worker retry with backoff" `Quick
             test_server_worker_retry;
           Alcotest.test_case "worker failure bounded" `Quick
-            test_server_worker_exhausted;
+            (test_server_worker_exhausted ~jobs:1);
+          Alcotest.test_case "worker failure bounded (jobs 2)" `Quick
+            (test_server_worker_exhausted ~jobs:2);
           Alcotest.test_case "crash recovery (kill mid-batch)" `Quick
             test_server_crash_recovery;
           Alcotest.test_case "commit failure resyncs" `Quick
@@ -597,6 +642,8 @@ let () =
       ( "loadgen",
         [
           Alcotest.test_case "in-process consistency" `Quick
-            test_loadgen_in_process;
+            (test_loadgen_in_process ~jobs:1);
+          Alcotest.test_case "in-process consistency (jobs 2)" `Quick
+            (test_loadgen_in_process ~jobs:2);
         ] );
     ]
