@@ -411,7 +411,11 @@ let ablation_f () =
     for panel = 0 to min 4 (Netlist.Design.num_panels design - 1) do
       let problem = Pinaccess.Problem.build_panel gen design ~panel in
       if Pinaccess.Problem.num_pins problem > 0 then begin
-        let r = Pinaccess.Ilp.solve ~time_limit:30.0 problem in
+        let r =
+          Pinaccess.Ilp.solve
+            ~budget:(Pinaccess.Budget.start ~seconds:30.0 ())
+            problem
+        in
         let chosen = Pinaccess.Solution.chosen r.Pinaccess.Ilp.solution in
         Array.iteri
           (fun id sel ->

@@ -17,7 +17,6 @@ let run_campaign iterations seed tolerance max_nets no_ilp no_routing
     no_parallel no_eco shrink_rounds tpl out replay deltas quiet =
   let config =
     {
-      Audit.Fuzz.default_config with
       Audit.Fuzz.iterations;
       seed = Int64.of_int seed;
       tolerance;

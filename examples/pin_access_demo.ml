@@ -52,12 +52,12 @@ let () =
   pf "   sweep needs only %d)@.@." (Pinaccess.Problem.num_cliques problem);
 
   (* --- Sec. 3.3: the exact ILP -------------------------------------- *)
-  let ilp = Pinaccess.Ilp.solve problem in
+  let ilp = Pinaccess.Ilp.solve ~root_lp:true problem in
   pf "== ILP (Formula (1), exact branch-and-bound) ==@.";
   pf "  optimal objective %.3f in %d nodes (proven: %b)@."
     ilp.Pinaccess.Ilp.objective ilp.Pinaccess.Ilp.nodes
     ilp.Pinaccess.Ilp.proven_optimal;
-  (match Pinaccess.Ilp.lp_relaxation_bound problem with
+  (match ilp.Pinaccess.Ilp.root_lp_bound with
   | Some b -> pf "  LP relaxation bound (in-repo simplex): %.3f@." b
   | None -> ());
   pf "@.";

@@ -42,14 +42,10 @@ type config = {
   parallel : bool;
       (** check [~j:2] determinism: of the LR result, and with
           [routing] of the CPR flow *)
-  ilp_nodes : int;
-      (** deterministic branch-and-bound node budget per ILP run; the
-          comparison is skipped (never failed) when the budget expires
-          before optimality is proven *)
   shrink_rounds : int;  (** cap on candidate evaluations while shrinking *)
-  eco : bool;  (** run the ECO incremental-vs-scratch differential *)
-  eco_steps : int;  (** batches per ECO stream *)
-  eco_edits : int;  (** edits per batch *)
+  eco : bool;
+      (** run the ECO incremental-vs-scratch differential (3 batches of
+          2 edits per case) *)
   tpl : int option;
       (** when [Some k], additionally rerun each case under a
           [k]-coloring TPL deck ({!Drc.Tpl.make}): the LR result must

@@ -1,23 +1,15 @@
 type t = {
-  started : float;
   deadline : float; (* absolute; [infinity] = no deadline *)
   work_limit : int; (* absolute count; [max_int] = no limit *)
   work : int ref; (* shared with sub-budgets *)
 }
 
-let unlimited () =
-  {
-    started = Obs.Clock.now ();
-    deadline = infinity;
-    work_limit = max_int;
-    work = ref 0;
-  }
+let unlimited () = { deadline = infinity; work_limit = max_int; work = ref 0 }
 
 let start ?seconds ?work_units () =
-  let now = Obs.Clock.now () in
   {
-    started = now;
-    deadline = (match seconds with Some s -> now +. s | None -> infinity);
+    deadline =
+      (match seconds with Some s -> Obs.Clock.now () +. s | None -> infinity);
     work_limit = Option.value ~default:max_int work_units;
     work = ref 0;
   }
@@ -45,7 +37,6 @@ let isolated t ?seconds ?work_units () =
     else max 0 (t.work_limit - !(t.work))
   in
   {
-    started = t.started;
     deadline = tighten t seconds;
     work_limit =
       (match work_units with
@@ -54,10 +45,8 @@ let isolated t ?seconds ?work_units () =
     work = ref 0;
   }
 
-let is_unlimited t = t.deadline = infinity && t.work_limit = max_int
 let spend t n = t.work := !(t.work) + n
 let work_spent t = !(t.work)
-let elapsed t = Obs.Clock.now () -. t.started
 
 let exhausted t =
   !(t.work) >= t.work_limit
@@ -70,10 +59,3 @@ let remaining_seconds t =
 let remaining_work t =
   if t.work_limit = max_int then None
   else Some (max 0 (t.work_limit - !(t.work)))
-
-let check t ~stage =
-  if exhausted t then
-    Cpr_error.error
-      (Cpr_error.Budget_exhausted { stage; elapsed = elapsed t })
-
-let of_option = function Some t -> t | None -> unlimited ()

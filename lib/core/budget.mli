@@ -35,14 +35,10 @@ val isolated : t -> ?seconds:float -> ?work_units:int -> unit -> t
     state.  The parent does not see the child's spending until the
     caller reconciles at join with [spend parent (work_spent child)]. *)
 
-val is_unlimited : t -> bool
-
 val spend : t -> int -> unit
 (** Record completed work units. *)
 
 val work_spent : t -> int
-val elapsed : t -> float
-(** Seconds since the budget was created. *)
 
 val exhausted : t -> bool
 (** Deadline passed or allowance spent — callers should wrap up with
@@ -53,10 +49,3 @@ val remaining_seconds : t -> float option
 
 val remaining_work : t -> int option
 (** [None] when there is no work limit; clamped at 0. *)
-
-val check : t -> stage:string -> unit
-(** @raise Cpr_error.Error with [Budget_exhausted] when {!exhausted} —
-    for stages that have no best-so-far state to return. *)
-
-val of_option : t option -> t
-(** [of_option None] is {!unlimited}. *)

@@ -1,6 +1,5 @@
 type t =
   | Malformed_design of { line : int option; reason : string }
-  | Budget_exhausted of { stage : string; elapsed : float }
   | Solver_failure of { solver : string; reason : string }
   | Infeasible_panel of { panel : int option; reason : string }
 
@@ -11,8 +10,6 @@ let to_string = function
     Printf.sprintf "malformed design (line %d): %s" l reason
   | Malformed_design { line = None; reason } ->
     Printf.sprintf "malformed design: %s" reason
-  | Budget_exhausted { stage; elapsed } ->
-    Printf.sprintf "budget exhausted during %s after %.2fs" stage elapsed
   | Solver_failure { solver; reason } ->
     Printf.sprintf "solver %s failed: %s" solver reason
   | Infeasible_panel { panel = Some p; reason } ->

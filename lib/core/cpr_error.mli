@@ -1,16 +1,15 @@
 (** Typed error layer for the whole solve pipeline.
 
-    Every failure mode a caller can act on is one of these four
-    constructors; entry points raise [Error] (or return best-so-far
-    results) instead of bare [Failure]/[Invalid_argument], so a CLI or
-    a service wrapper can always render a clean message and pick the
-    right fallback. *)
+    Every failure mode a caller can act on is one of these three
+    constructors; entry points raise [Error] instead of bare
+    [Failure]/[Invalid_argument], so a CLI or a service wrapper can
+    always render a clean message and pick the right fallback.  An
+    expired {!Budget} is not an error: every stage returns its
+    best-so-far result instead. *)
 
 type t =
   | Malformed_design of { line : int option; reason : string }
       (** invalid input (bad file, inconsistent geometry) *)
-  | Budget_exhausted of { stage : string; elapsed : float }
-      (** a {!Budget} expired in a stage with no best-so-far answer *)
   | Solver_failure of { solver : string; reason : string }
       (** a solver tier produced no usable result *)
   | Infeasible_panel of { panel : int option; reason : string }

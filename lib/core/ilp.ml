@@ -30,32 +30,20 @@ let to_milp (problem : Problem.t) =
     rows;
   }
 
-let solve ?time_limit ?warm_start ?(root_lp = false) ?budget
+let solve ?warm_start ?(root_lp = false) ?(budget = Budget.unlimited ())
     (problem : Problem.t) =
   Obs.Trace.with_span "ilp.solve" @@ fun () ->
   let milp = to_milp problem in
   let warm_start = Option.map Solution.chosen warm_start in
-  (* the effective limits combine the explicit cap with whatever the
-     budget has left; branch-and-bound nodes are the work unit *)
-  let opt_min a b =
-    match (a, b) with
-    | Some a, Some b -> Some (min a b)
-    | (Some _ as v), None | None, (Some _ as v) -> v
-    | None, None -> None
-  in
-  let time_limit =
-    opt_min time_limit (Option.bind budget Budget.remaining_seconds)
-  in
-  let node_limit = Option.bind budget Budget.remaining_work in
+  (* the search runs on whatever the budget has left; branch-and-bound
+     nodes are the work unit *)
   let sol =
     Solver.Milp.solve
-      ?time_limit
-      ?node_limit
+      ?time_limit:(Budget.remaining_seconds budget)
+      ?node_limit:(Budget.remaining_work budget)
       ?warm_start ~root_lp milp
   in
-  Option.iter
-    (fun b -> Budget.spend b sol.Solver.Milp.stats.Solver.Milp.nodes)
-    budget;
+  Budget.spend budget sol.Solver.Milp.stats.Solver.Milp.nodes;
   Obs.Metrics.add m_nodes sol.Solver.Milp.stats.Solver.Milp.nodes;
   let solution = Solution.of_chosen problem ~chosen:sol.Solver.Milp.values in
   assert (Solution.is_conflict_free solution);
@@ -66,35 +54,3 @@ let solve ?time_limit ?warm_start ?(root_lp = false) ?budget
     proven_optimal = sol.Solver.Milp.stats.Solver.Milp.proven_optimal;
     root_lp_bound = sol.Solver.Milp.stats.Solver.Milp.root_lp_bound;
   }
-
-let lp_relaxation_bound (problem : Problem.t) =
-  let milp = to_milp problem in
-  let objective =
-    Array.to_list (Array.mapi (fun v k -> (v, k)) milp.Solver.Milp.profit)
-  in
-  let constraints =
-    List.map
-      (fun row ->
-        match row with
-        | Solver.Milp.Choose_one vars ->
-          Solver.Lp.constr (List.map (fun v -> (v, 1.0)) vars) Solver.Lp.Eq 1.0
-        | Solver.Milp.At_most_one vars ->
-          Solver.Lp.constr (List.map (fun v -> (v, 1.0)) vars) Solver.Lp.Le 1.0
-        | Solver.Milp.At_most (cap, vars) ->
-          Solver.Lp.constr
-            (List.map (fun v -> (v, 1.0)) vars)
-            Solver.Lp.Le (float_of_int cap))
-      milp.Solver.Milp.rows
-  in
-  let lp =
-    {
-      Solver.Lp.num_vars = milp.Solver.Milp.num_vars;
-      maximize = true;
-      objective;
-      constraints;
-    }
-  in
-  match Solver.Lp.solve lp with
-  | Solver.Lp.Optimal s -> Some s.Solver.Lp.objective_value
-  | Solver.Lp.Infeasible | Solver.Lp.Unbounded | Solver.Lp.Iteration_limit ->
-    None

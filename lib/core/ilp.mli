@@ -21,7 +21,6 @@ val to_milp : Problem.t -> Solver.Milp.problem
     [At_most_one] row per conflict clique. *)
 
 val solve :
-  ?time_limit:float ->
   ?warm_start:Solution.t ->
   ?root_lp:bool ->
   ?budget:Budget.t ->
@@ -29,12 +28,10 @@ val solve :
   result
 (** Exact branch-and-bound; [warm_start] (typically the LR solution)
     provides the initial incumbent; [root_lp] additionally solves the
-    LP relaxation at the root.  [budget] bounds the search by whatever
-    deadline/work allowance it has left (branch-and-bound nodes are the
-    work unit, spent back into the budget); the tighter of [time_limit]
-    and the budget deadline wins.  With either limit the result may
-    carry [proven_optimal = false] — the anytime contract still returns
-    the best feasible incumbent. *)
-
-val lp_relaxation_bound : Problem.t -> float option
-(** Optimal value of the LP relaxation via the in-repo simplex. *)
+    LP relaxation at the root and reports its value as
+    [root_lp_bound].  [budget] (default unlimited) bounds the search by
+    whatever deadline and work allowance it has left (branch-and-bound
+    nodes are the work unit, spent back into the budget); a caller that
+    wants a time cap alone passes [Budget.start ~seconds ()].  Under a
+    limit the result may carry [proven_optimal = false] — the anytime
+    contract still returns the best feasible incumbent. *)

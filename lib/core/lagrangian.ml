@@ -182,9 +182,8 @@ let max_gains (problem : Problem.t) ~gains =
   max_gains_into ws problem ~gains;
   ws.assignment
 
-let solve ?(config = default_config) ?budget ?warm_start (problem : Problem.t)
-    =
-  let budget = Budget.of_option budget in
+let solve ?(config = default_config) ?(budget = Budget.unlimited ())
+    ?warm_start (problem : Problem.t) =
   let intervals = problem.Problem.intervals in
   let cliques = problem.Problem.cliques in
   let n = Array.length intervals in

@@ -2,18 +2,10 @@ type solver_kind = Ilp | Lr
 
 type tier = Tier_ilp | Tier_lr | Tier_minimum
 
-type config = {
-  gen : Interval_gen.config;
-  lr : Lagrangian.config;
-  ilp_warm_start : bool;
-}
+type config = { gen : Interval_gen.config; lr : Lagrangian.config }
 
 let default_config =
-  {
-    gen = Interval_gen.default_config;
-    lr = Lagrangian.default_config;
-    ilp_warm_start = true;
-  }
+  { gen = Interval_gen.default_config; lr = Lagrangian.default_config }
 
 type panel_report = {
   panel : int;
@@ -89,14 +81,13 @@ let minimum_solution (problem : Problem.t) =
 let ilp_tier config ~budget (problem : Problem.t) =
   Obs.Trace.with_span "pao.tier.ilp" @@ fun () ->
   Fault.trip Fault.Ilp;
+  (* the LR solution seeds the incumbent *)
   let warm_start_of p =
-    if config.ilp_warm_start then
-      match Lagrangian.solve ~config:config.lr ~budget p with
-      | lr when Solution.is_conflict_free lr.Lagrangian.solution ->
-        Some lr.Lagrangian.solution
-      | _ -> None
-      | exception e when Cpr_error.recoverable e -> None
-    else None
+    match Lagrangian.solve ~config:config.lr ~budget p with
+    | lr when Solution.is_conflict_free lr.Lagrangian.solution ->
+      Some lr.Lagrangian.solution
+    | _ -> None
+    | exception e when Cpr_error.recoverable e -> None
   in
   let solve p = Ilp.solve ~budget ?warm_start:(warm_start_of p) p in
   let r =
@@ -265,11 +256,11 @@ let solve_panels config ~budget ~pool ~kind ~warm ~keep design panels =
   walk ~pool ~budget config kind ~warm ~keep (panel_jobs config design panels)
 
 (* [optimize] and [optimize_combined]: one walk, timed and assembled *)
-let run config ?budget ?(j = 1) ~kind design jobs =
+let run config ?(budget = Budget.unlimited ()) ?(j = 1) ~kind design jobs =
   Obs.Trace.with_span "pao.optimize" @@ fun () ->
   let started = Obs.Clock.now () in
-  walk ~pool:(Exec.shared ~domains:j) ~budget:(Budget.of_option budget)
-    config kind ~warm:(fun ~panel:_ _ -> None)
+  walk ~pool:(Exec.shared ~domains:j) ~budget config kind
+    ~warm:(fun ~panel:_ _ -> None)
     ~keep:(fun ~panel:_ _ _ -> ())
     jobs
   |> List.map (fun ((s : solved), ()) -> (s.assignments, s.report))

@@ -21,8 +21,7 @@ type tier =
 type config = {
   gen : Interval_gen.config;
   lr : Lagrangian.config;
-  ilp_warm_start : bool;
-      (** seed the ILP incumbent with the LR solution *)
+      (** also seeds the ILP tier's incumbent with an LR solve *)
 }
 
 val default_config : config

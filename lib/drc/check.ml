@@ -16,6 +16,9 @@ let kind_to_string = function
   | Cut_alignment -> "cut-alignment"
   | Via_spacing -> "via-spacing"
 
+(* Gaps wider than this need no cut shape (the block mask handles them)
+   and are exempt from the alignment rule R2; gaps of width
+   [1 .. cut_width_max] are cuts. *)
 let cut_width_max (rules : Rules.t) = (2 * rules.Rules.min_line_end_gap) - 1
 
 let real_nets nets =

@@ -25,8 +25,3 @@ val blamed_nets : violation list -> int list
     unrouted for fair comparison). *)
 
 val kind_to_string : kind -> string
-
-val cut_width_max : Rules.t -> int
-(** Gaps wider than this need no cut shape (the block mask handles
-    them) and are exempt from the alignment rule R2; gaps of width
-    [1 .. cut_width_max] are cuts. *)

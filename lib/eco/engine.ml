@@ -21,7 +21,6 @@ type config = {
   routing : bool;
   cost : Rgrid.Cost.t;
   rules : Drc.Rules.t;
-  max_cache_entries : int;
 }
 
 let default_config =
@@ -32,7 +31,6 @@ let default_config =
     routing = false;
     cost = Rgrid.Cost.default;
     rules = Drc.Rules.default;
-    max_cache_entries = 4096;
   }
 
 type step_report = {
@@ -74,8 +72,8 @@ type pao_stats = {
    into a warm start once the problem is built.  Hits are free: [budget]
    meters the misses alone.  With [Warm_never] the result is
    bit-identical to a from-scratch [PA.optimize], on any pool. *)
-let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ~pool design
-    stats =
+let solve_pao_stage ~cache ~(config : config) ~prev_key
+    ?(budget = Pinaccess.Budget.unlimited ()) ~pool design stats =
   Obs.Trace.with_span "eco.pao" @@ fun () ->
   let started = Obs.Clock.now () in
   let num_panels = Design.num_panels design in
@@ -121,9 +119,8 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key ?budget ~pool design
       ~report:s.PA.report ~multipliers:s.PA.multipliers design ~panel
   in
   let solved =
-    PA.solve_panels config.pao
-      ~budget:(Pinaccess.Budget.of_option budget)
-      ~pool ~kind:config.kind ~warm ~keep design (List.rev !misses_rev)
+    PA.solve_panels config.pao ~budget ~pool ~kind:config.kind ~warm ~keep
+      design (List.rev !misses_rev)
   in
   (* store fresh entries before accumulation so duplicate-key panels
      can re-serve them *)
@@ -303,7 +300,7 @@ let route_wall flow =
 let create ?(config = default_config) ?budget ?(pool = Exec.sequential)
     design =
   Obs.Trace.with_span "eco.create" @@ fun () ->
-  let cache = Panel_cache.create ~max_entries:config.max_cache_entries () in
+  let cache = Panel_cache.create () in
   let stats = { hits = 0; solved = 0; warm = 0 } in
   let pao, panel_keys =
     solve_pao_stage ~cache ~config ~prev_key:(fun _ -> None) ?budget ~pool

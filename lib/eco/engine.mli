@@ -45,7 +45,6 @@ type config = {
           drives the router's probe and the flow's coloring verdict *)
   cost : Rgrid.Cost.t;
   rules : Drc.Rules.t;
-  max_cache_entries : int;
 }
 
 val default_config : config

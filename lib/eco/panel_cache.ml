@@ -161,7 +161,7 @@ let key ~(config : PA.config) ~kind design ~panel =
     | None -> "no-tpl"
     | Some p -> Solver.Color_graph.params_to_string p);
   let lr = config.PA.lr in
-  add "kind:%s;lr:%d,%h,%s,%b,%s,%b;"
+  add "kind:%s;lr:%d,%h,%s,%b,%s;"
     (PA.solver_kind_to_string kind)
     lr.Pinaccess.Lagrangian.max_iterations lr.Pinaccess.Lagrangian.alpha
     (match lr.Pinaccess.Lagrangian.constant_step with
@@ -170,8 +170,7 @@ let key ~(config : PA.config) ~kind design ~panel =
     lr.Pinaccess.Lagrangian.full_subgradient
     (match lr.Pinaccess.Lagrangian.plateau_exit with
     | None -> "none"
-    | Some p -> string_of_int p)
-    config.PA.ilp_warm_start;
+    | Some p -> string_of_int p);
   add "die:%d,%d;" (Design.width design) (Design.row_height design);
   let pins = canonical_pins design ~panel in
   (* panel-local net indices by first appearance in canonical order *)

@@ -1,16 +1,8 @@
 type counter = { c_name : string; mutable count : int }
 
 (* cells.(0) = count, (1) = sum, (2) = min, (3) = max; a floatarray
-   keeps the fields unboxed so [observe] never allocates.  [reservoir]
-   is an opt-in ({!sampled}) preallocated store of the first N samples
-   for percentile estimation — recording into it is a store plus an
-   index bump, so the no-allocation contract holds there too. *)
-type histogram = {
-  h_name : string;
-  cells : floatarray;
-  mutable reservoir : floatarray option;
-  mutable retained : int;
-}
+   keeps the fields unboxed so [observe] never allocates. *)
+type histogram = { h_name : string; cells : floatarray }
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 let histograms : (string, histogram) Hashtbl.t = Hashtbl.create 32
@@ -33,25 +25,10 @@ let histogram name =
   match Hashtbl.find_opt histograms name with
   | Some h -> h
   | None ->
-    let h =
-      { h_name = name; cells = Float.Array.create 4; reservoir = None;
-        retained = 0 }
-    in
+    let h = { h_name = name; cells = Float.Array.create 4 } in
     empty_cells h.cells;
     Hashtbl.replace histograms name h;
     h
-
-let sampled ?(reservoir = 8192) name =
-  let h = histogram name in
-  (match h.reservoir with
-  | Some r when Float.Array.length r >= reservoir -> ()
-  | Some r ->
-    (* grow, keeping what was already retained *)
-    let bigger = Float.Array.create reservoir in
-    Float.Array.blit r 0 bigger 0 h.retained;
-    h.reservoir <- Some bigger
-  | None -> h.reservoir <- Some (Float.Array.create (max 1 reservoir)));
-  h
 
 (* Domain-local redirection.  The registry above is owned by the main
    domain; when a task runs under [buffered] (on any domain), its bumps
@@ -92,32 +69,22 @@ let buffer_cells b name =
     Hashtbl.replace b.bh name cells;
     cells
 
-let observe_direct h v =
-  observe_cells h.cells v;
-  match h.reservoir with
-  | Some r when h.retained < Float.Array.length r ->
-    Float.Array.set r h.retained v;
-    h.retained <- h.retained + 1
-  | _ -> ()
-
 let observe h v =
   match Domain.DLS.get local_key with
-  | None -> observe_direct h v
+  | None -> observe_cells h.cells v
   | Some b -> observe_cells (buffer_cells b h.h_name) v
 
-(* A recorder is a histogram record over the cells the current scope
-   observes into: the histogram itself outside [buffered] (reservoir
-   included), else a reservoir-less view of the buffer's cells, created
-   empty if absent — an empty entry merges as a no-op at [flush]. *)
-type recorder = histogram
+(* A recorder is the cells the current scope observes into: the
+   histogram's own outside [buffered], else the buffer's, created empty
+   if absent — an empty entry merges as a no-op at [flush]. *)
+type recorder = floatarray
 
 let recorder h =
   match Domain.DLS.get local_key with
-  | None -> h
-  | Some b ->
-    { h with cells = buffer_cells b h.h_name; reservoir = None; retained = 0 }
+  | None -> h.cells
+  | Some b -> buffer_cells b h.h_name
 
-let record = observe_direct
+let record = observe_cells
 
 let buffered f =
   let b = { bc = Hashtbl.create 8; bh = Hashtbl.create 8 } in
@@ -238,27 +205,9 @@ let diff ~before ~after =
   in
   { counters = cs; histograms = hs }
 
-let percentile h p =
-  match h.reservoir with
-  | None -> nan
-  | Some _ when h.retained = 0 -> nan
-  | Some r ->
-    let n = h.retained in
-    let sorted = Float.Array.sub r 0 n in
-    Float.Array.sort Float.compare sorted;
-    (* nearest-rank: the smallest retained sample >= p percent of them *)
-    let rank =
-      int_of_float (Float.ceil (p /. 100.0 *. float_of_int n)) - 1
-    in
-    Float.Array.get sorted (min (n - 1) (max 0 rank))
-
 let reset () =
   Hashtbl.iter (fun _ (c : counter) -> c.count <- 0) counters;
-  Hashtbl.iter
-    (fun _ h ->
-      empty_cells h.cells;
-      h.retained <- 0)
-    histograms
+  Hashtbl.iter (fun _ h -> empty_cells h.cells) histograms
 
 let summary snap =
   let buf = Buffer.create 256 in

@@ -32,15 +32,6 @@ val counter : string -> counter
 val histogram : string -> histogram
 (** Find-or-create, like {!counter}. *)
 
-val sampled : ?reservoir:int -> string -> histogram
-(** Like {!histogram}, additionally retaining the first [reservoir]
-    (default 8192) samples observed directly against the registry, so
-    {!percentile} can answer p50/p99 queries.  Recording a sample is a
-    store plus an index bump — still allocation-free.  Samples made
-    inside a {!buffered} scope contribute to count/sum/min/max as
-    usual but are not retained for percentiles.  Calling [sampled] on
-    an existing histogram attaches (or grows) its reservoir in place. *)
-
 val add : counter -> int -> unit
 (** Bump by [n]; allocation-free. *)
 
@@ -94,12 +85,6 @@ type histogram_stats = {
 }
 
 val stats : histogram -> histogram_stats
-
-val percentile : histogram -> float -> float
-(** [percentile h p] (with [p] in [0, 100]) is the nearest-rank [p]-th
-    percentile over the samples retained by a {!sampled} histogram;
-    [nan] for an unsampled histogram or before any sample.  Computed
-    on demand (sorts a copy) — not a hot-path call. *)
 
 type snapshot = {
   counters : (string * int) list;  (** sorted by name *)

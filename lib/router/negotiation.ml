@@ -28,9 +28,6 @@ let retract_route grid (route : Rgrid.Route.t) =
 let is_frozen frozen =
   match frozen with Some f -> fun net -> f.(net) | None -> fun _ -> false
 
-let exhausted budget =
-  match budget with None -> false | Some b -> Pinaccess.Budget.exhausted b
-
 let crosses_overuse grid (r : Rgrid.Route.t) =
   List.exists (fun node -> Grid.overused grid node) r.Rgrid.Route.nodes
 
@@ -99,12 +96,12 @@ let probe ~rules ?tpl ~scale ~is_frozen grid routes =
 (* The DRC rip-up rounds: probe the metal and hand the blamed nets to
    [reroute], up to [rounds] times, calling [drop] before every probe
    and at the end. *)
-let drc_rounds ~rules ?tpl ?budget ~is_frozen ~drop ~reroute grid routes
+let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute grid routes
     ~rounds =
   let reroutes = ref 0 in
   let round = ref 0 in
   let continue_ = ref true in
-  while !continue_ && !round < rounds && not (exhausted budget) do
+  while !continue_ && !round < rounds && not (Budget.exhausted budget) do
     Obs.Trace.with_span "negotiation.drc_round" @@ fun () ->
     incr round;
     Obs.Metrics.incr m_drc_rounds;
@@ -118,8 +115,8 @@ let drc_rounds ~rules ?tpl ?budget ~is_frozen ~drop ~reroute grid routes
   drop ();
   !reroutes
 
-let drc_ripup ?(cost = Cost.default) ?budget ?tpl ~rules grid ~spec_of
-    ~routes ~rounds =
+let drc_ripup ?(cost = Cost.default) ?(budget = Budget.unlimited ()) ?tpl
+    ~rules grid ~spec_of ~routes ~rounds =
   let design = Grid.design grid in
   let space = Grid.space grid in
   let maze = Maze.create grid in
@@ -132,7 +129,7 @@ let drc_ripup ?(cost = Cost.default) ?budget ?tpl ~rules grid ~spec_of
     | None -> ());
     Obs.Metrics.incr m_reroutes;
     match
-      Option.bind (spec_of net) (Net_router.route ?budget maze ~cost ~pfac:4.0)
+      Option.bind (spec_of net) (Net_router.route ~budget maze ~cost ~pfac:4.0)
     with
     | Some r ->
       apply_route grid r;
@@ -144,7 +141,7 @@ let drc_ripup ?(cost = Cost.default) ?budget ?tpl ~rules grid ~spec_of
     | None -> ()
   in
   let reroutes =
-    drc_rounds ~rules ?tpl ?budget
+    drc_rounds ~rules ?tpl ~budget
       ~is_frozen:(fun _ -> false)
       ~drop:ignore ~reroute:(List.iter reroute) grid routes ~rounds
   in
@@ -174,7 +171,7 @@ type router = {
   specs : Net_router.spec array;
   routes : Route.t option array;
   cost : Cost.t;
-  budget : Budget.t option;
+  budget : Budget.t;
   pool : Exec.t;
   mazes : Maze.t option array;
       (** one per domain, index 0 for in-order work; see [maze] *)
@@ -199,7 +196,7 @@ let reroute_in_order r ~pfac net =
     r.routes.(net) <- None
   | None -> ());
   match
-    Net_router.route ?budget:r.budget (maze r 0) ~cost:r.cost ~pfac
+    Net_router.route ~budget:r.budget (maze r 0) ~cost:r.cost ~pfac
       r.specs.(net)
   with
   | Some route ->
@@ -224,7 +221,7 @@ let lookahead = 16
 
 type searched = {
   found : Route.t option;
-  spends : int list;  (** work of each search, in order *)
+  work : int;  (** work units its searches spent *)
   metrics : Obs.Metrics.buffer;
   events : Obs.Trace.event list;
 }
@@ -234,8 +231,8 @@ type slot =
   | Running  (** searching: its old route is retracted *)
   | Searched of searched  (** waiting for its turn to commit *)
   | Redo
-      (** outgrew its first window, or the budget would have stopped it
-          earlier: routed again, in order, at the frontier *)
+      (** outgrew its first window, or reached the frontier after the
+          deadline: routed again, in order, at the frontier *)
 
 type phase = {
   nets : int array;
@@ -340,10 +337,11 @@ let plan r nets =
    loop: commit whatever is ready at the frontier, else take the
    lowest-index ready net within [lookahead] and search it with the
    first margin only.  Commits happen in phase order and apply the
-   route, charge the budget and keep the net's metrics and spans,
-   which the calling domain merges after the join — so the phase
-   leaves the grid, routes, budget and observability exactly as the
-   in-order loop does. *)
+   route, spend the net's work into the budget and keep the net's
+   metrics and spans, which the calling domain merges after the join —
+   so the phase leaves the grid, routes, budget and observability
+   exactly as the in-order loop does.  The budget has no work
+   allowance here (see [reroute_phase]), only maybe a deadline. *)
 let scheduled r ~pfac nets =
   let space = Grid.space r.grid in
   let k = Array.length nets in
@@ -356,50 +354,21 @@ let scheduled r ~pfac nets =
     in
     (x, metrics, events)
   in
-  (* a speculative search: the first window only, the budget on a
-     private counter that starts from what was left at the start *)
+  (* a speculative search: the first window only, on a private work
+     counter under the run's deadline *)
   let search maze i budget =
-    let spends = ref [] in
-    let should_stop, charge =
-      match budget with
-      | None -> ((fun () -> false), fun e -> spends := e :: !spends)
-      | Some b ->
-        ( (fun () -> Budget.exhausted b),
-          fun e ->
-            Budget.spend b e;
-            spends := e :: !spends )
-    in
     let outcome, metrics, events =
       buffered (fun () ->
-          Net_router.attempt ~should_stop ~charge
-            ~margins:[ r.cost.Cost.bbox_margin ] maze ~cost:r.cost ~pfac
-            r.specs.(nets.(i)))
+          Net_router.attempt ~budget ~margins:[ r.cost.Cost.bbox_margin ] maze
+            ~cost:r.cost ~pfac r.specs.(nets.(i)))
+    in
+    let searched found =
+      Some { found; work = Budget.work_spent budget; metrics; events }
     in
     match outcome with
     | Net_router.Unreachable -> None
-    | Net_router.Routed route ->
-      Some { found = Some route; spends = List.rev !spends; metrics; events }
-    | Net_router.Stopped ->
-      Some { found = None; spends = List.rev !spends; metrics; events }
-  in
-  (* The in-order run checks the budget before every search and charges
-     after it, so a net's searches see what the nets before it spent:
-     whether it would have stopped before one of [spends]. *)
-  let cut_short spends =
-    match r.budget with
-    | None -> false
-    | Some b ->
-      spends <> []
-      && (Budget.exhausted b
-         ||
-         match Budget.remaining_work b with
-         | None -> false
-         | Some left ->
-           let rec go left = function
-             | [] -> false
-             | e :: rest -> left <= 0 || go (left - e) rest
-           in
-           go left spends)
+    | Net_router.Routed route -> searched (Some route)
+    | Net_router.Stopped -> searched None
   in
   let commit i found obs =
     Option.iter (apply_route r.grid) found;
@@ -426,7 +395,7 @@ let scheduled r ~pfac nets =
     List.iter (fun m -> Option.iter (apply_route r.grid) ph.old.(m)) started;
     let found, metrics, events =
       buffered (fun () ->
-          Net_router.route ?budget:r.budget maze ~cost:r.cost ~pfac
+          Net_router.route ~budget:r.budget maze ~cost:r.cost ~pfac
             r.specs.(nets.(f)))
     in
     List.iter
@@ -459,11 +428,12 @@ let scheduled r ~pfac nets =
     else
       let f = ph.frontier in
       match ph.slots.(f) with
-      | Searched s when cut_short s.spends ->
+      | Searched _ when Budget.exhausted r.budget ->
+        (* the in-order run would check the deadline before this net *)
         ph.slots.(f) <- Redo;
         next p
       | Searched s ->
-        Option.iter (fun b -> List.iter (Budget.spend b) s.spends) r.budget;
+        Budget.spend r.budget s.work;
         commit f s.found (s.metrics, s.events);
         next p
       | Redo when ph.running = 0 ->
@@ -474,7 +444,7 @@ let scheduled r ~pfac nets =
         | (Pending | Running), Some i ->
           ph.slots.(i) <- Running;
           ph.running <- ph.running + 1;
-          Some (i, Option.map (fun b -> Budget.isolated b ()) r.budget)
+          Some (i, Budget.isolated r.budget ())
         | _ ->
           Condition.wait ph.changed ph.m;
           next p)
@@ -517,11 +487,17 @@ let scheduled r ~pfac nets =
   Obs.Metrics.add m_outgrown ph.outgrown;
   Obs.Metrics.add m_invalidated ph.invalidated
 
+(* Under a work-unit allowance, where a net's searches stop depends on
+   what every earlier net spent, which a speculative search cannot
+   know: such a run routes every phase in order. *)
 let reroute_phase r ~pfac nets =
   let nets = Array.of_list nets in
   Obs.Metrics.add m_reroutes (Array.length nets);
-  if Exec.domains r.pool > 1 && Array.length nets > 1 then
-    scheduled r ~pfac nets
+  if
+    Exec.domains r.pool > 1
+    && Array.length nets > 1
+    && Budget.remaining_work r.budget = None
+  then scheduled r ~pfac nets
   else Array.iter (reroute_in_order r ~pfac) nets
 
 (* Short nets first: they have the least routing freedom. *)
@@ -536,8 +512,8 @@ let routing_order specs =
   idx
 
 let run ?(pool = Exec.sequential) ?(cost = Cost.default)
-    ?(rules = Drc.Rules.default) ?tpl ?budget ?frozen ?initial ~pao ~started
-    grid specs =
+    ?(rules = Drc.Rules.default) ?tpl ?(budget = Budget.unlimited ()) ?frozen
+    ?initial ~pao ~started grid specs =
   let n = Array.length specs in
   let router =
     {
@@ -589,7 +565,7 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
   while
     !continue_
     && !iterations < cost.Cost.max_ripup_iterations
-    && not (exhausted budget)
+    && not (Budget.exhausted budget)
   do
     Obs.Trace.with_span "negotiation.round" @@ fun () ->
     incr iterations;
@@ -620,7 +596,7 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
   (* the DRC rip-up first drops the nets still sharing grids: a soft
      (pfac-based) reroute may introduce sharing *)
   let drc_reroutes =
-    drc_rounds ~rules ?tpl ?budget ~is_frozen
+    drc_rounds ~rules ?tpl ~budget ~is_frozen
       ~drop:(fun () -> drop_overused ~is_frozen grid routes)
       ~reroute:(reroute_phase router ~pfac:4.0)
       grid routes ~rounds:2

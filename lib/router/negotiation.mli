@@ -59,11 +59,11 @@ val run :
     nets.  Both default to "none" — without them [run] is exactly the
     from-scratch negotiation.
 
-    [budget] bounds the work: it is checked before each rip-up round
-    and inside every maze search, so on exhaustion the engine stops
-    rerouting and returns the best routing found so far (nets still
-    conflicting are dropped as usual — the result stays short-free,
-    just with more unrouted nets).
+    [budget] (default unlimited) bounds the work: it is checked before
+    each rip-up round and inside every maze search, so on exhaustion
+    the engine stops rerouting and returns the best routing found so
+    far (nets still conflicting are dropped as usual — the result stays
+    short-free, just with more unrouted nets).
 
     [pao] is recorded in the flow; [started] is the clock reading the
     flow's [elapsed] counts from.
@@ -78,12 +78,17 @@ val run :
     committed.  A net whose search outgrows the window is routed
     again, with every margin, when it reaches the commit frontier with
     no search running; a later net already searched whose region meets
-    its new or old route is searched again.  Under a work-unit budget
-    each net is charged its searches at its commit, and a net the
-    in-order budget would have stopped earlier is also routed again in
-    order.  A deadline stays best-effort.  The [exec.route_outgrown]
-    and [exec.route_invalidated] counters meter that extra work;
-    nothing else counts discarded searches. *)
+    its new or old route is searched again.  A search runs on its own
+    work counter under the run's deadline, and its commit spends that
+    work into [budget]; a net whose commit finds the deadline passed
+    is also routed again in order.  A deadline stays best-effort.  The
+    [exec.route_outgrown] and [exec.route_invalidated] counters meter
+    that extra work; nothing else counts discarded searches.
+
+    When [budget] has a work-unit allowance, every phase runs in order
+    whatever [pool] is: where such a budget stops a net depends on
+    what every earlier net spent, so the run fans out nothing and
+    gives the [-j 1] bytes. *)
 
 val apply_route : Rgrid.Grid.t -> Rgrid.Route.t -> unit
 (** Record a route's node usage and via pressure. *)
@@ -106,6 +111,7 @@ val drc_ripup :
     one's ({!run} does the same rounds without ownership, dropping
     routes that still cross overused grids).
     Returns the number of reroute attempts.  [routes] is updated in
-    place; a net whose reroute fails becomes unrouted.  [budget] is
-    checked before each round; exhaustion stops the rip-up with the
-    routes as they stand. *)
+    place; a net whose reroute fails becomes unrouted.  [budget]
+    (default unlimited) is checked before each round and inside every
+    maze search; exhaustion stops the rip-up with the routes as they
+    stand. *)

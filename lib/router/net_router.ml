@@ -2,6 +2,7 @@ module Node = Rgrid.Node
 module Maze = Rgrid.Maze
 module Grid = Rgrid.Grid
 module Cost = Rgrid.Cost
+module Budget = Pinaccess.Budget
 
 type anchor = { pin : Netlist.Pin.id; landing : Rgrid.Node.t option }
 
@@ -69,7 +70,8 @@ let trim_component space (c : component) ~keeps =
 
 type attempt = Routed of Rgrid.Route.t | Stopped | Unreachable
 
-let attempt_impl ~should_stop ~charge ~margins maze ~cost ~pfac spec =
+let attempt_impl ~budget ~margins maze ~cost ~pfac spec =
+  let should_stop () = Budget.exhausted budget in
   let grid = Maze.grid maze in
   let space = Grid.space grid in
   let die = Netlist.Design.die (Grid.design grid) in
@@ -97,7 +99,7 @@ let attempt_impl ~should_stop ~charge ~margins maze ~cost ~pfac spec =
         Maze.search ~should_stop maze ~cost ~net:spec.net ~pfac ~sources:!tree
           ~targets:component.nodes ~window:(window margin)
       in
-      charge (Maze.expansions maze);
+      Budget.spend budget (Maze.expansions maze);
       match outcome with
       | Maze.Found { path; _ } -> Some path
       | Maze.Unreachable -> None
@@ -164,19 +166,13 @@ let attempt_impl ~should_stop ~charge ~margins maze ~cost ~pfac spec =
     Routed (Rgrid.Route.make ~space ~net:spec.net ~nodes ~pin_vias:!pin_vias)
   end
 
-let attempt ~should_stop ~charge ~margins maze ~cost ~pfac spec =
+let attempt ~budget ~margins maze ~cost ~pfac spec =
   Obs.Trace.with_span "route.net" @@ fun () ->
-  attempt_impl ~should_stop ~charge ~margins maze ~cost ~pfac spec
+  attempt_impl ~budget ~margins maze ~cost ~pfac spec
 
-let route ?budget maze ~cost ~pfac spec =
-  let should_stop, charge =
-    match budget with
-    | None -> ((fun () -> false), ignore)
-    | Some b ->
-      ((fun () -> Pinaccess.Budget.exhausted b), Pinaccess.Budget.spend b)
-  in
+let route ?(budget = Budget.unlimited ()) maze ~cost ~pfac spec =
   match
-    attempt ~should_stop ~charge
+    attempt ~budget
       ~margins:(cost.Cost.bbox_margin :: cost.Cost.retry_margins)
       maze ~cost ~pfac spec
   with

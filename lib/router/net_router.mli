@@ -43,32 +43,30 @@ val route :
     searches inside the spec bbox inflated by [cost.bbox_margin],
     retrying with [cost.retry_margins].  The result contains the path
     nodes, the trimmed component metal and the realized V1 landings;
-    [None] when some component stays unreachable.  [budget] bounds the
-    maze searches per expanded node (expansions are spent back as work
-    units); on exhaustion the net simply reports unroutable, which
-    negotiation treats as any other failure. *)
+    [None] when some component stays unreachable.  [budget] (default
+    unlimited) bounds the maze searches per expanded node (expansions
+    are spent back as work units); on exhaustion the net simply reports
+    unroutable, which negotiation treats as any other failure. *)
 
 type attempt =
   | Routed of Rgrid.Route.t
-  | Stopped  (** [should_stop] answered [true] before a search *)
+  | Stopped  (** the budget was exhausted before a search *)
   | Unreachable
       (** some component found no path inside the last margin's
           window *)
 
 val attempt :
-  should_stop:(unit -> bool) ->
-  charge:(int -> unit) ->
+  budget:Pinaccess.Budget.t ->
   margins:int list ->
   Rgrid.Maze.t ->
   cost:Rgrid.Cost.t ->
   pfac:float ->
   spec ->
   attempt
-(** The search behind {!route}, with its budget hooks and margins
-    explicit: before each margin's search [should_stop] may end the
-    net, after each search [charge] receives its expansions, and a
-    component tries [margins] in order.  {!route} is [attempt] over
-    [cost.bbox_margin :: cost.retry_margins] with the budget's
-    [exhausted] and [spend]; a parallel caller passes the first margin
-    alone, so a net that reads only inside its first window says so by
-    not answering [Unreachable]. *)
+(** The search behind {!route}, with its margins explicit: an
+    exhausted [budget] ends the net before any margin's search, each
+    search spends its expansions into [budget], and a component tries
+    [margins] in order.  {!route} is [attempt] over
+    [cost.bbox_margin :: cost.retry_margins]; a parallel caller passes
+    the first margin alone, so a net that reads only inside its first
+    window says so by not answering [Unreachable]. *)

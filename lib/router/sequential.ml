@@ -10,7 +10,6 @@ type config = {
   cost : Rgrid.Cost.t;
   rules : Drc.Rules.t;
   tpl : Drc.Tpl.t option;
-  strip_cap : int;
 }
 
 (* The sequential baseline legalizes as it goes: clearance and
@@ -27,7 +26,6 @@ let default_config =
       };
     rules = Drc.Rules.default;
     tpl = None;
-    strip_cap = 2;
   }
 
 (* Route fully legally first (clearances are walls); only a net that
@@ -35,6 +33,8 @@ let default_config =
    soft-but-steep penalties and may introduce violations — [12]'s
    legalize-as-you-go with net deferring. *)
 let hard config = { config.cost with Cost.hard_spacing = true }
+
+let strip_cap = 2
 
 (* Longest free strip over the pin on one of its tracks, capped at
    [strip_cap] grids per side: the net's greedily planned pin access.
@@ -70,10 +70,10 @@ let plan_pin_strip grid config (p : Pin.t) =
     if not (probe ~x:p.x ~y:track) then None
     else begin
       let lo = ref p.x and hi = ref p.x in
-      while p.x - !lo < config.strip_cap && probe ~x:(!lo - 1) ~y:track do
+      while p.x - !lo < strip_cap && probe ~x:(!lo - 1) ~y:track do
         decr lo
       done;
-      while !hi - p.x < config.strip_cap && probe ~x:(!hi + 1) ~y:track do
+      while !hi - p.x < strip_cap && probe ~x:(!hi + 1) ~y:track do
         incr hi
       done;
       Some (track, !lo, !hi)

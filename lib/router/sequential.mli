@@ -15,7 +15,6 @@ type config = {
   tpl : Drc.Tpl.t option;
       (** TPL deck for the legalization rip-up and the final coloring
           verdict (see {!Cpr.config}) *)
-  strip_cap : int;  (** max grids a planned pin strip extends per side *)
 }
 
 val default_config : config

@@ -14,7 +14,7 @@ let m_retries = Obs.Metrics.counter "serve.retries"
 let m_recovered = Obs.Metrics.counter "serve.recovered_sessions"
 let m_torn = Obs.Metrics.counter "serve.wal_torn_records"
 let m_checkpoints = Obs.Metrics.counter "serve.checkpoints"
-let m_latency = Obs.Metrics.sampled "serve.edit_latency_ms"
+let m_latency = Obs.Metrics.histogram "serve.edit_latency_ms"
 
 type config = {
   root : string;
@@ -24,7 +24,6 @@ type config = {
   max_sessions : int;
   default_deadline_ms : int option;
   max_retries : int;
-  backoff_ms : float;
   on_backoff : float -> unit;
   audit_on_recover : bool;
   engine : Engine.config;
@@ -41,7 +40,6 @@ let default_config ~root =
     max_sessions = 8;
     default_deadline_ms = None;
     max_retries = 2;
-    backoff_ms = 10.0;
     on_backoff = (fun _ -> ());
     audit_on_recover = true;
     engine = Engine.default_config;
@@ -118,15 +116,14 @@ let report_fields ~seq ~degraded (r : Engine.step_report) =
 (* Failures the retry loop must not absorb: they are deterministic
    verdicts about the batch, not transient worker trouble. *)
 let non_retryable = function
-  | Delta.Invalid _
-  | Cpr_error.Error
-      (Cpr_error.Budget_exhausted _ | Cpr_error.Infeasible_panel _) ->
-    true
+  | Delta.Invalid _ | Cpr_error.Error (Cpr_error.Infeasible_panel _) -> true
   | _ -> false
 
-(* Run a solve with bounded retries and exponential backoff on
-   recoverable (worker-class) exceptions; everything else propagates
-   to the caller's specific handlers. *)
+(* Run a solve with bounded retries and exponential backoff (from
+   [backoff_ms] milliseconds) on recoverable (worker-class) exceptions;
+   everything else propagates to the caller's specific handlers. *)
+let backoff_ms = 10.0
+
 let with_retries t f =
   let rec attempt n =
     match f () with
@@ -134,8 +131,7 @@ let with_retries t f =
     | exception e when (not (non_retryable e)) && Cpr_error.recoverable e ->
       if n < t.config.max_retries then begin
         Obs.Metrics.incr m_retries;
-        t.config.on_backoff
-          (t.config.backoff_ms *. (2.0 ** float_of_int n) /. 1000.0);
+        t.config.on_backoff (backoff_ms *. (2.0 ** float_of_int n) /. 1000.0);
         attempt (n + 1)
       end
       else begin
@@ -163,9 +159,6 @@ let apply_supervised t s ~budget deltas =
          | Some i -> Printf.sprintf " at delta %d" i
          | None -> "")
          reason)
-  | exception Cpr_error.Error (Cpr_error.Budget_exhausted { stage; _ }) ->
-    Obs.Metrics.incr m_timeouts;
-    Error (err P.Timeout "deadline exhausted in %s" stage)
   | exception Cpr_error.Error (Cpr_error.Infeasible_panel { panel; reason }) ->
     Error
       (err P.Infeasible "infeasible%s: %s"

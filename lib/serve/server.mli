@@ -50,10 +50,10 @@ type config = {
   max_sessions : int;
   default_deadline_ms : int option;  (** for [edit]s that carry none *)
   max_retries : int;  (** per-batch solve retries *)
-  backoff_ms : float;  (** base of the exponential retry backoff *)
   on_backoff : float -> unit;
-      (** called with the backoff in seconds before each retry; the
-          binary passes a real sleep, tests a recorder *)
+      (** called with the backoff in seconds before each retry (10 ms,
+          doubling per retry); the binary passes a real sleep, tests a
+          recorder *)
   audit_on_recover : bool;
       (** certify the recovered assignment ({!Audit.Certificate})
           before acknowledging an [attach] *)

@@ -84,21 +84,13 @@ let test_sub_tighter_work () =
 let test_sub_inherits () =
   with_clock (fun advance ->
       let u = Budget.sub (Budget.unlimited ()) () in
-      check "sub of unlimited is unlimited" true (Budget.is_unlimited u);
+      check "sub of unlimited is unlimited" true
+        (Budget.remaining_work u = None && Budget.remaining_seconds u = None);
       let parent = Budget.start ~seconds:5.0 ~work_units:7 () in
       let child = Budget.sub parent () in
       check "inherits work limit" true (Budget.remaining_work child = Some 7);
       advance 6.0;
       check "inherits deadline" true (Budget.exhausted child))
-
-let test_check_raises () =
-  with_clock (fun advance ->
-      let b = Budget.start ~seconds:1.0 () in
-      Budget.check b ~stage:"ok";
-      advance 2.0;
-      match Budget.check b ~stage:"pao" with
-      | () -> Alcotest.fail "expected Budget_exhausted"
-      | exception Pinaccess.Cpr_error.Error _ -> ())
 
 (* Fanout: the slice -> run -> charge discipline of the panel walk. *)
 
@@ -174,8 +166,6 @@ let () =
           Alcotest.test_case "sub can be tighter" `Quick test_sub_tighter_work;
           Alcotest.test_case "sub with no args inherits" `Quick
             test_sub_inherits;
-          Alcotest.test_case "check raises when exhausted" `Quick
-            test_check_raises;
         ] );
       ( "fanout",
         [

@@ -287,56 +287,6 @@ let test_extension_respects_can_fill () =
   check_int "vetoed: no merges" 0 stats.Line_end.merges;
   check "no fills" true (fills = [])
 
-
-(* ----- SADP mask coloring ----- *)
-
-let test_coloring_masks () =
-  check "even tracks mandrel" true (Drc.Coloring.mask_of_track 0 = Drc.Coloring.Mandrel);
-  check "odd tracks spacer" true (Drc.Coloring.mask_of_track 3 = Drc.Coloring.Spacer)
-
-let test_coloring_cuts () =
-  let d = design () in
-  let space = Node.space_of_design d in
-  let routes =
-    routes_of d
-      [
-        (* one narrow gap (a cut) and one wide gap (block mask) on track 2 *)
-        Route.add_nodes ~space
-          (Route.add_nodes ~space (m2_run space ~net:0 ~track:2 ~lo:0 ~hi:5)
-             (m2_run space ~net:0 ~track:2 ~lo:8 ~hi:12).Route.nodes)
-          (m2_run space ~net:0 ~track:2 ~lo:22 ~hi:28).Route.nodes;
-      ]
-  in
-  let layout = Extract.of_routes d routes in
-  let cuts = Drc.Coloring.cuts_of_layout rules layout in
-  check_int "only the narrow gap is a cut" 1 (List.length cuts);
-  (match cuts with
-  | [ c ] ->
-    check "cut span" true (I.equal c.Drc.Coloring.span (I.make ~lo:6 ~hi:7));
-    check "mandrel (track 2)" true (c.Drc.Coloring.mask = Drc.Coloring.Mandrel)
-  | _ -> Alcotest.fail "expected one cut")
-
-let test_coloring_audit () =
-  let d = design () in
-  let space = Node.space_of_design d in
-  (* same-mask cuts on tracks 2 and 4: misaligned and close in x *)
-  let two_piece net track xshift =
-    Route.add_nodes ~space
-      (m2_run space ~net ~track ~lo:0 ~hi:(5 + xshift))
-      (m2_run space ~net ~track ~lo:(8 + xshift) ~hi:14).Route.nodes
-  in
-  let routes = routes_of d [ two_piece 0 2 0; two_piece 1 4 1 ] in
-  let layout = Extract.of_routes d routes in
-  let stats = Drc.Coloring.audit rules layout in
-  check_int "two mandrel cuts" 2 stats.Drc.Coloring.mandrel_cuts;
-  check_int "no spacer cuts" 0 stats.Drc.Coloring.spacer_cuts;
-  check "same-mask conflict caught" true
-    (stats.Drc.Coloring.same_mask_conflicts <> []);
-  (* aligned same-mask cuts are fine *)
-  let routes = routes_of d [ two_piece 0 2 0; two_piece 1 4 0 ] in
-  let stats = Drc.Coloring.audit rules (Extract.of_routes d routes) in
-  check "aligned cuts pass" true (stats.Drc.Coloring.same_mask_conflicts = [])
-
 let () =
   Alcotest.run "drc"
     [
@@ -361,11 +311,5 @@ let () =
           Alcotest.test_case "merges same net" `Quick test_extension_merges_same_net;
           Alcotest.test_case "aligns cuts" `Quick test_extension_aligns_cuts;
           Alcotest.test_case "respects can_fill" `Quick test_extension_respects_can_fill;
-        ] );
-      ( "coloring",
-        [
-          Alcotest.test_case "masks" `Quick test_coloring_masks;
-          Alcotest.test_case "cuts" `Quick test_coloring_cuts;
-          Alcotest.test_case "audit" `Quick test_coloring_audit;
         ] );
     ]

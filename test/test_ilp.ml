@@ -58,7 +58,11 @@ let test_ilp_dominates_lr () =
       (* a residual-conflict LR solution is not feasible, hence not
          comparable to the exact solver's objective *)
       if Sol.is_conflict_free sol then begin
-        let ilp = Ilp.solve ~time_limit:20.0 ~warm_start:sol problem in
+        let ilp =
+          Ilp.solve
+            ~budget:(Pinaccess.Budget.start ~seconds:20.0 ())
+            ~warm_start:sol problem
+        in
         check "ILP >= LR objective" true
           (ilp.Ilp.objective >= Sol.objective sol -. 1e-6)
       end
@@ -68,8 +72,8 @@ let test_ilp_dominates_lr () =
 let test_lp_bound_dominates () =
   let d = fig3_design () in
   let problem = P.build_panel cfg d ~panel:0 in
-  let r = Ilp.solve problem in
-  match Ilp.lp_relaxation_bound problem with
+  let r = Ilp.solve ~root_lp:true problem in
+  match r.Ilp.root_lp_bound with
   | Some b -> check "LP bound >= ILP optimum" true (b >= r.Ilp.objective -. 1e-6)
   | None -> Alcotest.fail "simplex failed on a feasible relaxation"
 
@@ -81,7 +85,9 @@ let test_theorem1_feasibility () =
   for panel = 0 to Netlist.Design.num_panels d - 1 do
     let problem = P.build_panel cfg0 d ~panel in
     if P.num_pins problem > 0 then begin
-      let r = Ilp.solve ~time_limit:30.0 problem in
+      let r =
+        Ilp.solve ~budget:(Pinaccess.Budget.start ~seconds:30.0 ()) problem
+      in
       check "feasible at clearance 0" true (Sol.is_conflict_free r.Ilp.solution)
     end
   done

@@ -171,7 +171,9 @@ let test_objective_close_to_ilp () =
   let lr = LR.solve problem in
   if Sol.is_conflict_free lr.LR.solution then begin
     let ilp =
-      Pinaccess.Ilp.solve ~time_limit:20.0 ~warm_start:lr.LR.solution problem
+      Pinaccess.Ilp.solve
+        ~budget:(Pinaccess.Budget.start ~seconds:20.0 ())
+        ~warm_start:lr.LR.solution problem
     in
     let lr_obj = Sol.objective lr.LR.solution in
     check "LR <= ILP" true (lr_obj <= ilp.Pinaccess.Ilp.objective +. 1e-6);

@@ -130,32 +130,31 @@ let test_histogram () =
   check_float "mean" 2.0 s.mean
 
 (* a recorder records exactly what [observe] would, into the registry
-   (reservoir included) or into the enclosing buffer *)
+   or into the enclosing buffer *)
 let test_recorder_matches_observe () =
   let samples = [ 0.5; -0.0; 3.25; 1e-3; 7.0; 0.1; 0.2 ] in
   let stats_of name = List.assoc name (Obs.Metrics.snapshot ()).histograms in
   let run ~buffered use =
     Obs.Metrics.reset ();
-    let h = Obs.Metrics.sampled ~reservoir:4 "test.rec" in
+    let h = Obs.Metrics.histogram "test.rec" in
     let go () = use h in
     (if buffered then Obs.Metrics.flush (snd (Obs.Metrics.buffered go))
      else go ());
-    (stats_of "test.rec", Obs.Metrics.percentile h 50.0)
+    stats_of "test.rec"
   in
   let plain h = List.iter (Obs.Metrics.observe h) samples in
   let recorded h =
     let r = Obs.Metrics.recorder h in
     List.iter (Obs.Metrics.record r) samples
   in
-  let same label (a, pa) (b, pb) =
+  let same label a b =
     let bits (s : Obs.Metrics.histogram_stats) =
       ( s.count,
         Int64.bits_of_float s.sum,
         Int64.bits_of_float s.min,
         Int64.bits_of_float s.max )
     in
-    check label true (bits a = bits b);
-    check (label ^ " p50") true (Int64.bits_of_float pa = Int64.bits_of_float pb)
+    check label true (bits a = bits b)
   in
   same "unbuffered" (run ~buffered:false plain) (run ~buffered:false recorded);
   same "buffered" (run ~buffered:true plain) (run ~buffered:true recorded);
@@ -222,37 +221,6 @@ let test_diff_window () =
   let d0 = Obs.Metrics.diff ~before:after ~after in
   check "empty window, no counters" true (d0.Obs.Metrics.counters = []);
   check "empty window, no histograms" true (d0.Obs.Metrics.histograms = [])
-
-(* ------------------------------------------------------------------ *)
-(* File sinks parse back                                              *)
-let test_sampled_percentiles () =
-  Obs.Metrics.reset ();
-  let h = Obs.Metrics.sampled "test.sampled" in
-  check "nan before any sample" true
-    (Float.is_nan (Obs.Metrics.percentile h 50.0));
-  for v = 1 to 100 do
-    Obs.Metrics.observe h (float_of_int v)
-  done;
-  check_float "p50 nearest rank" 50.0 (Obs.Metrics.percentile h 50.0);
-  check_float "p99" 99.0 (Obs.Metrics.percentile h 99.0);
-  check_float "p100 is the max" 100.0 (Obs.Metrics.percentile h 100.0);
-  check_float "p0 clamps to the min" 1.0 (Obs.Metrics.percentile h 0.0);
-  let plain = Obs.Metrics.histogram "test.plain" in
-  Obs.Metrics.observe plain 5.0;
-  check "unsampled histograms stay percentile-free" true
-    (Float.is_nan (Obs.Metrics.percentile plain 50.0))
-
-let test_sampled_reservoir_cap () =
-  Obs.Metrics.reset ();
-  let h = Obs.Metrics.sampled ~reservoir:4 "test.capped" in
-  for v = 1 to 10 do
-    Obs.Metrics.observe h (float_of_int v)
-  done;
-  let s = Obs.Metrics.stats h in
-  check_int "stats see every sample" 10 s.Obs.Metrics.count;
-  (* the reservoir keeps the first N; later samples still hit stats *)
-  check_float "percentiles rank the retained samples" 4.0
-    (Obs.Metrics.percentile h 100.0)
 
 (* ------------------------------------------------------------------ *)
 (* Atomic artifact writes                                              *)
@@ -444,9 +412,6 @@ let () =
             test_recorder_matches_observe;
           Alcotest.test_case "snapshot and jsonl" `Quick test_snapshot;
           Alcotest.test_case "diff windows" `Quick test_diff_window;
-          Alcotest.test_case "sampled percentiles" `Quick
-            test_sampled_percentiles;
-          Alcotest.test_case "reservoir cap" `Quick test_sampled_reservoir_cap;
         ] );
       ( "fsio",
         [ Alcotest.test_case "atomic writes" `Quick test_fsio_atomic ] );

@@ -126,7 +126,11 @@ let prop_lr_le_ilp =
             let lr = Pinaccess.Lagrangian.solve problem in
             let sol = lr.Pinaccess.Lagrangian.solution in
             if Pinaccess.Solution.is_conflict_free sol then begin
-              match Pinaccess.Ilp.solve ~time_limit:10.0 ~warm_start:sol problem with
+              match
+                Pinaccess.Ilp.solve
+                  ~budget:(Pinaccess.Budget.start ~seconds:10.0 ())
+                  ~warm_start:sol problem
+              with
               | ilp ->
                 if
                   Pinaccess.Solution.objective sol

@@ -391,69 +391,94 @@ let walled_design () =
   B.design ~width:64 ~height:40 ~nets:(crossing @ local @ over)
     ~blockages:wall ()
 
-(* The flow digest and the counters a -j run must reproduce, plus how
-   many searches outgrew their first window. *)
-let counted f =
+(* One run of the walled design and the counters it moved: the ones a
+   -j run must reproduce, how many searches outgrew their first window
+   and how many pool jobs ran. *)
+type counted = {
+  flow : Router.Flow.t;
+  exhausted : bool;  (** the budget, if any, ran out *)
+  expansions : int;
+  reroutes : int;
+  outgrown : int;
+  jobs : int;
+}
+
+let route_walled ?seconds ?work_units jobs =
   let counter name = Obs.Metrics.value (Obs.Metrics.counter name) in
   let names =
-    [ "maze.expansions"; "negotiation.reroutes"; "exec.route_outgrown" ]
+    [ "maze.expansions"; "negotiation.reroutes"; "exec.route_outgrown";
+      "exec.jobs" ]
   in
   let before = List.map counter names in
-  let flow = f () in
+  let d = walled_design () in
+  let g = Grid.create d in
+  let specs = Router.Spec_builder.build g ~pao:None in
+  let budget =
+    if seconds = None && work_units = None then None
+    else Some (Pinaccess.Budget.start ?seconds ?work_units ())
+  in
+  let flow =
+    Router.Negotiation.run ~pool:(Exec.shared ~domains:jobs) ?budget
+      ~pao:None ~started:0.0 g specs
+  in
+  let exhausted =
+    Option.fold ~none:false ~some:Pinaccess.Budget.exhausted budget
+  in
   match List.map2 (fun n b -> counter n - b) names before with
-  | [ expansions; reroutes; outgrown ] ->
-    (flow, expansions, reroutes, outgrown)
+  | [ expansions; reroutes; outgrown; jobs ] ->
+    { flow; exhausted; expansions; reroutes; outgrown; jobs }
   | _ -> assert false
 
 (* Parallel routing reproduces the in-order run byte for byte, also
-   when nets outgrow their window and when a work-unit budget runs out
-   in the middle of a phase. *)
+   when nets outgrow their window and under a deadline that never
+   fires.  A work-unit budget routes in order on any pool, so its -j
+   runs are the -j 1 run; an expired deadline stops every search, in
+   order or speculative, and each speculative one is redone in order
+   once its commit finds the deadline passed. *)
 let test_parallel_outgrow_and_budget () =
-  let route ?work_units jobs =
-    counted (fun () ->
-        let d = walled_design () in
-        let g = Grid.create d in
-        let specs = Router.Spec_builder.build g ~pao:None in
-        let budget =
-          Option.map
-            (fun w -> Pinaccess.Budget.start ~work_units:w ())
-            work_units
-        in
-        let flow =
-          Router.Negotiation.run ~pool:(Exec.shared ~domains:jobs) ?budget
-            ~pao:None ~started:0.0 g specs
-        in
-        (flow, Option.map Pinaccess.Budget.exhausted budget))
-  in
-  let same label (ref_flow, ref_exp, ref_rr, _) (flow, exp, rr, _) =
+  let same label reference run =
     Alcotest.(check string) (label ^ ": flow digest")
-      (flow_digest (fst ref_flow)) (flow_digest (fst flow));
-    check_int (label ^ ": maze.expansions") ref_exp exp;
-    check_int (label ^ ": negotiation.reroutes") ref_rr rr
+      (flow_digest reference.flow) (flow_digest run.flow);
+    check_int (label ^ ": maze.expansions") reference.expansions
+      run.expansions;
+    check_int (label ^ ": negotiation.reroutes") reference.reroutes
+      run.reroutes
   in
-  let ((full, _), full_exp, _, outgrown1) as seq = route 1 in
-  check_int "no speculation at -j 1" 0 outgrown1;
+  let seq = route_walled 1 in
+  check_int "no speculation at -j 1" 0 seq.outgrown;
+  check_int "no pool job at -j 1" 0 seq.jobs;
   check "some crossing net routes around the wall" true
-    (Option.is_some full.Router.Flow.routes.(0));
+    (Option.is_some seq.flow.Router.Flow.routes.(0));
   List.iter
     (fun jobs ->
-      let ((_, _, _, outgrown) as par) = route jobs in
+      let par = route_walled jobs in
       same (Printf.sprintf "-j %d" jobs) seq par;
-      check
-        (Printf.sprintf "-j %d takes the outgrow path" jobs)
-        true (outgrown > 0))
+      check (Printf.sprintf "-j %d takes the outgrow path" jobs) true
+        (par.outgrown > 0))
     [ 2; 4 ];
-  let work_units = full_exp / 2 in
-  let (((flow, exhausted), _, _, _) as seq) = route ~work_units 1 in
-  check "the budget runs out" true (exhausted = Some true);
+  let far = route_walled ~seconds:1e9 2 in
+  same "-j 2 under a distant deadline" seq far;
+  check "a distant deadline still fans out" true (far.jobs > 0);
+  check "a distant deadline still speculates" true (far.outgrown > 0);
+  check "a distant deadline never fires" false far.exhausted;
+  let work_units = seq.expansions / 2 in
+  let cut = route_walled ~work_units 1 in
+  check "the budget runs out" true cut.exhausted;
   check "the budget cut the routing short" true
-    (flow_digest flow <> flow_digest full);
+    (flow_digest cut.flow <> flow_digest seq.flow);
   List.iter
     (fun jobs ->
-      same
-        (Printf.sprintf "-j %d, %d work units" jobs work_units)
-        seq (route ~work_units jobs))
-    [ 2; 4 ]
+      let label = Printf.sprintf "-j %d, %d work units" jobs work_units in
+      let par = route_walled ~work_units jobs in
+      same label cut par;
+      check_int (label ^ ": routes in order") 0 par.jobs)
+    [ 2; 4 ];
+  let spent = route_walled ~seconds:0.0 1 in
+  check "a spent deadline is exhausted" true spent.exhausted;
+  let spent2 = route_walled ~seconds:0.0 2 in
+  check "a spent deadline still fans out" true (spent2.jobs > 0);
+  Alcotest.(check string) "-j 2 under a spent deadline: flow digest"
+    (flow_digest spent.flow) (flow_digest spent2.flow)
 
 let () =
   Alcotest.run "router"
