@@ -303,7 +303,7 @@ let main circuit scale nets width height seed router pao budget jobs
         if i < 20 then
           Format.printf "  violation: %s %s (%s)@."
             (Drc.Check.kind_to_string v.Drc.Check.kind)
-            v.Drc.Check.where
+            (Drc.Check.where v)
             (String.concat "," (List.map string_of_int v.Drc.Check.nets)))
       flow.Router.Flow.violations
   end;

@@ -17,18 +17,19 @@ let m2 space net track lo hi =
            Node.pack space ~layer:Layer.M2 ~x:(lo + i) ~y:track))
     ~pin_vias:[]
 
-let show_layout (layout : Drc.Extract.layout) tracks =
+let show_layout layout tracks =
+  let m2 = Drc.Extract.tracks layout Layer.M2 in
   List.iter
     (fun track ->
       let row = Bytes.make 30 '.' in
-      List.iter
-        (fun (s : Drc.Extract.segment) ->
-          for x = max 0 s.Drc.Extract.lo to min 29 s.Drc.Extract.hi do
-            Bytes.set row x
-              (if s.Drc.Extract.net = Drc.Extract.blockage_net then '#'
-               else Char.chr (Char.code 'a' + (s.Drc.Extract.net mod 26)))
-          done)
-        layout.Drc.Extract.m2.(track);
+      for i = m2.Drc.Extract.start.(track) to m2.Drc.Extract.start.(track + 1) - 1 do
+        let net = m2.Drc.Extract.net.(i) in
+        for x = max 0 m2.Drc.Extract.lo.(i) to min 29 m2.Drc.Extract.hi.(i) do
+          Bytes.set row x
+            (if net = Drc.Extract.blockage_net then '#'
+             else Char.chr (Char.code 'a' + (net mod 26)))
+        done
+      done;
       pf "  track %2d |%s|@." track (Bytes.to_string row))
     tracks
 
@@ -69,7 +70,7 @@ let () =
     (fun (v : Drc.Check.violation) ->
       pf "  %-14s %s  nets [%s], blamed net %d@."
         (Drc.Check.kind_to_string v.Drc.Check.kind)
-        v.Drc.Check.where
+        (Drc.Check.where v)
         (String.concat ";" (List.map string_of_int v.Drc.Check.nets))
         v.Drc.Check.blame)
     violations;

@@ -51,7 +51,6 @@ let () =
   Format.printf "@.layout plot written to ./quickstart.svg@.";
 
   (* And the realized routes. *)
-  let space = Rgrid.Node.space_of_design design in
   Format.printf "@.routes:@.";
   Array.iteri
     (fun net route ->
@@ -59,10 +58,10 @@ let () =
       match route with
       | None -> Format.printf "  %-4s UNROUTED@." name
       | Some r ->
-        let segs = Rgrid.Route.segments ~space r in
+        let segs = Rgrid.Route.segments r in
         Format.printf "  %-4s %d segments, %d vias, wl %d%s@." name
           (List.length segs)
-          (Rgrid.Route.via_count ~space r)
-          (Rgrid.Route.wirelength ~space r)
+          (Rgrid.Route.via_count r)
+          (Rgrid.Route.wirelength r)
           (if flow.Router.Flow.clean.(net) then "" else "  (DRC-dirty)"))
     flow.Router.Flow.routes

@@ -30,14 +30,16 @@ let count_kind violations kind =
 let run (flow : Flow.t) =
   let issues = ref [] in
   let issue i = issues := i :: !issues in
-  (* 1. re-extract the final metal; a short here means the routes never
-     formed a legal layout, which voids every downstream claim *)
-  match Drc.Extract.of_routes flow.Flow.design flow.Flow.routes with
+  (* 1. re-extract the final metal with the reference extractor; a
+     short here means the routes never formed a legal layout, which
+     voids every downstream claim *)
+  match Drc_reference.of_routes flow.Flow.design flow.Flow.routes with
   | exception Invalid_argument detail ->
     [ Short { detail } ]
   | layout ->
-    (* 2. replay the full DRC deck under the recorded rules *)
-    let replayed = Drc.Check.run flow.Flow.rules layout in
+    (* 2. replay the full DRC deck under the recorded rules, with the
+       reference checker rather than the kernel the flow ran *)
+    let replayed = List.map fst (Drc_reference.check flow.Flow.rules layout) in
     List.iter
       (fun kind ->
         let recorded = count_kind flow.Flow.violations kind in
@@ -58,7 +60,9 @@ let run (flow : Flow.t) =
       match flow.Flow.tpl with
       | None -> []
       | Some deck ->
-        let stats = Drc.Tpl.check deck layout in
+        let stats =
+          Drc.Tpl.check_features deck (Drc_reference.tpl_features layout)
+        in
         (match flow.Flow.tpl_stats with
         | None ->
           issue

@@ -124,6 +124,32 @@ let eco_stream design =
     ~seed:(Eco_audit.stream_seed design)
     ~steps:3 ~edits_per_step:2 design
 
+(* The flat DRC kernel against the reference: the same violations in
+   the same order, with the same report text. *)
+let drc_matches_reference ~tolerate_shorts ~what design rules routes =
+  let kernel =
+    Drc.Check.run rules (Drc.Extract.of_routes ~tolerate_shorts design routes)
+  in
+  let reference =
+    Drc_reference.check rules
+      (Drc_reference.of_routes ~tolerate_shorts design routes)
+  in
+  let rec first i = function
+    | v :: vs, (r, text) :: rs ->
+      if v <> r then Error (Printf.sprintf "%s: violation %d differs" what i)
+      else if Drc.Check.where v <> text then
+        Error
+          (Printf.sprintf "%s: violation %d reads %S, reference %S" what i
+             (Drc.Check.where v) text)
+      else first (i + 1) (vs, rs)
+    | [], [] -> Ok ()
+    | _ ->
+      Error
+        (Printf.sprintf "%s: kernel found %d violations, reference %d" what
+           (List.length kernel) (List.length reference))
+  in
+  first 0 (kernel, reference)
+
 let check_design config design =
   let* lr =
     invariant "lr-optimize" (fun () ->
@@ -233,10 +259,24 @@ let check_design config design =
                 (Router.Cpr.run ~config:narrow design)
                 (Router.Cpr.run ~config:{ narrow with jobs = 2 } design))
       in
-      let* _ =
+      let* seq =
         audit "sequential-flow" (fun () -> Router.Sequential.run design)
       in
-      Ok ()
+      (* the final metal is short-free; the two flows' metal overlaid
+         (even nets from CPR, odd from the sequential flow) shorts, so
+         it is extracted tolerantly, as a rip-up probe would *)
+      invariant "drc-reference" (fun () ->
+          let rules = cpr.Router.Flow.rules in
+          let* () =
+            drc_matches_reference ~tolerate_shorts:false ~what:"final CPR metal"
+              design rules cpr.Router.Flow.routes
+          in
+          drc_matches_reference ~tolerate_shorts:true
+            ~what:"CPR/sequential overlay" design rules
+            (Array.mapi
+               (fun net route ->
+                 if net mod 2 = 0 then route else seq.Router.Flow.routes.(net))
+               cpr.Router.Flow.routes))
   in
   let* () =
     if not config.eco then Ok ()

@@ -15,7 +15,11 @@
     - a parallel [~j:2] LR run must be bit-identical to the sequential
       run (objective, reports and assignments);
     - the CPR and sequential routing flows must both certify clean
-      under {!Flow_audit.run}, and CPR routed at [jobs = 2] must
+      under {!Flow_audit.run}; the flat DRC kernel must return
+      {!Drc_reference}'s violations, in order and with the same text,
+      on the final CPR metal (strict extraction) and on an overlay of
+      CPR's even nets and the sequential flow's odd nets (tolerant:
+      the overlay shorts); and CPR routed at [jobs = 2] must
       reproduce the [jobs = 1] flow (routes, clean verdicts, reroute
       count and violations), with the default costs and with a
       one-grid first search window, which makes searches outgrow it;

@@ -6,6 +6,7 @@ type point =
   | Serve_apply
   | Worker
   | Report_write
+  | Route_searched
 
 let point_to_string = function
   | Ilp -> "ilp"
@@ -15,6 +16,7 @@ let point_to_string = function
   | Serve_apply -> "serve_apply"
   | Worker -> "worker"
   | Report_write -> "report_write"
+  | Route_searched -> "route_searched"
 
 let hook : (point -> unit) ref = ref (fun _ -> ())
 

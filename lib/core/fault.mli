@@ -21,6 +21,10 @@ type point =
   | Report_write
       (** mid-stream during a report's atomic write, between open and
           commit (crash leaves the previous report intact) *)
+  | Route_searched
+      (** a speculative route search of a parallel reroute phase has
+          returned and waits to be recorded for its commit (a hook can
+          move the clock past a deadline in between) *)
 
 val point_to_string : point -> string
 

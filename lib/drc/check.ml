@@ -1,4 +1,4 @@
-module I = Geometry.Interval
+module Layer = Rgrid.Layer
 
 type kind = Line_end_gap | Cut_alignment | Via_spacing
 
@@ -8,7 +8,6 @@ type violation = {
   nets : int list;
   blame : int;
   sites : (int * int) list;
-  where : string;
 }
 
 let kind_to_string = function
@@ -21,153 +20,167 @@ let kind_to_string = function
    [1 .. cut_width_max] are cuts. *)
 let cut_width_max (rules : Rules.t) = (2 * rules.Rules.min_line_end_gap) - 1
 
-let real_nets nets =
-  List.sort_uniq Int.compare
-    (List.filter (fun n -> n <> Extract.blockage_net) nets)
-
-let blame_of nets =
-  match real_nets nets with [] -> -1 | ns -> List.fold_left max (-1) ns
-
-let mk kind layer nets ~sites where =
-  { kind; layer; nets = real_nets nets; blame = blame_of nets; sites; where }
-
-(* grid (x, y) positions of a run of track grids *)
-let track_sites layer track lo hi =
-  List.init (hi - lo + 1) (fun i ->
-      match layer with
-      | Rgrid.Layer.M2 -> (lo + i, track)
-      | Rgrid.Layer.M3 -> (track, lo + i)
-      | Rgrid.Layer.M1 -> assert false)
-
-(* Gaps between consecutive segments on one track; a gap is a *cut*
-   when narrow enough to need a cut shape. *)
-type gap = { xl : int; xr : int; left_net : int; right_net : int }
-
-let gaps_of_track segs =
-  let rec walk acc = function
-    | a :: (b :: _ as rest) ->
-      let g =
-        {
-          xl = a.Extract.hi + 1;
-          xr = b.Extract.lo - 1;
-          left_net = a.Extract.net;
-          right_net = b.Extract.net;
-        }
-      in
-      walk (if g.xl <= g.xr then g :: acc else acc) rest
-    | [ _ ] | [] -> List.rev acc
-  in
-  walk [] segs
-
-let gap_width g = g.xr - g.xl + 1
-let gap_nets g = [ g.left_net; g.right_net ]
-
-let check_line_end_gaps rules layer tracks acc =
-  let out = ref acc in
-  Array.iteri
-    (fun track segs ->
-      List.iter
-        (fun g ->
-          if
-            g.left_net <> g.right_net
-            && gap_width g < rules.Rules.min_line_end_gap
-            && real_nets (gap_nets g) <> []
-          then
-            out :=
-              mk Line_end_gap layer (gap_nets g)
-                ~sites:(track_sites layer track (g.xl - 1) (g.xr + 1))
-                (Printf.sprintf "track %d gap [%d,%d]" track g.xl g.xr)
-              :: !out)
-        (gaps_of_track segs))
-    tracks;
-  !out
-
-(* R2: cuts on adjacent tracks must be aligned or x-disjoint. *)
-let check_cut_alignment rules layer tracks acc =
-  let cuts_per_track =
-    Array.map
-      (fun segs ->
-        gaps_of_track segs
-        |> List.filter (fun g -> gap_width g <= cut_width_max rules))
-      tracks
-  in
-  let out = ref acc in
-  for t = 0 to Array.length tracks - 2 do
-    List.iter
-      (fun g1 ->
-        List.iter
-          (fun g2 ->
-            let aligned = g1.xl = g2.xl && g1.xr = g2.xr in
-            let disjoint = g1.xr < g2.xl || g2.xr < g1.xl in
-            if (not aligned) && not disjoint then begin
-              let nets = gap_nets g1 @ gap_nets g2 in
-              if real_nets nets <> [] then
-                out :=
-                  mk Cut_alignment layer nets
-                    ~sites:
-                      (track_sites layer t g1.xl g1.xr
-                      @ track_sites layer (t + 1) g2.xl g2.xr)
-                    (Printf.sprintf "tracks %d/%d cuts [%d,%d]/[%d,%d]" t
-                       (t + 1) g1.xl g1.xr g2.xl g2.xr)
-                  :: !out
-            end)
-          cuts_per_track.(t + 1))
-      cuts_per_track.(t)
-  done;
-  !out
-
-(* one cut class at a time, so (x, y, net) is the whole order *)
-let compare_via (x1, y1, _, n1) (x2, y2, _, n2) =
-  let c = Int.compare x1 x2 in
-  if c <> 0 then c
+(* [n] into the sorted unique net list [ns], unless it is the
+   blockage *)
+let rec add n ns =
+  if n = Extract.blockage_net then ns
   else
-    let c = Int.compare y1 y2 in
-    if c <> 0 then c else Int.compare n1 n2
+    match ns with
+    | [] -> [ n ]
+    | m :: rest ->
+      if n < m then n :: ns else if n = m then ns else m :: add n rest
 
-let check_via_spacing rules (layout : Extract.layout) acc =
-  let classes = [ Extract.V1; Extract.V2 ] in
-  List.fold_left
-    (fun acc cls ->
-      let vias =
-        List.filter (fun (_, _, k, _) -> k = cls) layout.Extract.vias
-        |> List.sort compare_via
-      in
-      let arr = Array.of_list vias in
-      let out = ref acc in
-      Array.iteri
-        (fun i (x1, y1, _, n1) ->
-          let j = ref (i + 1) in
-          let continue_ = ref true in
-          while !continue_ && !j < Array.length arr do
-            let x2, y2, _, n2 = arr.(!j) in
-            if x2 - x1 >= rules.Rules.min_via_spacing then continue_ := false
-            else begin
-              if n1 <> n2 && abs (x2 - x1) + abs (y2 - y1) < rules.Rules.min_via_spacing
-              then
-                out :=
-                  mk Via_spacing
-                    (match cls with
-                    | Extract.V1 -> Rgrid.Layer.M2
-                    | Extract.V2 -> Rgrid.Layer.M3)
-                    [ n1; n2 ]
-                    ~sites:[ (x1, y1); (x2, y2) ]
-                    (Printf.sprintf "vias (%d,%d)/(%d,%d)" x1 y1 x2 y2)
-                  :: !out;
-              incr j
-            end
-          done)
-        arr;
-      !out)
-    acc classes
+let mk kind layer nets ~sites =
+  { kind; layer; nets; blame = List.fold_left max (-1) nets; sites }
 
-let run rules (layout : Extract.layout) =
+(* grid (x, y) positions of a run of track grids, before [tail] *)
+let track_sites layer track lo hi tail =
+  let rec go i acc =
+    if i < lo then acc
+    else
+      go (i - 1)
+        ((match layer with
+         | Layer.M2 -> (i, track)
+         | Layer.M3 -> (track, i)
+         | Layer.M1 -> assert false)
+        :: acc)
+  in
+  go hi tail
+
+(* The gap after segment [i] of a track, up to segment [i + 1]: empty
+   when the two touch.  R1 checks every gap between different nets;
+   R2 checks every gap narrow enough to be a cut. *)
+let check_line_end_gaps rules layer (s : Extract.tracks) acc =
+  let acc = ref acc in
+  for track = 0 to Extract.num_tracks s - 1 do
+    for i = s.start.(track) to s.start.(track + 1) - 2 do
+      let xl = s.hi.(i) + 1 and xr = s.lo.(i + 1) - 1 in
+      let l = s.net.(i) and r = s.net.(i + 1) in
+      if xl <= xr && l <> r && xr - xl + 1 < rules.Rules.min_line_end_gap then
+        acc :=
+          mk Line_end_gap layer (add l (add r []))
+            ~sites:(track_sites layer track (xl - 1) (xr + 1) [])
+          :: !acc
+    done
+  done;
+  !acc
+
+(* R2: cuts on adjacent tracks must be aligned or x-disjoint.  Gaps on
+   a track are disjoint and ascending, so for each cut of track [t]
+   the cuts of [t + 1] it overlaps are one run, found by a pointer
+   that only moves forward. *)
+let check_cut_alignment rules layer (s : Extract.tracks) acc =
+  let cut_max = cut_width_max rules in
+  let is_cut i = s.lo.(i + 1) - s.hi.(i) - 1 in
+  let acc = ref acc in
+  for t = 0 to Extract.num_tracks s - 2 do
+    let last2 = s.start.(t + 2) - 1 in
+    let j = ref s.start.(t + 1) in
+    for i = s.start.(t) to s.start.(t + 1) - 2 do
+      let w1 = is_cut i in
+      if w1 >= 1 && w1 <= cut_max then begin
+        let xl1 = s.hi.(i) + 1 and xr1 = s.lo.(i + 1) - 1 in
+        while !j < last2 && s.lo.(!j + 1) - 1 < xl1 do
+          incr j
+        done;
+        let k = ref !j in
+        while !k < last2 && s.hi.(!k) + 1 <= xr1 do
+          let w2 = is_cut !k in
+          let xl2 = s.hi.(!k) + 1 and xr2 = s.lo.(!k + 1) - 1 in
+          if w2 >= 1 && w2 <= cut_max && not (xl1 = xl2 && xr1 = xr2) then begin
+            let nets =
+              add s.net.(i)
+                (add s.net.(i + 1) (add s.net.(!k) (add s.net.(!k + 1) [])))
+            in
+            if nets <> [] then
+              acc :=
+                mk Cut_alignment layer nets
+                  ~sites:
+                    (track_sites layer t xl1 xr1
+                       (track_sites layer (t + 1) xl2 xr2 []))
+                :: !acc
+          end;
+          incr k
+        done
+      end
+    done
+  done;
+  !acc
+
+(* R3: two cuts of different nets closer than [min_via_spacing]
+   (Manhattan).  In (x, y, net) order, the cuts after [i] within reach
+   lie in its own column above it and in the next [spacing - 1]
+   columns, inside a y window that narrows with the column distance. *)
+let check_via_spacing rules layer (c : Extract.cuts) acc =
+  let spacing = rules.Rules.min_via_spacing in
+  let columns = Extract.num_columns c in
+  (* first cut of column [x] at or above row [y] *)
+  let lower_bound x y =
+    let lo = ref c.col.(x) and hi = ref c.col.(x + 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if c.y.(mid) < y then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let acc = ref acc in
+  for x1 = 0 to columns - 1 do
+    for i = c.col.(x1) to c.col.(x1 + 1) - 1 do
+      let y1 = c.y.(i) and n1 = c.nets.(i) in
+      for d = 0 to min (spacing - 1) (columns - 1 - x1) do
+        let x2 = x1 + d and reach = spacing - d - 1 in
+        let j = ref (if d = 0 then i + 1 else lower_bound x2 (y1 - reach)) in
+        while !j < c.col.(x2 + 1) && c.y.(!j) <= y1 + reach do
+          let y2 = c.y.(!j) and n2 = c.nets.(!j) in
+          if n1 <> n2 then
+            acc :=
+              mk Via_spacing layer (add n1 (add n2 []))
+                ~sites:[ (x1, y1); (x2, y2) ]
+              :: !acc;
+          incr j
+        done
+      done
+    done
+  done;
+  !acc
+
+let run rules layout =
+  let m2 = Extract.tracks layout Layer.M2
+  and m3 = Extract.tracks layout Layer.M3 in
   []
-  |> check_line_end_gaps rules Rgrid.Layer.M2 layout.Extract.m2
-  |> check_line_end_gaps rules Rgrid.Layer.M3 layout.Extract.m3
-  |> check_cut_alignment rules Rgrid.Layer.M2 layout.Extract.m2
-  |> check_cut_alignment rules Rgrid.Layer.M3 layout.Extract.m3
-  |> check_via_spacing rules layout
+  |> check_line_end_gaps rules Layer.M2 m2
+  |> check_line_end_gaps rules Layer.M3 m3
+  |> check_cut_alignment rules Layer.M2 m2
+  |> check_cut_alignment rules Layer.M3 m3
+  |> check_via_spacing rules Layer.M2 (Extract.cuts layout Extract.V1)
+  |> check_via_spacing rules Layer.M3 (Extract.cuts layout Extract.V2)
   |> List.rev
+
+(* The text reports print, rebuilt from the sites: a gap's sites run
+   from the grid before it to the grid after it, a cut pair's from the
+   first track's cut to the second's. *)
+let where v =
+  let track (x, y) = if v.layer = Layer.M3 then x else y in
+  let pos (x, y) = if v.layer = Layer.M3 then y else x in
+  match (v.kind, v.sites) with
+  | Line_end_gap, first :: _ ->
+    let last = List.nth v.sites (List.length v.sites - 1) in
+    Printf.sprintf "track %d gap [%d,%d]" (track first)
+      (pos first + 1)
+      (pos last - 1)
+  | Cut_alignment, first :: _ ->
+    let t = track first in
+    let a, b = List.partition (fun s -> track s = t) v.sites in
+    let span sites =
+      (pos (List.hd sites), pos (List.nth sites (List.length sites - 1)))
+    in
+    let xl1, xr1 = span a and xl2, xr2 = span b in
+    Printf.sprintf "tracks %d/%d cuts [%d,%d]/[%d,%d]" t (t + 1) xl1 xr1 xl2
+      xr2
+  | Via_spacing, [ (x1, y1); (x2, y2) ] ->
+    Printf.sprintf "vias (%d,%d)/(%d,%d)" x1 y1 x2 y2
+  | (Line_end_gap | Cut_alignment | Via_spacing), _ ->
+    invalid_arg "Check.where: sites do not match the violation kind"
 
 let blamed_nets violations =
   List.filter_map

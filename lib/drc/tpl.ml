@@ -41,20 +41,16 @@ type violation = {
 (* The M2 features of a layout in canonical (track, lo, hi) order:
    every real-net wire segment is one mask feature.  Blockages are
    pre-existing shapes outside the decomposition problem. *)
-let features_of_layout (layout : Extract.layout) =
+let features_of_layout layout =
+  let s = Extract.tracks layout Rgrid.Layer.M2 in
   let out = ref [] in
-  for track = Array.length layout.Extract.m2 - 1 downto 0 do
-    List.iter
-      (fun (s : Extract.segment) ->
-        if s.Extract.net <> Extract.blockage_net then
-          out :=
-            {
-              track;
-              span = I.make ~lo:s.Extract.lo ~hi:s.Extract.hi;
-              net = s.Extract.net;
-            }
-            :: !out)
-      layout.Extract.m2.(track)
+  for track = Extract.num_tracks s - 1 downto 0 do
+    for i = s.start.(track + 1) - 1 downto s.start.(track) do
+      if s.net.(i) <> Extract.blockage_net then
+        out :=
+          { track; span = I.make ~lo:s.lo.(i) ~hi:s.hi.(i); net = s.net.(i) }
+          :: !out
+    done
   done;
   Array.of_list !out
 
@@ -71,8 +67,7 @@ type stats = {
   violations : violation list;
 }
 
-let check t layout =
-  let feats = features_of_layout layout in
+let check_features t feats =
   let coloring = color_features t feats in
   let solid = ref 0 and stitched = ref 0 in
   let violations = ref [] in
@@ -111,6 +106,8 @@ let check t layout =
     uncolored = coloring.CG.residual;
     violations = List.rev !violations;
   }
+
+let check t layout = check_features t (features_of_layout layout)
 
 let blamed_nets stats =
   List.sort_uniq Int.compare (List.map (fun v -> v.net) stats.violations)

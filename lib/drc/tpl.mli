@@ -66,11 +66,13 @@ val color_features : t -> feature array -> Solver.Color_graph.coloring
 (** The deterministic greedy coloring of {!Solver.Color_graph.color}
     over the given features. *)
 
+val check_features : t -> feature array -> stats
+(** Color the features and report: a feature left uncolored is a
+    violation charged to its net (the layout packs more than [colors]
+    mutually-conflicting features and no single stitch rescues it). *)
+
 val check : t -> Extract.layout -> stats
-(** Extract the layout's features, color them, and report: a feature
-    left uncolored is a violation charged to its net (the layout
-    packs more than [colors] mutually-conflicting features and no
-    single stitch rescues it). *)
+(** {!check_features} over the layout's {!features_of_layout}. *)
 
 val blamed_nets : stats -> int list
 (** Sorted unique nets with uncolorable features — treated as unrouted

@@ -24,7 +24,6 @@ let degraded_panels (flow : Router.Flow.t) =
 
 let of_flow ?name (flow : Router.Flow.t) =
   let design = flow.Router.Flow.design in
-  let space = Rgrid.Node.space_of_design design in
   let total_nets = Array.length (Netlist.Design.nets design) in
   let routed = ref 0 and vias = ref 0 and wl = ref 0 in
   Array.iteri
@@ -33,8 +32,8 @@ let of_flow ?name (flow : Router.Flow.t) =
         incr routed;
         match flow.Router.Flow.routes.(net) with
         | Some r ->
-          vias := !vias + Rgrid.Route.via_count ~space r;
-          wl := !wl + Rgrid.Route.wirelength ~space r
+          vias := !vias + Rgrid.Route.via_count r;
+          wl := !wl + Rgrid.Route.wirelength r
         | None -> assert false
       end
       else wl := !wl + hpwl design net)

@@ -75,7 +75,7 @@ let design d =
   draw_base c d;
   Svg.to_string c.svg
 
-let draw_route c space ?(opacity = 1.0) (r : Rgrid.Route.t) =
+let draw_route c ?(opacity = 1.0) (r : Rgrid.Route.t) =
   let color = net_color r.Rgrid.Route.net in
   List.iter
     (fun (seg : Rgrid.Route.seg) ->
@@ -94,7 +94,7 @@ let draw_route c space ?(opacity = 1.0) (r : Rgrid.Route.t) =
           ~h:(float_of_int (I.length seg.Rgrid.Route.span) *. unit)
           ~fill:color ~opacity:(0.65 *. opacity) ()
       | Layer.M1 -> ())
-    (Rgrid.Route.segments ~space r);
+    (Rgrid.Route.segments r);
   (* via cuts *)
   List.iter
     (fun (x, y) ->
@@ -102,11 +102,10 @@ let draw_route c space ?(opacity = 1.0) (r : Rgrid.Route.t) =
         ~x:(gx x +. (unit *. 0.3))
         ~y:(gy c y +. (unit *. 0.3))
         ~w:(unit *. 0.4) ~h:(unit *. 0.4) ~fill:"black" ~opacity ())
-    (Rgrid.Route.via_positions ~space r)
+    (Rgrid.Route.via_positions r)
 
 let flow (f : Router.Flow.t) =
   let d = f.Router.Flow.design in
-  let space = Node.space_of_design d in
   let c = canvas d in
   draw_base c d;
   Array.iteri
@@ -115,7 +114,7 @@ let flow (f : Router.Flow.t) =
       | None -> ()
       | Some r ->
         let opacity = if f.Router.Flow.clean.(net) then 1.0 else 0.35 in
-        draw_route c space ~opacity r)
+        draw_route c ~opacity r)
     f.Router.Flow.routes;
   Svg.to_string c.svg
 

@@ -32,10 +32,11 @@ let fill_nodes space (fill : Drc.Line_end.fill) =
       | Layer.M1 -> assert false)
 
 let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
-    ~initial_congestion ~ripup_iterations ~total_reroutes ~started routes =
+    ~initial_congestion ~ripup_iterations ~total_reroutes ~started ~layout
+    routes =
   let design = Grid.design grid in
   let space = Grid.space grid in
-  let layout = Drc.Extract.of_routes design routes in
+  Drc.Extract.fill layout design routes;
   (* [x] is the position along the track: an x column for M2 fills, a
      y row for M3 fills *)
   let can_fill layer ~track ~x ~net =
@@ -74,9 +75,7 @@ let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
   (* DRC and the TPL verdict judge the metal the flow reports: a fill
      crossing its own net's M3 adds a via to the route that only a
      fresh extraction of the extended routes sees *)
-  let layout =
-    if fills = [] then layout else Drc.Extract.of_routes design routes
-  in
+  if fills <> [] then Drc.Extract.fill layout design routes;
   let violations = Drc.Check.run rules layout in
   let tpl_stats = Option.map (fun deck -> Drc.Tpl.check deck layout) tpl in
   let blamed =

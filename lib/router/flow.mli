@@ -40,11 +40,13 @@ val finish :
   ripup_iterations:int ->
   total_reroutes:int ->
   started:float ->
+  layout:Drc.Extract.layout ->
   Rgrid.Route.t option array ->
   t
 (** Runs line-end extension over the routes, pushes its fills back
     into the routes and the grid, checks DRC on the extended metal and
-    computes [clean].  With [tpl] the extended metal is also colored
+    computes [clean].  The metal is extracted into [layout], the
+    buffer the caller's rip-up probes used, so a flow holds one.  With [tpl] the extended metal is also colored
     and nets with uncolorable features are blamed (counted unrouted)
     alongside DRC blame.  [reused]
     (default 0) records how many routes an incremental caller froze. *)

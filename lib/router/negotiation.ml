@@ -13,17 +13,25 @@ let m_drc_rounds = Obs.Metrics.counter "negotiation.drc_rounds"
 let m_outgrown = Obs.Metrics.counter "exec.route_outgrown"
 let m_invalidated = Obs.Metrics.counter "exec.route_invalidated"
 
-let apply_route grid (route : Rgrid.Route.t) =
-  let space = Grid.space grid in
-  List.iter (fun node -> Grid.add_usage grid ~net:route.Rgrid.Route.net node) route.Rgrid.Route.nodes;
-  List.iter (fun (x, y) -> Grid.add_via grid ~x ~y) (Rgrid.Route.via_positions ~space route)
-
-let retract_route grid (route : Rgrid.Route.t) =
-  let space = Grid.space grid in
+let apply_route grid (route : Route.t) =
   List.iter
-    (fun node -> Grid.remove_usage grid ~net:route.Rgrid.Route.net node)
-    route.Rgrid.Route.nodes;
-  List.iter (fun (x, y) -> Grid.remove_via grid ~x ~y) (Rgrid.Route.via_positions ~space route)
+    (fun node -> Grid.add_usage grid ~net:route.Route.net node)
+    route.Route.nodes;
+  List.iter (fun (_pin, x, y) -> Grid.add_via grid ~x ~y) route.Route.pin_vias;
+  Array.iter
+    (fun p -> Grid.add_via grid ~x:(Route.v2_x p) ~y:(Route.v2_y p))
+    route.Route.v2
+
+let retract_route grid (route : Route.t) =
+  List.iter
+    (fun node -> Grid.remove_usage grid ~net:route.Route.net node)
+    route.Route.nodes;
+  List.iter
+    (fun (_pin, x, y) -> Grid.remove_via grid ~x ~y)
+    route.Route.pin_vias;
+  Array.iter
+    (fun p -> Grid.remove_via grid ~x:(Route.v2_x p) ~y:(Route.v2_y p))
+    route.Route.v2
 
 let is_frozen frozen =
   match frozen with Some f -> fun net -> f.(net) | None -> fun _ -> false
@@ -54,12 +62,12 @@ let drop_overused ~is_frozen grid routes =
    every uncolorable feature (also scaled by the deck's stitch cost, so
    an expensive-to-stitch deck pushes the router away harder), and
    return the blamed nets that are not frozen.  Shorts are tolerated:
-   mid-negotiation the metal may still share grids. *)
-let probe ~rules ?tpl ~scale ~is_frozen grid routes =
+   mid-negotiation the metal may still share grids.  The metal is
+   extracted into [layout], the run's one buffer. *)
+let probe ~rules ?tpl ~scale ~is_frozen layout grid routes =
+  Obs.Trace.with_span "negotiation.probe" @@ fun () ->
   let space = Grid.space grid in
-  let layout =
-    Drc.Extract.of_routes ~tolerate_shorts:true (Grid.design grid) routes
-  in
+  Drc.Extract.fill ~tolerate_shorts:true layout (Grid.design grid) routes;
   let bump ~layer ~x ~y by =
     if Node.in_bounds space ~x ~y then
       Grid.add_history_at grid (Node.pack space ~layer ~x ~y) by
@@ -96,8 +104,8 @@ let probe ~rules ?tpl ~scale ~is_frozen grid routes =
 (* The DRC rip-up rounds: probe the metal and hand the blamed nets to
    [reroute], up to [rounds] times, calling [drop] before every probe
    and at the end. *)
-let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute grid routes
-    ~rounds =
+let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute layout grid
+    routes ~rounds =
   let reroutes = ref 0 in
   let round = ref 0 in
   let continue_ = ref true in
@@ -106,7 +114,7 @@ let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute grid routes
     incr round;
     Obs.Metrics.incr m_drc_rounds;
     drop ();
-    match probe ~rules ?tpl ~scale:4.0 ~is_frozen grid routes with
+    match probe ~rules ?tpl ~scale:4.0 ~is_frozen layout grid routes with
     | [] -> continue_ := false
     | blamed ->
       reroutes := !reroutes + List.length blamed;
@@ -116,7 +124,7 @@ let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute grid routes
   !reroutes
 
 let drc_ripup ?(cost = Cost.default) ?(budget = Budget.unlimited ()) ?tpl
-    ~rules grid ~spec_of ~routes ~rounds =
+    ~rules ~layout grid ~spec_of ~routes ~rounds =
   let design = Grid.design grid in
   let space = Grid.space grid in
   let maze = Maze.create grid in
@@ -143,7 +151,7 @@ let drc_ripup ?(cost = Cost.default) ?(budget = Budget.unlimited ()) ?tpl
   let reroutes =
     drc_rounds ~rules ?tpl ~budget
       ~is_frozen:(fun _ -> false)
-      ~drop:ignore ~reroute:(List.iter reroute) grid routes ~rounds
+      ~drop:ignore ~reroute:(List.iter reroute) layout grid routes ~rounds
   in
   (* failed reroutes must not leave their pins grabbable *)
   Array.iter
@@ -456,6 +464,7 @@ let scheduled r ~pfac nets =
       | Some (i, budget) ->
         Option.iter (retract_route r.grid) ph.old.(i);
         let result = search (maze r p) i budget in
+        Pinaccess.Fault.trip Pinaccess.Fault.Route_searched;
         Mutex.protect ph.m (fun () ->
             ph.running <- ph.running - 1;
             (ph.slots.(i) <-
@@ -544,7 +553,8 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
     total_reroutes := !total_reroutes + List.length nets;
     reroute_phase router ~pfac nets
   in
-  let probe () = probe ~rules ?tpl ~scale:2.0 ~is_frozen grid routes in
+  let layout = Drc.Extract.create () in
+  let probe () = probe ~rules ?tpl ~scale:2.0 ~is_frozen layout grid routes in
   (* Stage 1: independent routing (no present-sharing term); nets that
      arrived pre-routed via [initial] keep their metal *)
   reroute ~pfac:0.0
@@ -599,7 +609,7 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
     drc_rounds ~rules ?tpl ~budget ~is_frozen
       ~drop:(fun () -> drop_overused ~is_frozen grid routes)
       ~reroute:(reroute_phase router ~pfac:4.0)
-      grid routes ~rounds:2
+      layout grid routes ~rounds:2
   in
   let reused =
     Option.fold ~none:0
@@ -609,4 +619,4 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
   Flow.finish ~rules ?tpl ~reused ~grid ~pao ~initial_congestion
     ~ripup_iterations:!iterations
     ~total_reroutes:(!total_reroutes + drc_reroutes)
-    ~started routes
+    ~started ~layout routes

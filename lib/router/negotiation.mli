@@ -11,7 +11,9 @@
     Every round also probes the current metal for DRC violations (and
     TPL coloring failures), bumps history on the offending grids and
     adds the blamed nets to the victims — the paper's combined
-    congestion + manufacturing-constraint rip-up.  Nets still sharing
+    congestion + manufacturing-constraint rip-up.  A run extracts the
+    metal for every probe into one {!Drc.Extract} buffer, refilled in
+    place, and traces each probe as a [negotiation.probe] span.  Nets still sharing
     grids at the end are dropped deterministically so the surviving
     routing is short-free, two DRC rip-up rounds follow (run's own,
     through the same reroute phases; {!drc_ripup} is the sequential
@@ -98,6 +100,7 @@ val drc_ripup :
   ?budget:Pinaccess.Budget.t ->
   ?tpl:Drc.Tpl.t ->
   rules:Drc.Rules.t ->
+  layout:Drc.Extract.layout ->
   Rgrid.Grid.t ->
   spec_of:(int -> Net_router.spec option) ->
   routes:Rgrid.Route.t option array ->
@@ -111,7 +114,8 @@ val drc_ripup :
     one's ({!run} does the same rounds without ownership, dropping
     routes that still cross overused grids).
     Returns the number of reroute attempts.  [routes] is updated in
-    place; a net whose reroute fails becomes unrouted.  [budget]
+    place; a net whose reroute fails becomes unrouted.  Every check
+    extracts the metal into [layout].  [budget]
     (default unlimited) is checked before each round and inside every
     maze search; exhaustion stops the rip-up with the routes as they
     stand. *)

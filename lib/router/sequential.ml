@@ -191,9 +191,10 @@ let run ?(config = default_config) ?budget design =
     (List.rev !deferred2);
   (* per-net design-rule legalization, hard-blocked like the rest of
      the flow ([12] legalizes during sequential routing) *)
+  let layout = Drc.Extract.create () in
   let drc_reroutes =
     Negotiation.drc_ripup ~cost:(wide hard_cost) ?budget
-      ?tpl:config.tpl ~rules:config.rules grid
+      ?tpl:config.tpl ~rules:config.rules ~layout grid
       ~spec_of:(build_spec grid config)
       ~routes ~rounds:3
   in
@@ -201,4 +202,4 @@ let run ?(config = default_config) ?budget design =
     ~initial_congestion:0
     ~ripup_iterations:0
     ~total_reroutes:(!reroutes + drc_reroutes)
-    ~started routes
+    ~started ~layout routes

@@ -34,6 +34,15 @@ let routes_of d list =
   List.iter (fun (r : Route.t) -> routes.(r.Route.net) <- Some r) list;
   routes
 
+(* a track's segments as (lo, hi, net) *)
+let segments_on layout layer track =
+  let s = Extract.tracks layout layer in
+  List.init
+    (s.Extract.start.(track + 1) - s.Extract.start.(track))
+    (fun k ->
+      let i = s.Extract.start.(track) + k in
+      (s.Extract.lo.(i), s.Extract.hi.(i), s.Extract.net.(i)))
+
 (* ----- Extract ----- *)
 
 let test_extract_segments () =
@@ -44,8 +53,9 @@ let test_extract_segments () =
       [ m2_run space ~net:0 ~track:2 ~lo:3 ~hi:8; m2_run space ~net:1 ~track:2 ~lo:12 ~hi:15 ]
   in
   let layout = Extract.of_routes d routes in
-  check_int "two segments on track 2" 2 (List.length layout.Extract.m2.(2));
-  check_int "none elsewhere" 0 (List.length layout.Extract.m2.(3))
+  check "two segments on track 2" true
+    (segments_on layout Layer.M2 2 = [ (3, 8, 0); (12, 15, 1) ]);
+  check_int "none elsewhere" 0 (List.length (segments_on layout Layer.M2 3))
 
 let test_extract_rejects_shorts () =
   let d = design () in
@@ -59,7 +69,8 @@ let test_extract_rejects_shorts () =
   | _ -> Alcotest.fail "short must be rejected");
   (* tolerant mode drops the later segment instead *)
   let layout = Extract.of_routes ~tolerate_shorts:true d routes in
-  check_int "tolerant keeps one" 1 (List.length layout.Extract.m2.(2))
+  check "tolerant keeps the first" true
+    (segments_on layout Layer.M2 2 = [ (3, 8, 0) ])
 
 let test_extract_blockages () =
   let blockages =
@@ -74,8 +85,8 @@ let test_extract_blockages () =
       ~blockages ()
   in
   let layout = Extract.of_routes d (routes_of d []) in
-  match layout.Extract.m2.(4) with
-  | [ seg ] -> check_int "blockage pseudo-net" Extract.blockage_net seg.Extract.net
+  match segments_on layout Layer.M2 4 with
+  | [ (_, _, net) ] -> check_int "blockage pseudo-net" Extract.blockage_net net
   | _ -> Alcotest.fail "expected one blockage segment"
 
 (* ----- Check: R1 line-end gap ----- *)
@@ -231,7 +242,8 @@ let test_extension_merges_same_net () =
        (fun (f : Line_end.fill) ->
          f.Line_end.net = 0 && I.equal f.Line_end.span (I.make ~lo:6 ~hi:7))
        fills);
-  check_int "track is one merged segment" 1 (List.length layout.Extract.m2.(2))
+  check "track is one merged segment" true
+    (segments_on layout Layer.M2 2 = [ (3, 10, 0) ])
 
 let test_extension_aligns_cuts () =
   let d = design () in
@@ -287,6 +299,248 @@ let test_extension_respects_can_fill () =
   check_int "vetoed: no merges" 0 stats.Line_end.merges;
   check "no fills" true (fills = [])
 
+(* ----- The kernel against the reference ----- *)
+
+module Ref = Audit.Drc_reference
+
+(* A random case on a small grid: blockages on both layers, and per
+   net a few M2 and M3 runs (one of them may copy the previous net's
+   run span for span) plus V1 cuts crowded into one corner, some
+   stacked on the net's own metal.  Overlapping runs of different
+   nets are shorts. *)
+type case = {
+  width : int;
+  height : int;
+  blockages : (bool * int * int * int) list;  (** (on M3, track, lo, hi) *)
+  nets : ((bool * int * int * int) list * (int * int) list) list;
+      (** per net: runs (on M3, track, lo, hi) and V1 positions *)
+  gap : int;
+  spacing : int;
+}
+
+let case_gen =
+  QCheck.Gen.(
+    let* width = int_range 8 16 in
+    let* height = oneofl [ 10; 20 ] in
+    let run =
+      let* m3 = bool in
+      let tracks, along = if m3 then (width, height) else (height, width) in
+      (* mostly in one corner of three adjacent tracks, where line
+         ends meet *)
+      let* track =
+        frequency [ (4, int_range 0 2); (1, int_range 0 (tracks - 1)) ]
+      in
+      let* lo = frequency [ (3, int_range 0 6); (1, int_range 0 (along - 1)) ] in
+      let* len = int_range 0 3 in
+      return (m3, track, lo, min (along - 1) (lo + len))
+    in
+    (* a run, or two on one track a cut apart *)
+    let runs =
+      let* ((m3, track, _, hi) as first) = run in
+      let* split = bool in
+      let* cut = frequency [ (1, return 1); (3, int_range 2 3) ] in
+      let* len = int_range 0 3 in
+      let along = if m3 then height else width in
+      let lo2 = hi + cut + 1 in
+      return
+        (if split && lo2 < along then
+           [ first; (m3, track, lo2, min (along - 1) (lo2 + len)) ]
+         else [ first ])
+    in
+    let* blockages = list_size (int_range 0 4) run in
+    let* count = int_range 2 5 in
+    let rec nets k previous =
+      if k = 0 then return []
+      else
+        let* runs = map List.concat (list_size (int_range 0 3) runs) in
+        (* the previous net's first run span for span, or all its runs
+           one track over and one grid along: misaligned cuts *)
+        let* copy = int_range 0 2 in
+        let shift (m3, track, lo, hi) =
+          let tracks, along = if m3 then (width, height) else (height, width) in
+          if track + 1 < tracks && hi + 1 < along then
+            [ (m3, track + 1, lo + 1, hi + 1) ]
+          else []
+        in
+        let runs =
+          match (copy, previous) with
+          | 1, r :: _ -> r :: runs
+          | 2, _ -> List.concat_map shift previous @ runs
+          | _ -> runs
+        in
+        let* cuts =
+          list_size (int_range 0 3)
+            (pair (int_range 0 (min 4 (width - 1))) (int_range 0 4))
+        in
+        let* stacked = bool in
+        let cuts =
+          match runs with
+          | (true, x, lo, _) :: _ when stacked -> (x, lo) :: cuts
+          | (false, y, lo, _) :: _ when stacked -> (lo, y) :: cuts
+          | _ -> cuts
+        in
+        let* rest = nets (k - 1) runs in
+        return ((runs, cuts) :: rest)
+    in
+    let* nets = nets count [] in
+    let* gap = int_range 1 3 in
+    let* spacing = int_range 1 3 in
+    return { width; height; blockages; nets; gap; spacing })
+
+let print_case c =
+  let run (m3, t, lo, hi) =
+    Printf.sprintf "%s@%d[%d,%d]" (if m3 then "M3" else "M2") t lo hi
+  in
+  Printf.sprintf "%dx%d gap %d spacing %d; blockages %s; %s" c.width c.height
+    c.gap c.spacing
+    (String.concat " " (List.map run c.blockages))
+    (String.concat "; "
+       (List.mapi
+          (fun net (runs, cuts) ->
+            Printf.sprintf "net %d: %s cuts %s" net
+              (String.concat " " (List.map run runs))
+              (String.concat " "
+                 (List.map (fun (x, y) -> Printf.sprintf "(%d,%d)" x y) cuts)))
+          c.nets))
+
+let arbitrary_case = QCheck.make ~print:print_case case_gen
+
+let build_case c =
+  let blockage (m3, track, lo, hi) =
+    Netlist.Blockage.make
+      ~layer:(if m3 then Netlist.Blockage.M3 else Netlist.Blockage.M2)
+      ~track ~span:(I.make ~lo ~hi)
+  in
+  let d =
+    B.design ~width:c.width ~height:c.height
+      ~nets:
+        (List.mapi (fun k _ -> (Printf.sprintf "n%d" k, [ B.pin_at k 9 ])) c.nets)
+      ~blockages:(List.map blockage c.blockages)
+      ()
+  in
+  let space = Node.space_of_design d in
+  let route net (runs, cuts) =
+    let nodes =
+      List.concat_map
+        (fun (m3, track, lo, hi) ->
+          List.init (hi - lo + 1) (fun i ->
+              if m3 then Node.pack space ~layer:Layer.M3 ~x:track ~y:(lo + i)
+              else Node.pack space ~layer:Layer.M2 ~x:(lo + i) ~y:track))
+        runs
+    in
+    Route.make ~space ~net ~nodes
+      ~pin_vias:(List.mapi (fun k (x, y) -> ((net * 10) + k, x, y)) cuts)
+  in
+  let rules =
+    {
+      Drc.Rules.default with
+      min_line_end_gap = c.gap;
+      min_via_spacing = c.spacing;
+    }
+  in
+  (d, Array.of_list (List.mapi (fun net n -> Some (route net n)) c.nets), rules)
+
+let kernel ?layout ~tolerate_shorts rules d routes =
+  let layout =
+    match layout with
+    | Some l ->
+      Extract.fill ~tolerate_shorts l d routes;
+      l
+    | None -> Extract.of_routes ~tolerate_shorts d routes
+  in
+  (Check.run rules layout, Drc.Tpl.features_of_layout layout)
+
+let reference ~tolerate_shorts rules d routes =
+  let layout = Ref.of_routes ~tolerate_shorts d routes in
+  (Ref.check rules layout, Ref.tpl_features layout)
+
+(* same violations in the same order, the same report text and the
+   same TPL features *)
+let agrees (found, feats) (expected, ref_feats) =
+  List.map fst expected = found
+  && List.map snd expected = List.map Check.where found
+  && feats = ref_feats
+
+let prop_tolerant =
+  QCheck.Test.make ~name:"kernel = reference, tolerating shorts" ~count:1000
+    arbitrary_case (fun c ->
+      let d, routes, rules = build_case c in
+      agrees
+        (kernel ~tolerate_shorts:true rules d routes)
+        (reference ~tolerate_shorts:true rules d routes))
+
+let prop_strict =
+  QCheck.Test.make ~name:"kernel = reference, strict" ~count:1000 arbitrary_case
+    (fun c ->
+      let d, routes, rules = build_case c in
+      let outcome f =
+        match f ~tolerate_shorts:false rules d routes with
+        | x -> Some x
+        | exception Invalid_argument _ -> None
+      in
+      match (outcome (kernel ?layout:None), outcome reference) with
+      | None, None -> true
+      | Some k, Some r -> agrees k r
+      | Some _, None | None, Some _ -> false)
+
+(* one buffer for every case and step: cases differ in grid size, so
+   it also grows and shrinks between fills *)
+let shared = Extract.create ()
+
+let prop_refill =
+  let step = QCheck.Gen.(pair (int_range 0 5) bool) in
+  QCheck.Test.make ~name:"one buffer refilled across adds and removes"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (c, steps) ->
+         Printf.sprintf "%s; steps %s" (print_case c)
+           (String.concat " "
+              (List.map
+                 (fun (n, add) -> Printf.sprintf "%c%d" (if add then '+' else '-') n)
+                 steps)))
+       QCheck.Gen.(pair case_gen (list_size (int_range 1 12) step)))
+    (fun (c, steps) ->
+      let d, all, rules = build_case c in
+      let routes = Array.make (Array.length all) None in
+      List.for_all
+        (fun (net, add) ->
+          let net = net mod Array.length all in
+          routes.(net) <- (if add then all.(net) else None);
+          agrees
+            (kernel ~layout:shared ~tolerate_shorts:true rules d routes)
+            (reference ~tolerate_shorts:true rules d routes))
+        steps)
+
+let test_where_text () =
+  let d = design () in
+  let space = Node.space_of_design d in
+  let routes =
+    routes_of d
+      [
+        Route.make ~space ~net:0
+          ~nodes:
+            (List.init 6 (fun i -> Node.pack space ~layer:Layer.M2 ~x:(3 + i) ~y:2)
+            @ List.init 6 (fun i -> Node.pack space ~layer:Layer.M2 ~x:(11 + i) ~y:2))
+          ~pin_vias:[ (0, 3, 2) ];
+        Route.make ~space ~net:1
+          ~nodes:
+            (List.init 6 (fun i -> Node.pack space ~layer:Layer.M2 ~x:(4 + i) ~y:3))
+          ~pin_vias:[ (1, 4, 3) ];
+        m2_run space ~net:2 ~track:3 ~lo:11 ~hi:16;
+      ]
+  in
+  Alcotest.(check (list string))
+    "report text"
+    [
+      "track 3 gap [10,10]";
+      "tracks 2/3 cuts [9,10]/[10,10]";
+      "vias (3,2)/(4,3)";
+    ]
+    (List.map Check.where
+       (Check.run
+          { rules with Drc.Rules.min_via_spacing = 3 }
+          (Extract.of_routes d routes)))
+
 let () =
   Alcotest.run "drc"
     [
@@ -305,6 +559,13 @@ let () =
           Alcotest.test_case "R2 aligned" `Quick test_r2_aligned_cuts_legal;
           Alcotest.test_case "R3 via spacing" `Quick test_r3_via_spacing;
           Alcotest.test_case "blamed nets" `Quick test_blamed_nets;
+          Alcotest.test_case "where text" `Quick test_where_text;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest prop_tolerant;
+          QCheck_alcotest.to_alcotest prop_strict;
+          QCheck_alcotest.to_alcotest prop_refill;
         ] );
       ( "line_end",
         [

@@ -205,7 +205,7 @@ let prop_unidirectional =
                   match seg.Rgrid.Route.layer with
                   | Layer.M2 | Layer.M3 -> true
                   | Layer.M1 -> false)
-                (Rgrid.Route.segments ~space r))
+                (Rgrid.Route.segments r))
           flow.Router.Flow.routes)
 
 (* ------------------------------------------------------------------ *)

@@ -37,11 +37,11 @@ let test_route_segments () =
     ]
   in
   let r = Route.make ~space ~net:0 ~nodes ~pin_vias:[ (0, 2, 3) ] in
-  let segs = Route.segments ~space r in
+  let segs = Route.segments r in
   check_int "two segments" 2 (List.length segs);
-  check_int "wirelength = 4 + 2" 6 (Route.wirelength ~space r);
-  check_int "v2 at the corner" 1 (List.length (Route.v2_vias ~space r));
-  check_int "vias: 1 V1 + 1 V2" 2 (Route.via_count ~space r)
+  check_int "wirelength = 4 + 2" 6 (Route.wirelength r);
+  check_int "v2 at the corner" 1 (List.length (Route.v2_vias r));
+  check_int "vias: 1 V1 + 1 V2" 2 (Route.via_count r)
 
 let test_route_dedupes () =
   let d = design () in
@@ -55,8 +55,8 @@ let test_route_single_node_segment () =
   let space = Node.space_of_design d in
   let n = Node.pack space ~layer:Layer.M2 ~x:4 ~y:4 in
   let r = Route.make ~space ~net:0 ~nodes:[ n ] ~pin_vias:[] in
-  check_int "one stub segment" 1 (List.length (Route.segments ~space r));
-  check_int "zero wirelength" 0 (Route.wirelength ~space r)
+  check_int "one stub segment" 1 (List.length (Route.segments r));
+  check_int "zero wirelength" 0 (Route.wirelength r)
 
 (* ----- Net_router ----- *)
 
@@ -87,7 +87,7 @@ let test_net_router_connects () =
       (List.for_all
          (fun n -> Layer.equal (Node.layer space n) Layer.M2)
          r.Route.nodes);
-    check_int "wirelength 10" 10 (Route.wirelength ~space r)
+    check_int "wirelength 10" 10 (Route.wirelength r)
   | None -> Alcotest.fail "trivial net must route"
 
 let test_net_router_trims_interval () =
@@ -480,6 +480,49 @@ let test_parallel_outgrow_and_budget () =
   Alcotest.(check string) "-j 2 under a spent deadline: flow digest"
     (flow_digest spent.flow) (flow_digest spent2.flow)
 
+(* The commit-time deadline check of a parallel phase.  The fake clock
+   jumps past the deadline as soon as any speculative search returns,
+   before its result is recorded, so every search result reaches its
+   commit after the deadline.  Each must be routed again in order,
+   where the spent deadline stops it: as on one domain, no net is
+   routed after the deadline passed. *)
+let test_parallel_deadline_at_commit () =
+  let d =
+    B.design ~width:64 ~height:10
+      ~nets:
+        (List.init 8 (fun k ->
+             ( Printf.sprintf "n%d" k,
+               [ B.pin_at (2 + (8 * k)) 3; B.pin_at (6 + (8 * k)) 6 ] )))
+      ()
+  in
+  let g = Grid.create d in
+  let specs = Router.Spec_builder.build g ~pao:None in
+  let expired = Atomic.make false and searched = Atomic.make 0 in
+  let flow, exhausted =
+    Obs.Clock.with_source
+      (fun () -> if Atomic.get expired then 1e9 else 0.0)
+      (fun () ->
+        Pinaccess.Fault.with_hook
+          (function
+            | Pinaccess.Fault.Route_searched ->
+              Atomic.incr searched;
+              Atomic.set expired true
+            | _ -> ())
+          (fun () ->
+            let budget = Pinaccess.Budget.start ~seconds:1e6 () in
+            let flow =
+              Router.Negotiation.run ~pool:(Exec.shared ~domains:2) ~budget
+                ~pao:None ~started:0.0 g specs
+            in
+            (flow, Pinaccess.Budget.exhausted budget)))
+  in
+  check "a search ran speculatively" true (Atomic.get searched > 0);
+  check "the deadline passed" true exhausted;
+  check_int "no net routed after the deadline" 0
+    (Array.fold_left
+       (fun k r -> if Option.is_some r then k + 1 else k)
+       0 flow.Router.Flow.routes)
+
 let () =
   Alcotest.run "router"
     [
@@ -509,6 +552,8 @@ let () =
             test_negotiation_releases_grid;
           Alcotest.test_case "parallel outgrow and budget" `Quick
             test_parallel_outgrow_and_budget;
+          Alcotest.test_case "parallel deadline at commit" `Quick
+            test_parallel_deadline_at_commit;
         ] );
       ( "identity",
         [ Alcotest.test_case "golden route digests" `Quick test_golden_digests ] );
