@@ -65,12 +65,8 @@ let run_flow router pao_kind budget jobs tpl design =
       | _ -> budget
     in
     Router.Cpr.run ~config ?budget ?pao_budget design
-  | R_ncr ->
-    let config = { Router.Baseline_ncr.default_config with Router.Baseline_ncr.tpl } in
-    Router.Baseline_ncr.run ~config ?budget design
-  | R_seq ->
-    let config = { Router.Sequential.default_config with Router.Sequential.tpl } in
-    Router.Sequential.run ~config ?budget design
+  | R_ncr -> Router.Baseline_ncr.run ?tpl ?budget design
+  | R_seq -> Router.Sequential.run ?tpl ?budget design
 
 (* Incremental (ECO) mode: cold-start the engine on the design, replay
    the delta stream batch by batch, and report what each step reused

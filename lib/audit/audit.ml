@@ -13,6 +13,7 @@
 
 include Certificate
 
+module Ddmin = Ddmin
 module Drc_reference = Drc_reference
 module Flow_audit = Flow_audit
 module Eco_audit = Eco_audit

@@ -90,36 +90,9 @@ let check ?(tolerance = 1e-6) ?(config = default_config) design batches =
 (* Stream shrinking (ddmin)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* One ddmin sweep over a list: try dropping ever-smaller chunks while
-   the predicate keeps failing; mirrors Fuzz.shrink's net reduction. *)
-let reduce_list fails steps xs =
-  let cur = ref xs in
-  let rec reduce chunk =
-    if chunk >= 1 && List.length !cur > 1 then begin
-      let dropped_some = ref false in
-      let pos = ref 0 in
-      while !pos < List.length !cur && List.length !cur > 1 do
-        let keep =
-          List.filteri (fun i _ -> i < !pos || i >= !pos + chunk) !cur
-        in
-        if keep <> [] && fails keep then begin
-          incr steps;
-          cur := keep;
-          dropped_some := true
-        end
-        else pos := !pos + chunk
-      done;
-      if chunk > 1 || !dropped_some then
-        reduce (max 1 (min (chunk / 2) (List.length !cur / 2)))
-    end
-  in
-  reduce (max 1 (List.length !cur / 2));
-  !cur
-
 let shrink_stream ?(tolerance = 1e-6) ?(config = default_config) ?(rounds = 60)
     design batches =
   let evals = ref rounds in
-  let steps = ref 0 in
   let fails bs =
     bs <> [] && !evals > 0
     && begin
@@ -130,11 +103,11 @@ let shrink_stream ?(tolerance = 1e-6) ?(config = default_config) ?(rounds = 60)
   if not (fails batches) then (batches, 0)
   else begin
     (* whole batches first *)
-    let cur = ref (reduce_list fails steps batches) in
+    let batches, batch_steps = Ddmin.reduce fails batches in
     (* then single deltas inside the survivors, preserving batch
        structure and dropping batches that empty out *)
     let flat =
-      List.concat (List.mapi (fun b ds -> List.map (fun d -> (b, d)) ds) !cur)
+      List.concat (List.mapi (fun b ds -> List.map (fun d -> (b, d)) ds) batches)
     in
     let rebuild flat =
       let by_batch = Hashtbl.create 8 in
@@ -145,9 +118,8 @@ let shrink_stream ?(tolerance = 1e-6) ?(config = default_config) ?(rounds = 60)
         (List.rev flat);
       List.filter_map
         (fun b -> Hashtbl.find_opt by_batch b)
-        (List.init (List.length !cur) Fun.id)
+        (List.init (List.length batches) Fun.id)
     in
-    let flat' = reduce_list (fun f -> fails (rebuild f)) steps flat in
-    cur := rebuild flat';
-    (!cur, !steps)
+    let flat, delta_steps = Ddmin.reduce (fun f -> fails (rebuild f)) flat in
+    (rebuild flat, batch_steps + delta_steps)
   end

@@ -7,9 +7,9 @@
     - the final metal is re-extracted from the routes by the reference
       extractor ({!Drc_reference}, not the flow's kernel) and must be
       short-free;
-    - the reference rule deck is re-run on that layout under the rules
-      the flow recorded, and the per-kind violation counts must match
-      what the flow reported;
+    - the reference rule deck is re-run on that layout under
+      {!Drc.Rules.default}, the deck every flow runs under, and the
+      per-kind violation counts must match what the flow reported;
     - when the flow recorded a TPL deck, the metal is re-colored under
       it and the recorded stats must reproduce;
     - the [clean] flag of every net is re-derived (connected and not

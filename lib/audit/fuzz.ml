@@ -126,7 +126,8 @@ let eco_stream design =
 
 (* The flat DRC kernel against the reference: the same violations in
    the same order, with the same report text. *)
-let drc_matches_reference ~tolerate_shorts ~what design rules routes =
+let drc_matches_reference ~tolerate_shorts ~what design routes =
+  let rules = Drc.Rules.default in
   let kernel =
     Drc.Check.run rules (Drc.Extract.of_routes ~tolerate_shorts design routes)
   in
@@ -266,13 +267,12 @@ let check_design config design =
          (even nets from CPR, odd from the sequential flow) shorts, so
          it is extracted tolerantly, as a rip-up probe would *)
       invariant "drc-reference" (fun () ->
-          let rules = cpr.Router.Flow.rules in
           let* () =
             drc_matches_reference ~tolerate_shorts:false ~what:"final CPR metal"
-              design rules cpr.Router.Flow.routes
+              design cpr.Router.Flow.routes
           in
           drc_matches_reference ~tolerate_shorts:true
-            ~what:"CPR/sequential overlay" design rules
+            ~what:"CPR/sequential overlay" design
             (Array.mapi
                (fun net route ->
                  if net mod 2 = 0 then route else seq.Router.Flow.routes.(net))
@@ -357,7 +357,6 @@ let rebuild design ~nets ~blockages =
 
 let shrink config design =
   let evals = ref config.shrink_rounds in
-  let steps = ref 0 in
   let fails d =
     !evals > 0
     && begin
@@ -367,50 +366,35 @@ let shrink config design =
   in
   if not (fails design) then (design, 0)
   else begin
-    let nets = ref (Array.to_list (Design.nets design)) in
+    let fails_with nets blockages =
+      match rebuild design ~nets ~blockages with
+      | d -> fails d
+      | exception _ -> false
+    in
+    (* ddmin over the net list *)
+    let nets, net_steps =
+      Ddmin.reduce
+        (fun nets -> fails_with nets (Design.blockages design))
+        (Array.to_list (Design.nets design))
+    in
+    let steps = ref net_steps in
     let blockages = ref (Design.blockages design) in
-    let candidate nets' blockages' =
-      match rebuild design ~nets:nets' ~blockages:blockages' with
-      | d -> if fails d then Some d else None
-      | exception _ -> None
+    let adopt keep =
+      fails_with nets keep
+      && begin
+           incr steps;
+           blockages := keep;
+           true
+         end
     in
-    let adopt nets' blockages' =
-      match candidate nets' blockages' with
-      | Some _ ->
-        incr steps;
-        nets := nets';
-        blockages := blockages';
-        true
-      | None -> false
-    in
-    (* ddmin over the net list: try dropping ever-smaller chunks *)
-    let rec reduce chunk =
-      let n = List.length !nets in
-      if chunk >= 1 && n > 1 then begin
-        let dropped_some = ref false in
-        let pos = ref 0 in
-        while !pos < List.length !nets && List.length !nets > 1 do
-          let keep =
-            List.filteri
-              (fun i _ -> i < !pos || i >= !pos + chunk)
-              !nets
-          in
-          if keep <> [] && adopt keep !blockages then dropped_some := true
-          else pos := !pos + chunk
-        done;
-        if chunk > 1 || !dropped_some then
-          reduce (max 1 (min (chunk / 2) (List.length !nets / 2)))
-      end
-    in
-    reduce (max 1 (List.length !nets / 2));
     (* then the blockages: all at once, else one at a time *)
-    if !blockages <> [] && not (adopt !nets []) then
+    if !blockages <> [] && not (adopt []) then
       List.iter
         (fun b ->
           let keep = List.filter (fun b' -> b' != b) !blockages in
-          ignore (adopt !nets keep : bool))
+          ignore (adopt keep : bool))
         !blockages;
-    (rebuild design ~nets:!nets ~blockages:!blockages, !steps)
+    (rebuild design ~nets ~blockages:!blockages, !steps)
   end
 
 let m_outgrown = Obs.Metrics.counter "exec.route_outgrown"

@@ -82,7 +82,7 @@ type outcome = {
   skipped : int;  (** cases whose generation was infeasible *)
   outgrown : int;
       (** clean cases in which a parallel route outgrew its first
-          search window and was redone in order (the
+          search window, so the rest of its phase routed in order (the
           [exec.route_outgrown] counter moved) *)
   failure : failure option;
 }

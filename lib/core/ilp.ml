@@ -35,11 +35,11 @@ let solve ?warm_start ?(root_lp = false) ?(budget = Budget.unlimited ())
   Obs.Trace.with_span "ilp.solve" @@ fun () ->
   let milp = to_milp problem in
   let warm_start = Option.map Solution.chosen warm_start in
-  (* the search runs on whatever the budget has left; branch-and-bound
-     nodes are the work unit *)
+  (* the search runs on whatever the budget has left: it polls the
+     budget's deadline, and branch-and-bound nodes are the work unit *)
   let sol =
     Solver.Milp.solve
-      ?time_limit:(Budget.remaining_seconds budget)
+      ~should_stop:(fun () -> Budget.exhausted budget)
       ?node_limit:(Budget.remaining_work budget)
       ?warm_start ~root_lp milp
   in

@@ -3,21 +3,9 @@ module CG = Solver.Color_graph
 
 type t = { params : CG.params }
 
-let make ?track_window ?same_color_gap ?stitch_min_piece ?stitch_cost ~colors
-    () =
+let make ~colors () =
   if colors < 2 then invalid_arg "Tpl.make: need at least 2 colors";
-  let d = CG.default ~colors in
-  let v default = Option.value ~default in
-  {
-    params =
-      {
-        d with
-        CG.track_window = v d.CG.track_window track_window;
-        same_color_gap = v d.CG.same_color_gap same_color_gap;
-        stitch_min_piece = v d.CG.stitch_min_piece stitch_min_piece;
-        stitch_cost = v d.CG.stitch_cost stitch_cost;
-      };
-  }
+  { params = CG.default ~colors }
 
 let of_params params =
   if params.CG.colors < 2 then invalid_arg "Tpl.of_params: need at least 2 colors";

@@ -12,16 +12,10 @@
 
 type t
 
-val make :
-  ?track_window:int ->
-  ?same_color_gap:int ->
-  ?stitch_min_piece:int ->
-  ?stitch_cost:float ->
-  colors:int ->
-  unit ->
-  t
-(** A deck with the given color count; omitted knobs take the defaults
-    of {!Solver.Color_graph.default}.
+val make : colors:int -> unit -> t
+(** A deck with the given color count and the other knobs of
+    {!Solver.Color_graph.default}; {!of_params} wraps any other
+    record.
     @raise Invalid_argument when [colors < 2]. *)
 
 val of_params : Solver.Color_graph.params -> t

@@ -19,8 +19,6 @@ type config = {
   kind : PA.solver_kind;
   warm_policy : warm_policy;
   routing : bool;
-  cost : Rgrid.Cost.t;
-  rules : Drc.Rules.t;
 }
 
 let default_config =
@@ -29,8 +27,6 @@ let default_config =
     kind = PA.Lr;
     warm_policy = Warm_always;
     routing = false;
-    cost = Rgrid.Cost.default;
-    rules = Drc.Rules.default;
   }
 
 type step_report = {
@@ -222,7 +218,7 @@ let route (config : config) ~pool ?previous design pao =
        line-end interactions reaching past its edge; retry margins are
        irrelevant here — they only widen searches for nets that failed
        to route, and a freeze candidate has a route *)
-    let margin = config.cost.Rgrid.Cost.bbox_margin + 2 in
+    let margin = Rgrid.Cost.default.Rgrid.Cost.bbox_margin + 2 in
     let die = Design.die design in
     let claimed = Hashtbl.create 1024 in
     Array.iteri
@@ -285,7 +281,7 @@ let route (config : config) ~pool ?previous design pao =
           | _ -> ()))
       specs
   | Some _ | None -> ());
-  Router.Negotiation.run ~pool ~cost:config.cost ~rules:config.rules
+  Router.Negotiation.run ~pool
     (* the PA config is the deck's single source of truth in ECO (it is
        what panel-cache keys digest); the router deck derives from it *)
     ?tpl:

@@ -42,9 +42,9 @@ type config = {
   routing : bool;
       (** maintain a routed {!Router.Flow.t} incrementally (default
           [false]: pin access only); a TPL deck in [pao.gen.tpl] also
-          drives the router's probe and the flow's coloring verdict *)
-  cost : Rgrid.Cost.t;
-  rules : Drc.Rules.t;
+          drives the router's probe and the flow's coloring verdict;
+          the router prices with {!Rgrid.Cost.default} and checks
+          {!Drc.Rules.default} *)
 }
 
 val default_config : config

@@ -4,10 +4,6 @@ type t = {
   forbidden_via_cost : float;
   spacing_penalty : float;
   hard_spacing : bool;
-  history_increment : float;
-  pfac_initial : float;
-  pfac_growth : float;
-  max_ripup_iterations : int;
   bbox_margin : int;
   retry_margins : int list;
 }
@@ -19,10 +15,6 @@ let default =
     forbidden_via_cost = 10.0;
     spacing_penalty = 4.0;
     hard_spacing = false;
-    history_increment = 1.0;
-    pfac_initial = 0.5;
-    pfac_growth = 1.6;
-    max_ripup_iterations = 16;
     bbox_margin = 6;
     retry_margins = [ 16; 40; 120 ];
   }

@@ -1,5 +1,7 @@
-(** The negotiation-congestion cost model (paper Sec. 5 settings plus
-    PathFinder history/present terms). *)
+(** The maze search's cost model (paper Sec. 5 settings plus the
+    search windows).  The PathFinder schedule that grows the present
+    and history terms round by round lives in
+    [Router.Negotiation]. *)
 
 type t = {
   base_cost : float;  (** metal and via grids; paper: 1 *)
@@ -19,13 +21,6 @@ type t = {
           impassable instead of merely expensive: the conservative
           legalize-as-you-go behaviour of the sequential baseline
           [12] *)
-  history_increment : float;
-      (** added to every overused node after each rip-up iteration *)
-  pfac_initial : float;
-  pfac_growth : float;
-      (** present-sharing factor: [pfac_initial * pfac_growth^i] at
-          rip-up iteration [i]; 0 during the independent stage *)
-  max_ripup_iterations : int;
   bbox_margin : int;  (** search-window inflation around the net bbox *)
   retry_margins : int list;
       (** additional inflations tried when a search fails *)

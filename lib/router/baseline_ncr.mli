@@ -3,17 +3,9 @@
     directly over its shape, and other nets' pins are blockages.  This
     isolates the contribution of the PAO stage (Table 2, Fig. 7(b)). *)
 
-type config = {
-  cost : Rgrid.Cost.t;
-  rules : Drc.Rules.t;
-  tpl : Drc.Tpl.t option;
-      (** TPL deck for the negotiation probe and the final coloring
-          verdict (see {!Cpr.config}) *)
-}
-
-val default_config : config
-
 val run :
-  ?config:config -> ?budget:Pinaccess.Budget.t -> Netlist.Design.t -> Flow.t
-(** [budget] bounds negotiation and DRC rip-up; on exhaustion the best
-    short-free routing found so far is returned. *)
+  ?tpl:Drc.Tpl.t -> ?budget:Pinaccess.Budget.t -> Netlist.Design.t -> Flow.t
+(** [tpl] is the TPL deck for the negotiation probe and the final
+    coloring verdict (see {!Cpr.config}).  [budget] bounds negotiation
+    and DRC rip-up; on exhaustion the best short-free routing found so
+    far is returned. *)

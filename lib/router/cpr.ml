@@ -2,7 +2,6 @@ type config = {
   pao_kind : Pinaccess.Pin_access.solver_kind;
   pao : Pinaccess.Pin_access.config;
   cost : Rgrid.Cost.t;
-  rules : Drc.Rules.t;
   tpl : Drc.Tpl.t option;
   jobs : int;
 }
@@ -12,27 +11,22 @@ let default_config =
     pao_kind = Pinaccess.Pin_access.Lr;
     pao = Pinaccess.Pin_access.default_config;
     cost = Rgrid.Cost.default;
-    rules = Drc.Rules.default;
     tpl = None;
     jobs = 1;
   }
 
-(* One source of truth for the deck: [config.tpl] also switches the
-   PAO stage's color pricing on (unless the caller already set
-   [gen.tpl] explicitly). *)
+(* One source of truth for the deck: the PAO stage prices colors
+   exactly when [config.tpl] is set, under the same deck. *)
 let pao_config config =
-  match config.tpl with
-  | None -> config.pao
-  | Some deck ->
-    let gen = config.pao.Pinaccess.Pin_access.gen in
-    (match gen.Pinaccess.Interval_gen.tpl with
-    | Some _ -> config.pao
-    | None ->
+  let gen = config.pao.Pinaccess.Pin_access.gen in
+  {
+    config.pao with
+    Pinaccess.Pin_access.gen =
       {
-        config.pao with
-        Pinaccess.Pin_access.gen =
-          { gen with Pinaccess.Interval_gen.tpl = Some (Drc.Tpl.params deck) };
-      })
+        gen with
+        Pinaccess.Interval_gen.tpl = Option.map Drc.Tpl.params config.tpl;
+      };
+  }
 
 let run_with_pao ?(config = default_config) ?budget design pao =
   Obs.Trace.with_span "cpr.route" @@ fun () ->
@@ -40,7 +34,7 @@ let run_with_pao ?(config = default_config) ?budget design pao =
   let grid = Rgrid.Grid.create design in
   Negotiation.run
     ~pool:(Exec.shared ~domains:config.jobs)
-    ~cost:config.cost ~rules:config.rules ?tpl:config.tpl ?budget
+    ~cost:config.cost ?tpl:config.tpl ?budget
     ~pao:(Some pao) ~started grid
     (Spec_builder.build grid ~pao:(Some pao))
 

@@ -3,18 +3,19 @@
     Flow: concurrent pin access optimization on M2 (LR by default, ILP
     optionally) → selected intervals become partial routes and
     exclusive blockages → {!Negotiation.run}: negotiation-congestion
-    routing, DRC rip-up, line-end extension and DRC accounting. *)
+    routing, DRC rip-up, line-end extension and DRC accounting, all
+    under {!Drc.Rules.default}. *)
 
 type config = {
   pao_kind : Pinaccess.Pin_access.solver_kind;
   pao : Pinaccess.Pin_access.config;
   cost : Rgrid.Cost.t;
-  rules : Drc.Rules.t;
   tpl : Drc.Tpl.t option;
-      (** the triple-patterning deck: [Some] switches on color pricing
-          in the PAO stage (via [gen.tpl], unless already set), the
-          TPL probe of the negotiation rip-up, and the final coloring
-          verdict of {!Flow.finish} *)
+      (** the triple-patterning deck, the one source of the flow's
+          deck: the PAO stage's [gen.tpl] is derived from it (color
+          pricing with [Some], none with [None], whatever [pao] says),
+          and it drives the TPL probe of the negotiation rip-up and
+          the final coloring verdict of {!Flow.finish} *)
   jobs : int;
       (** domains for the PAO stage and the router ([-j] on the CLI);
           1 = fully sequential.  Panels fan out over [jobs] domains

@@ -13,7 +13,6 @@ type t = {
   total_reroutes : int;
   violations : Drc.Check.violation list;
   extension : Drc.Line_end.stats;
-  rules : Drc.Rules.t;
   tpl : Drc.Tpl.t option;
   tpl_stats : Drc.Tpl.stats option;
   pao : Pinaccess.Pin_access.t option;
@@ -31,7 +30,7 @@ let fill_nodes space (fill : Drc.Line_end.fill) =
         Node.pack space ~layer:Layer.M3 ~x:fill.Drc.Line_end.track ~y:pos
       | Layer.M1 -> assert false)
 
-let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
+let finish ?tpl ?(reused = 0) ~grid ~pao
     ~initial_congestion ~ripup_iterations ~total_reroutes ~started ~layout
     routes =
   let design = Grid.design grid in
@@ -55,6 +54,7 @@ let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
        | [ n ] -> n = net
        | _ :: _ :: _ -> false)
   in
+  let rules = Drc.Rules.default in
   let fills, extension = Drc.Line_end.extend ~can_fill rules layout in
   (* push extension metal back into routes and grid usage *)
   List.iter
@@ -99,7 +99,6 @@ let finish ?(rules = Drc.Rules.default) ?tpl ?(reused = 0) ~grid ~pao
     total_reroutes;
     violations;
     extension;
-    rules;
     tpl;
     tpl_stats;
     pao;

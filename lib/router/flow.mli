@@ -14,12 +14,9 @@ type t = {
   total_reroutes : int;
   violations : Drc.Check.violation list;
   extension : Drc.Line_end.stats;
-  rules : Drc.Rules.t;
-      (** the rule deck the DRC verdicts were computed under, recorded
-          so an external audit can replay the exact same checks *)
   tpl : Drc.Tpl.t option;
       (** the TPL deck (when the flow ran color-constrained), recorded
-          for the same replayability reason as [rules] *)
+          so an external audit can replay the exact same coloring *)
   tpl_stats : Drc.Tpl.stats option;
       (** the final coloring verdict over the extended metal; its
           blamed nets were folded into [clean] alongside DRC blame *)
@@ -31,7 +28,6 @@ type t = {
 }
 
 val finish :
-  ?rules:Drc.Rules.t ->
   ?tpl:Drc.Tpl.t ->
   ?reused:int ->
   grid:Rgrid.Grid.t ->
@@ -44,12 +40,13 @@ val finish :
   Rgrid.Route.t option array ->
   t
 (** Runs line-end extension over the routes, pushes its fills back
-    into the routes and the grid, checks DRC on the extended metal and
-    computes [clean].  The metal is extracted into [layout], the
-    buffer the caller's rip-up probes used, so a flow holds one.  With [tpl] the extended metal is also colored
-    and nets with uncolorable features are blamed (counted unrouted)
-    alongside DRC blame.  [reused]
-    (default 0) records how many routes an incremental caller froze. *)
+    into the routes and the grid, checks DRC ({!Drc.Rules.default}) on
+    the extended metal and computes [clean].  The metal is extracted
+    into [layout], the buffer the caller's rip-up probes used, so a
+    flow holds one.  With [tpl] the extended metal is also colored and
+    nets with uncolorable features are blamed (counted unrouted)
+    alongside DRC blame.  [reused] (default 0) records how many routes
+    an incremental caller froze. *)
 
 val routed_count : t -> int
 (** Number of clean nets. *)

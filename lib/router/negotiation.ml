@@ -13,6 +13,15 @@ let m_drc_rounds = Obs.Metrics.counter "negotiation.drc_rounds"
 let m_outgrown = Obs.Metrics.counter "exec.route_outgrown"
 let m_invalidated = Obs.Metrics.counter "exec.route_invalidated"
 
+(* The PathFinder schedule of stage 2: round [i] (from 1) adds
+   [history_increment] to every overused node, then reroutes at present-
+   sharing factor [pfac_initial * pfac_growth^(i - 1)]; at most
+   [max_ripup_iterations] rounds. *)
+let history_increment = 1.0
+let pfac_initial = 0.5
+let pfac_growth = 1.6
+let max_ripup_iterations = 16
+
 let apply_route grid (route : Route.t) =
   List.iter
     (fun node -> Grid.add_usage grid ~net:route.Route.net node)
@@ -64,7 +73,7 @@ let drop_overused ~is_frozen grid routes =
    return the blamed nets that are not frozen.  Shorts are tolerated:
    mid-negotiation the metal may still share grids.  The metal is
    extracted into [layout], the run's one buffer. *)
-let probe ~rules ?tpl ~scale ~is_frozen layout grid routes =
+let probe ?tpl ~scale ~is_frozen layout grid routes =
   Obs.Trace.with_span "negotiation.probe" @@ fun () ->
   let space = Grid.space grid in
   Drc.Extract.fill ~tolerate_shorts:true layout (Grid.design grid) routes;
@@ -72,7 +81,7 @@ let probe ~rules ?tpl ~scale ~is_frozen layout grid routes =
     if Node.in_bounds space ~x ~y then
       Grid.add_history_at grid (Node.pack space ~layer ~x ~y) by
   in
-  let violations = Drc.Check.run rules layout in
+  let violations = Drc.Check.run Drc.Rules.default layout in
   List.iter
     (fun (v : Drc.Check.violation) ->
       List.iter
@@ -104,8 +113,8 @@ let probe ~rules ?tpl ~scale ~is_frozen layout grid routes =
 (* The DRC rip-up rounds: probe the metal and hand the blamed nets to
    [reroute], up to [rounds] times, calling [drop] before every probe
    and at the end. *)
-let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute layout grid
-    routes ~rounds =
+let drc_rounds ?tpl ~budget ~is_frozen ~drop ~reroute layout grid routes
+    ~rounds =
   let reroutes = ref 0 in
   let round = ref 0 in
   let continue_ = ref true in
@@ -114,7 +123,7 @@ let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute layout grid
     incr round;
     Obs.Metrics.incr m_drc_rounds;
     drop ();
-    match probe ~rules ?tpl ~scale:4.0 ~is_frozen layout grid routes with
+    match probe ?tpl ~scale:4.0 ~is_frozen layout grid routes with
     | [] -> continue_ := false
     | blamed ->
       reroutes := !reroutes + List.length blamed;
@@ -124,9 +133,7 @@ let drc_rounds ~rules ?tpl ~budget ~is_frozen ~drop ~reroute layout grid
   !reroutes
 
 let drc_ripup ?(cost = Cost.default) ?(budget = Budget.unlimited ()) ?tpl
-    ~rules ~layout grid ~spec_of ~routes ~rounds =
-  let design = Grid.design grid in
-  let space = Grid.space grid in
+    ~layout grid ~spec_of ~routes ~rounds =
   let maze = Maze.create grid in
   let reroute net =
     (match routes.(net) with
@@ -149,21 +156,12 @@ let drc_ripup ?(cost = Cost.default) ?(budget = Budget.unlimited ()) ?tpl
     | None -> ()
   in
   let reroutes =
-    drc_rounds ~rules ?tpl ~budget
+    drc_rounds ?tpl ~budget
       ~is_frozen:(fun _ -> false)
       ~drop:ignore ~reroute:(List.iter reroute) layout grid routes ~rounds
   in
   (* failed reroutes must not leave their pins grabbable *)
-  Array.iter
-    (fun (p : Netlist.Pin.t) ->
-      for tr = I.lo p.Netlist.Pin.tracks to I.hi p.Netlist.Pin.tracks do
-        let node =
-          Node.pack space ~layer:Rgrid.Layer.M2 ~x:p.Netlist.Pin.x ~y:tr
-        in
-        if Grid.owner grid node = -1 && not (Grid.blocked grid node) then
-          Grid.set_owner grid node ~net:p.Netlist.Pin.net
-      done)
-    (Netlist.Design.pins design);
+  Spec_builder.claim_pins grid;
   reroutes
 
 (* ------------------------------------------------------------------ *)
@@ -221,7 +219,8 @@ let reroute_in_order r ~pfac net =
    Two nets of a phase conflict when either one's writes meet the
    other's reads or writes; a net starts once every earlier net it
    conflicts with has committed.  A search that needs a wider window
-   has read outside its region: it is redone in order (see [redo]). *)
+   has read outside its region: from that net on, the phase routes in
+   order (see [scheduled]). *)
 let reach = 2
 
 (* how far past the commit frontier a worker looks for a ready net *)
@@ -236,25 +235,24 @@ type searched = {
 
 type slot =
   | Pending  (** not started: its old route is on the grid *)
-  | Running  (** searching: its old route is retracted *)
-  | Searched of searched  (** waiting for its turn to commit *)
-  | Redo
-      (** outgrew its first window, or reached the frontier after the
-          deadline: routed again, in order, at the frontier *)
+  | Started
+      (** its old route is retracted: searching, or its search
+          outgrew the first window *)
+  | Searched of searched  (** waiting for its turn to commit, or committed *)
 
 type phase = {
   nets : int array;
   old : Route.t option array;
-  reads : Rect.t array;
   deps : int array;  (** latest earlier conflicting net, or [-1] *)
   slots : slot array;
-  merged : (Obs.Metrics.buffer * Obs.Trace.event list) option array;
   m : Mutex.t;
   changed : Condition.t;
   mutable frontier : int;  (** nets before it have committed *)
-  mutable running : int;
+  mutable stop : int;
+      (** nets from it on are routed in order after the join: the first
+          outgrown search, or the net whose commit found the deadline
+          passed *)
   mutable outgrown : int;
-  mutable invalidated : int;
   mutable error : (exn * Printexc.raw_backtrace) option;
 }
 
@@ -280,14 +278,6 @@ let hull_route ~space rect route =
       hi_y := Int.max !hi_y y)
     (points ~space route);
   Rect.make ~xs:(I.make ~lo:!lo_x ~hi:!hi_x) ~ys:(I.make ~lo:!lo_y ~hi:!hi_y)
-
-let touches ~space rect = function
-  | None -> false
-  | Some route ->
-    let xs = Rect.xs rect and ys = Rect.ys rect in
-    Seq.exists
-      (fun (x, y) -> I.contains xs x && I.contains ys y)
-      (points ~space route)
 
 (* [deps.(i)]: the latest [j < i] whose writes meet net [i]'s reads or
    writes, or whose reads meet net [i]'s writes.  Only the [lookahead]
@@ -327,48 +317,44 @@ let plan r nets =
   {
     nets;
     old;
-    reads;
     deps =
       dependencies (Array.mapi with_old windows) (Array.mapi with_old reads);
     slots = Array.make k Pending;
-    merged = Array.make k None;
     m = Mutex.create ();
     changed = Condition.create ();
     frontier = 0;
-    running = 0;
+    stop = k;
     outgrown = 0;
-    invalidated = 0;
     error = None;
   }
 
 (* One phase on every domain of [r.pool].  Each domain runs a worker
    loop: commit whatever is ready at the frontier, else take the
    lowest-index ready net within [lookahead] and search it with the
-   first margin only.  Commits happen in phase order and apply the
-   route, spend the net's work into the budget and keep the net's
-   metrics and spans, which the calling domain merges after the join —
-   so the phase leaves the grid, routes, budget and observability
-   exactly as the in-order loop does.  The budget has no work
-   allowance here (see [reroute_phase]), only maybe a deadline. *)
+   first margin only.  Commits happen in phase order: they apply the
+   route and spend the net's work into the budget.  Speculation stops
+   at the earliest net whose search outgrows its window, and at a
+   commit that finds the deadline passed, where the in-order run would
+   have checked the deadline before the net.  After the join the calling
+   domain merges the committed nets' metrics and spans in phase order,
+   puts back the old routes of the nets started past the frontier and
+   routes the rest of the phase in order — so the phase leaves the
+   grid, routes, budget and observability exactly as the in-order loop
+   does.  The budget has no work allowance here (see [reroute_phase]),
+   only maybe a deadline. *)
 let scheduled r ~pfac nets =
-  let space = Grid.space r.grid in
-  let k = Array.length nets in
   let ph = plan r nets in
   let trace_on = Obs.Trace.enabled () in
-  let buffered f =
-    let (x, events), metrics =
-      Obs.Metrics.buffered (fun () ->
-          if trace_on then Obs.Trace.buffered f else (f (), []))
-    in
-    (x, metrics, events)
-  in
   (* a speculative search: the first window only, on a private work
-     counter under the run's deadline *)
+     counter under the run's deadline; [None] when it outgrew it *)
   let search maze i budget =
-    let outcome, metrics, events =
-      buffered (fun () ->
-          Net_router.attempt ~budget ~margins:[ r.cost.Cost.bbox_margin ] maze
-            ~cost:r.cost ~pfac r.specs.(nets.(i)))
+    let attempt () =
+      Net_router.attempt ~budget ~margins:[ r.cost.Cost.bbox_margin ] maze
+        ~cost:r.cost ~pfac r.specs.(nets.(i))
+    in
+    let (outcome, events), metrics =
+      Obs.Metrics.buffered (fun () ->
+          if trace_on then Obs.Trace.buffered attempt else (attempt (), []))
     in
     let searched found =
       Some { found; work = Budget.work_spent budget; metrics; events }
@@ -378,101 +364,58 @@ let scheduled r ~pfac nets =
     | Net_router.Routed route -> searched (Some route)
     | Net_router.Stopped -> searched None
   in
-  let commit i found obs =
-    Option.iter (apply_route r.grid) found;
-    r.routes.(nets.(i)) <- found;
-    ph.merged.(i) <- Some obs;
-    ph.frontier <- i + 1;
-    Condition.broadcast ph.changed
-  in
-  (* Route the frontier net in order, with no search running: put back
-     the old routes of the later nets already started (as the in-order
-     run would see them), route with every margin and the real budget,
-     then take the old routes out again — except where a later net's
-     reads meet this net's new or old route: its result is stale, so it
-     goes back to [Pending] with its old route in place. *)
-  let redo maze f =
-    let started =
-      List.filter
-        (fun m ->
-          match ph.slots.(m) with
-          | Searched _ | Redo -> true
-          | Pending | Running -> false)
-        (List.init (min k (f + lookahead) - f - 1) (fun d -> f + 1 + d))
-    in
-    List.iter (fun m -> Option.iter (apply_route r.grid) ph.old.(m)) started;
-    let found, metrics, events =
-      buffered (fun () ->
-          Net_router.route ~budget:r.budget maze ~cost:r.cost ~pfac
-            r.specs.(nets.(f)))
-    in
-    List.iter
-      (fun m ->
-        match ph.slots.(m) with
-        | Searched _
-          when touches ~space ph.reads.(m) found
-               || touches ~space ph.reads.(m) ph.old.(f) ->
-          ph.slots.(m) <- Pending;
-          ph.invalidated <- ph.invalidated + 1
-        | Searched _ | Redo | Pending | Running ->
-          Option.iter (retract_route r.grid) ph.old.(m))
-      started;
-    commit f found (metrics, events)
-  in
   let pick () =
-    let stop = min k (ph.frontier + lookahead) in
+    let stop = min ph.stop (ph.frontier + lookahead) in
     let rec go i =
       if i >= stop then None
       else
         match ph.slots.(i) with
         | Pending when ph.deps.(i) < ph.frontier -> Some i
-        | Pending | Running | Searched _ | Redo -> go (i + 1)
+        | Pending | Started | Searched _ -> go (i + 1)
     in
     go ph.frontier
   in
   (* under the lock: commit what is ready, then claim a net to search *)
-  let rec next p =
-    if Option.is_some ph.error || ph.frontier >= k then None
+  let rec next () =
+    if Option.is_some ph.error || ph.frontier >= ph.stop then None
     else
       let f = ph.frontier in
       match ph.slots.(f) with
       | Searched _ when Budget.exhausted r.budget ->
         (* the in-order run would check the deadline before this net *)
-        ph.slots.(f) <- Redo;
-        next p
+        ph.stop <- f;
+        Condition.broadcast ph.changed;
+        None
       | Searched s ->
+        Option.iter (apply_route r.grid) s.found;
+        r.routes.(nets.(f)) <- s.found;
         Budget.spend r.budget s.work;
-        commit f s.found (s.metrics, s.events);
-        next p
-      | Redo when ph.running = 0 ->
-        redo (maze r p) f;
-        next p
-      | Redo | Pending | Running ->
-        (match (ph.slots.(f), pick ()) with
-        | (Pending | Running), Some i ->
-          ph.slots.(i) <- Running;
-          ph.running <- ph.running + 1;
+        ph.frontier <- f + 1;
+        Condition.broadcast ph.changed;
+        next ()
+      | Pending | Started -> (
+        match pick () with
+        | Some i ->
+          ph.slots.(i) <- Started;
           Some (i, Budget.isolated r.budget ())
-        | _ ->
+        | None ->
           Condition.wait ph.changed ph.m;
-          next p)
+          next ())
   in
   let worker p =
     let rec loop () =
-      match Mutex.protect ph.m (fun () -> next p) with
+      match Mutex.protect ph.m next with
       | None -> ()
       | Some (i, budget) ->
         Option.iter (retract_route r.grid) ph.old.(i);
         let result = search (maze r p) i budget in
         Pinaccess.Fault.trip Pinaccess.Fault.Route_searched;
         Mutex.protect ph.m (fun () ->
-            ph.running <- ph.running - 1;
-            (ph.slots.(i) <-
-               match result with
-               | Some s -> Searched s
-               | None ->
-                 ph.outgrown <- ph.outgrown + 1;
-                 Redo);
+            (match result with
+            | Some s -> ph.slots.(i) <- Searched s
+            | None ->
+              ph.outgrown <- ph.outgrown + 1;
+              ph.stop <- Int.min ph.stop i);
             Condition.broadcast ph.changed);
         loop ()
     in
@@ -488,13 +431,24 @@ let scheduled r ~pfac nets =
      maze stays with the domain that made it *)
   ignore (Exec.map r.pool worker (Array.init (Array.length r.mazes) Fun.id));
   Option.iter (fun (e, bt) -> Printexc.raise_with_backtrace e bt) ph.error;
-  Array.iter
-    (Option.iter (fun (metrics, events) ->
-         Obs.Metrics.flush metrics;
-         Obs.Trace.replay events))
-    ph.merged;
+  let discarded = ref 0 in
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Searched s when i < ph.frontier ->
+        Obs.Metrics.flush s.metrics;
+        Obs.Trace.replay s.events
+      | Searched _ ->
+        incr discarded;
+        Option.iter (apply_route r.grid) ph.old.(i)
+      | Started -> Option.iter (apply_route r.grid) ph.old.(i)
+      | Pending -> ())
+    ph.slots;
   Obs.Metrics.add m_outgrown ph.outgrown;
-  Obs.Metrics.add m_invalidated ph.invalidated
+  Obs.Metrics.add m_invalidated !discarded;
+  for i = ph.frontier to Array.length nets - 1 do
+    reroute_in_order r ~pfac nets.(i)
+  done
 
 (* Under a work-unit allowance, where a net's searches stop depends on
    what every earlier net spent, which a speculative search cannot
@@ -520,9 +474,8 @@ let routing_order specs =
     idx;
   idx
 
-let run ?(pool = Exec.sequential) ?(cost = Cost.default)
-    ?(rules = Drc.Rules.default) ?tpl ?(budget = Budget.unlimited ()) ?frozen
-    ?initial ~pao ~started grid specs =
+let run ?(pool = Exec.sequential) ?(cost = Cost.default) ?tpl
+    ?(budget = Budget.unlimited ()) ?frozen ?initial ~pao ~started grid specs =
   let n = Array.length specs in
   let router =
     {
@@ -554,7 +507,7 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
     reroute_phase router ~pfac nets
   in
   let layout = Drc.Extract.create () in
-  let probe () = probe ~rules ?tpl ~scale:2.0 ~is_frozen layout grid routes in
+  let probe () = probe ?tpl ~scale:2.0 ~is_frozen layout grid routes in
   (* Stage 1: independent routing (no present-sharing term); nets that
      arrived pre-routed via [initial] keep their metal *)
   reroute ~pfac:0.0
@@ -574,17 +527,16 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
   in
   while
     !continue_
-    && !iterations < cost.Cost.max_ripup_iterations
+    && !iterations < max_ripup_iterations
     && not (Budget.exhausted budget)
   do
     Obs.Trace.with_span "negotiation.round" @@ fun () ->
     incr iterations;
     Obs.Metrics.incr m_ripup_rounds;
     let pfac =
-      cost.Cost.pfac_initial
-      *. Float.pow cost.Cost.pfac_growth (float_of_int (!iterations - 1))
+      pfac_initial *. Float.pow pfac_growth (float_of_int (!iterations - 1))
     in
-    Grid.add_history grid ~increment:cost.Cost.history_increment;
+    Grid.add_history grid ~increment:history_increment;
     (* victims: unfrozen nets unrouted or crossing overuse, plus the
        last probe's blamed nets *)
     let overused net =
@@ -606,7 +558,7 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
   (* the DRC rip-up first drops the nets still sharing grids: a soft
      (pfac-based) reroute may introduce sharing *)
   let drc_reroutes =
-    drc_rounds ~rules ?tpl ~budget ~is_frozen
+    drc_rounds ?tpl ~budget ~is_frozen
       ~drop:(fun () -> drop_overused ~is_frozen grid routes)
       ~reroute:(reroute_phase router ~pfac:4.0)
       layout grid routes ~rounds:2
@@ -616,7 +568,7 @@ let run ?(pool = Exec.sequential) ?(cost = Cost.default)
       ~some:(Array.fold_left (fun k f -> if f then k + 1 else k) 0)
       frozen
   in
-  Flow.finish ~rules ?tpl ~reused ~grid ~pao ~initial_congestion
+  Flow.finish ?tpl ~reused ~grid ~pao ~initial_congestion
     ~ripup_iterations:!iterations
     ~total_reroutes:(!total_reroutes + drc_reroutes)
     ~started ~layout routes

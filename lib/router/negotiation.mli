@@ -7,7 +7,9 @@
     the paper's initial-congestion metric (Fig. 7(b)).  Stage 2 rips up
     and reroutes the nets crossing overused grids, in ascending net-id
     order, with growing present-sharing factor and accumulating history
-    costs, until the overuse disappears or the iteration budget ends.
+    costs (a fixed PathFinder schedule: present-sharing factor
+    [0.5 * 1.6^(i-1)] in round [i], history [+1] per round on every
+    overused node), until the overuse disappears or 16 rounds end.
     Every round also probes the current metal for DRC violations (and
     TPL coloring failures), bumps history on the offending grids and
     adds the blamed nets to the victims — the paper's combined
@@ -28,7 +30,6 @@
 val run :
   ?pool:Exec.t ->
   ?cost:Rgrid.Cost.t ->
-  ?rules:Drc.Rules.t ->
   ?tpl:Drc.Tpl.t ->
   ?budget:Pinaccess.Budget.t ->
   ?frozen:bool array ->
@@ -39,8 +40,9 @@ val run :
   Net_router.spec array ->
   Flow.t
 (** Route [specs] (one per net id, built on [grid]) to a finished flow.
-    [rules] (default {!Drc.Rules.default}) drives the rip-up probe, the
-    DRC rip-up and the final verdict.
+    {!Drc.Rules.default} drives the rip-up probe, the DRC rip-up and
+    the final verdict; [cost] (default {!Rgrid.Cost.default}) prices
+    every maze search.
 
     [tpl] extends all three with the triple-patterning deck: the
     current M2 metal is colored each round, history is bumped under
@@ -77,15 +79,16 @@ val run :
     run.  A net's search first reads only its first-margin window
     grown by the kernel's reach; it starts once every earlier net of
     its phase whose old or new route could meet that region has
-    committed.  A net whose search outgrows the window is routed
-    again, with every margin, when it reaches the commit frontier with
-    no search running; a later net already searched whose region meets
-    its new or old route is searched again.  A search runs on its own
-    work counter under the run's deadline, and its commit spends that
-    work into [budget]; a net whose commit finds the deadline passed
-    is also routed again in order.  A deadline stays best-effort.  The
-    [exec.route_outgrown] and [exec.route_invalidated] counters meter
-    that extra work; nothing else counts discarded searches.
+    committed.  A search runs on its own work counter under the run's
+    deadline, and its commit spends that work into [budget].  A phase
+    stops speculating at the earliest of its nets whose search outgrows
+    the window, or at a commit that finds the deadline passed: once
+    the running searches are done, the old routes of the nets it had
+    started go back and that net and every later one of the phase
+    route in order.  A deadline stays best-effort.
+    [exec.route_outgrown] counts the outgrown searches and
+    [exec.route_invalidated] the finished searches such a fallback
+    throws away; nothing else counts discarded searches.
 
     When [budget] has a work-unit allowance, every phase runs in order
     whatever [pool] is: where such a budget stops a net depends on
@@ -99,7 +102,6 @@ val drc_ripup :
   ?cost:Rgrid.Cost.t ->
   ?budget:Pinaccess.Budget.t ->
   ?tpl:Drc.Tpl.t ->
-  rules:Drc.Rules.t ->
   layout:Drc.Extract.layout ->
   Rgrid.Grid.t ->
   spec_of:(int -> Net_router.spec option) ->
@@ -114,8 +116,9 @@ val drc_ripup :
     one's ({!run} does the same rounds without ownership, dropping
     routes that still cross overused grids).
     Returns the number of reroute attempts.  [routes] is updated in
-    place; a net whose reroute fails becomes unrouted.  Every check
-    extracts the metal into [layout].  [budget]
-    (default unlimited) is checked before each round and inside every
-    maze search; exhaustion stops the rip-up with the routes as they
-    stand. *)
+    place; a net whose reroute fails becomes unrouted, and at the end
+    every pin node left free goes back to its net
+    ({!Spec_builder.claim_pins}).  Every check extracts the metal into
+    [layout].  [budget] (default unlimited) is checked
+    before each round and inside every maze search; exhaustion stops
+    the rip-up with the routes as they stand. *)

@@ -6,33 +6,18 @@ module Cost = Rgrid.Cost
 module Pin = Netlist.Pin
 module Design = Netlist.Design
 
-type config = {
-  cost : Rgrid.Cost.t;
-  rules : Drc.Rules.t;
-  tpl : Drc.Tpl.t option;
-}
-
 (* The sequential baseline legalizes as it goes: clearance and
    forbidden-via costs are much steeper than the negotiation flows'
    (detours instead of violations — [12]'s behaviour), but stay finite
    so dense regions remain reachable. *)
-let default_config =
-  {
-    cost =
-      {
-        Rgrid.Cost.default with
-        Rgrid.Cost.spacing_penalty = 16.0;
-        Rgrid.Cost.forbidden_via_cost = 24.0;
-      };
-    rules = Drc.Rules.default;
-    tpl = None;
-  }
+let steep =
+  { Cost.default with Cost.spacing_penalty = 16.0; forbidden_via_cost = 24.0 }
 
 (* Route fully legally first (clearances are walls); only a net that
    cannot be embedded legally after deferring falls back to the
    soft-but-steep penalties and may introduce violations — [12]'s
    legalize-as-you-go with net deferring. *)
-let hard config = { config.cost with Cost.hard_spacing = true }
+let hard = { steep with Cost.hard_spacing = true }
 
 let strip_cap = 2
 
@@ -41,7 +26,7 @@ let strip_cap = 2
    [12] legalizes while planning, so a *clean* strip — one whose ends
    keep the minimum line-end gap from committed foreign metal — is
    preferred over a merely free one. *)
-let plan_pin_strip grid config (p : Pin.t) =
+let plan_pin_strip grid (p : Pin.t) =
   let space = Grid.space grid in
   let free ~x ~y =
     Node.in_bounds space ~x ~y
@@ -56,7 +41,7 @@ let plan_pin_strip grid config (p : Pin.t) =
     Grid.blocked grid node
     || List.exists (fun k -> k <> p.net) (Grid.nets_using grid node)
   in
-  let min_gap = config.rules.Drc.Rules.min_line_end_gap in
+  let min_gap = Drc.Rules.default.Drc.Rules.min_line_end_gap in
   let clean ~x ~y =
     free ~x ~y
     &&
@@ -101,14 +86,14 @@ let plan_pin_strip grid config (p : Pin.t) =
             Node.pack space ~layer:Rgrid.Layer.M2 ~x:(lo + i) ~y:track),
         track )
 
-let build_spec grid config net =
+let build_spec grid net =
   let design = Grid.design grid in
   let space = Grid.space grid in
   let pins = Design.net_pins design net in
   let planned =
     List.map
       (fun (p : Pin.t) ->
-        match plan_pin_strip grid config p with
+        match plan_pin_strip grid p with
         | Some (nodes, track) ->
           Some
             {
@@ -139,25 +124,17 @@ let commit grid route =
     (fun node -> Grid.set_owner grid node ~net:route.Rgrid.Route.net)
     route.Rgrid.Route.nodes
 
-let run ?(config = default_config) ?budget design =
+let run ?tpl ?budget design =
   let started = Obs.Clock.now () in
   let grid = Grid.create design in
-  let space = Grid.space grid in
   (* pins are blockages for other nets, as in every flow *)
-  Array.iter
-    (fun (p : Pin.t) ->
-      for t = I.lo p.Pin.tracks to I.hi p.Pin.tracks do
-        let node = Node.pack space ~layer:Rgrid.Layer.M2 ~x:p.Pin.x ~y:t in
-        if Grid.owner grid node = -1 && not (Grid.blocked grid node) then
-          Grid.set_owner grid node ~net:p.Pin.net
-      done)
-    (Design.pins design);
+  Spec_builder.claim_pins grid;
   let maze = Maze.create grid in
   let n = Array.length (Design.nets design) in
   let routes = Array.make n None in
   let reroutes = ref 0 in
   let attempt ~cost net =
-    match build_spec grid config net with
+    match build_spec grid net with
     | None -> false
     | Some spec ->
       incr reroutes;
@@ -170,10 +147,9 @@ let run ?(config = default_config) ?budget design =
   in
   (* first pass in net order, fully legal (clearances are walls);
      failures are deferred rather than forced *)
-  let hard_cost = hard config in
   let deferred = ref [] in
   for net = 0 to n - 1 do
-    if not (attempt ~cost:hard_cost net) then deferred := net :: !deferred
+    if not (attempt ~cost:hard net) then deferred := net :: !deferred
   done;
   (* net deferring: retry legally with wide-open windows first, then
      allow steep-but-soft penalties as the last resort *)
@@ -183,22 +159,20 @@ let run ?(config = default_config) ?budget design =
   let deferred2 = ref [] in
   List.iter
     (fun net ->
-      if not (attempt ~cost:(wide hard_cost) net) then
+      if not (attempt ~cost:(wide hard) net) then
         deferred2 := net :: !deferred2)
     (List.rev !deferred);
   List.iter
-    (fun net -> ignore (attempt ~cost:(wide config.cost) net))
+    (fun net -> ignore (attempt ~cost:(wide steep) net))
     (List.rev !deferred2);
   (* per-net design-rule legalization, hard-blocked like the rest of
      the flow ([12] legalizes during sequential routing) *)
   let layout = Drc.Extract.create () in
   let drc_reroutes =
-    Negotiation.drc_ripup ~cost:(wide hard_cost) ?budget
-      ?tpl:config.tpl ~rules:config.rules ~layout grid
-      ~spec_of:(build_spec grid config)
-      ~routes ~rounds:3
+    Negotiation.drc_ripup ~cost:(wide hard) ?budget ?tpl ~layout grid
+      ~spec_of:(build_spec grid) ~routes ~rounds:3
   in
-  Flow.finish ~rules:config.rules ?tpl:config.tpl ~grid ~pao:None
+  Flow.finish ?tpl ~grid ~pao:None
     ~initial_congestion:0
     ~ripup_iterations:0
     ~total_reroutes:(!reroutes + drc_reroutes)

@@ -9,17 +9,9 @@
     competition is resolved first-come-first-served, which is exactly
     the behaviour the paper's concurrent formulation improves on. *)
 
-type config = {
-  cost : Rgrid.Cost.t;
-  rules : Drc.Rules.t;
-  tpl : Drc.Tpl.t option;
-      (** TPL deck for the legalization rip-up and the final coloring
-          verdict (see {!Cpr.config}) *)
-}
-
-val default_config : config
-
 val run :
-  ?config:config -> ?budget:Pinaccess.Budget.t -> Netlist.Design.t -> Flow.t
-(** [budget] bounds the maze searches and the legalization rip-up; on
-    exhaustion remaining nets stay unrouted. *)
+  ?tpl:Drc.Tpl.t -> ?budget:Pinaccess.Budget.t -> Netlist.Design.t -> Flow.t
+(** [tpl] is the TPL deck for the legalization rip-up and the final
+    coloring verdict (see {!Cpr.config}).  [budget] bounds the maze
+    searches and the legalization rip-up; on exhaustion remaining nets
+    stay unrouted. *)

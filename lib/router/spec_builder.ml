@@ -13,6 +13,13 @@ let pin_shape_nodes space (p : Pin.t) =
   List.init (I.length p.tracks) (fun i ->
       Node.pack space ~layer:Layer.M2 ~x:p.x ~y:(I.lo p.tracks + i))
 
+let claim_pins grid =
+  let space = Grid.space grid in
+  Array.iter
+    (fun (p : Pin.t) ->
+      List.iter (claim grid ~net:p.net) (pin_shape_nodes space p))
+    (Design.pins (Grid.design grid))
+
 let interval_nodes space (iv : Pinaccess.Access_interval.t) =
   List.init
     (I.length iv.Pinaccess.Access_interval.span)
@@ -105,8 +112,5 @@ let build grid ~pao =
             c.Net_router.nodes)
         spec.Net_router.components)
     specs;
-  Array.iter
-    (fun (p : Pin.t) ->
-      List.iter (claim grid ~net:p.net) (pin_shape_nodes space p))
-    (Design.pins design);
+  claim_pins grid;
   specs

@@ -19,3 +19,8 @@ val build :
     interval of another net may legitimately cover a pin's column on
     one of its tracks, in which case the pin accesses through a
     different track (Fig. 2). *)
+
+val claim_pins : Rgrid.Grid.t -> unit
+(** Give every free, unblocked M2 node over a pin shape to the pin's
+    net: the pin blockages every flow starts from, and the reclaim
+    after a rip-up released a pin. *)

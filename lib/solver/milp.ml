@@ -98,7 +98,7 @@ let root_lp_bound p choose conflict =
 
 let m_nodes = Obs.Metrics.counter "milp.nodes"
 
-let branch_and_bound ?(time_limit = infinity) ?(node_limit = max_int)
+let branch_and_bound ?(should_stop = fun () -> false) ?(node_limit = max_int)
     ?warm_start ?(root_lp = false) p =
   let n = p.num_vars in
   let choose, conflict_rows = split_rows p in
@@ -222,10 +222,8 @@ let branch_and_bound ?(time_limit = infinity) ?(node_limit = max_int)
   let lp_bound = if root_lp then root_lp_bound p choose conflict_rows else None in
   let nodes = ref 0 in
   let limited = ref false in
-  let start = Sys.time () in
   let out_of_budget () =
-    !nodes >= node_limit
-    || (!nodes land 255 = 0 && Sys.time () -. start > time_limit)
+    !nodes >= node_limit || (!nodes land 255 = 0 && should_stop ())
   in
   let record_solution () =
     if !cur_profit > !incumbent +. 1e-12 then begin
@@ -337,8 +335,8 @@ let branch_and_bound ?(time_limit = infinity) ?(node_limit = max_int)
       };
   }
 
-let solve ?time_limit ?node_limit ?warm_start ?root_lp p =
+let solve ?should_stop ?node_limit ?warm_start ?root_lp p =
   Obs.Trace.with_span "milp.solve" @@ fun () ->
-  let sol = branch_and_bound ?time_limit ?node_limit ?warm_start ?root_lp p in
+  let sol = branch_and_bound ?should_stop ?node_limit ?warm_start ?root_lp p in
   Obs.Metrics.add m_nodes sol.stats.nodes;
   sol

@@ -19,9 +19,9 @@
     rows with unit propagation (selecting a variable knocks out its
     whole conflict cliques; a pin reduced to a single candidate is
     forced), pruned by a decomposable profit bound and optionally
-    tightened by the LP relaxation at the root.  A time limit turns the
-    solver into an anytime method that reports whether optimality was
-    proven. *)
+    tightened by the LP relaxation at the root.  A node limit or a
+    stop probe turns the solver into an anytime method that reports
+    whether optimality was proven. *)
 
 type row =
   | Choose_one of int list
@@ -41,13 +41,16 @@ type solution = { objective : float; values : bool array; stats : stats }
 exception Infeasible
 
 val solve :
-  ?time_limit:float ->
+  ?should_stop:(unit -> bool) ->
   ?node_limit:int ->
   ?warm_start:bool array ->
   ?root_lp:bool ->
   problem ->
   solution
-(** @raise Infeasible when some [Choose_one] row cannot be satisfied.
+(** The search ends early, with [proven_optimal = false], after
+    [node_limit] nodes (default unlimited) or when [should_stop]
+    (default never), polled every 256 nodes, answers [true].
+    @raise Infeasible when some [Choose_one] row cannot be satisfied.
     @raise Invalid_argument on malformed input (variable out of range,
     variable in no [Choose_one] row, duplicate variable in a row,
     [At_most] capacity below 1). *)

@@ -187,6 +187,22 @@ let test_flow_audit_clean () =
       ("cpr div@0.1+16", fun () -> Router.Cpr.run (div_with_fill_via ()));
     ]
 
+(* The ddmin both shrinkers share, on a predicate that fails iff the
+   list holds 3 and 7: halves, then pairs, then singles (twice, since
+   the first single sweep drops something).  The result, the accepted
+   drops and the predicate calls are pinned, so a change to the chunk
+   order shows. *)
+let test_ddmin () =
+  let calls = ref 0 in
+  let fails l =
+    incr calls;
+    List.mem 3 l && List.mem 7 l
+  in
+  let reduced, steps = Audit.Ddmin.reduce fails (List.init 10 Fun.id) in
+  Alcotest.(check (list int)) "reduced to the culprits" [ 3; 7 ] reduced;
+  Alcotest.(check int) "accepted drops" 5 steps;
+  Alcotest.(check int) "predicate calls" 13 !calls
+
 (* property: whatever the generator throws at it, every optimize
    result the solver calls valid also certifies clean externally *)
 let prop_optimize_certifies =
@@ -228,6 +244,7 @@ let () =
           Alcotest.test_case "optimize certifies" `Quick test_whole_design_certifies;
           Alcotest.test_case "flows audit clean" `Quick test_flow_audit_clean;
         ] );
+      ("shrink", [ Alcotest.test_case "ddmin" `Quick test_ddmin ]);
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_optimize_certifies ] );
     ]

@@ -92,6 +92,29 @@ let test_theorem1_feasibility () =
     end
   done
 
+(* The search polls its budget's deadline on the shared clock.  Each
+   reading of the fake clock is one second after the last, so a 2.5 s
+   budget started at the first reading has expired by the fourth:
+   inside the search, which reads the clock every 256 nodes.  The
+   panel needs about 1,200 nodes to prove its optimum. *)
+let test_ilp_stops_at_deadline () =
+  let d = Workloads.Suite.design ~scale:0.01 (Workloads.Suite.find "ecc") in
+  let problem = P.build_panel cfg d ~panel:1 in
+  let full = Ilp.solve problem in
+  check "unbudgeted: proven optimal" true full.Ilp.proven_optimal;
+  check "unbudgeted: more than 768 nodes" true (full.Ilp.nodes > 768);
+  let clock = ref 0.0 in
+  let cut =
+    Obs.Clock.with_source
+      (fun () ->
+        clock := !clock +. 1.0;
+        !clock)
+      (fun () ->
+        Ilp.solve ~budget:(Pinaccess.Budget.start ~seconds:2.5 ()) problem)
+  in
+  check "the deadline ends the search" false cut.Ilp.proven_optimal;
+  check_int "at the third poll" 768 cut.Ilp.nodes
+
 let test_pin_access_top_level () =
   let d = fig3_design () in
   let lr = PA.optimize ~kind:PA.Lr d in
@@ -130,6 +153,8 @@ let () =
           Alcotest.test_case "dominates LR" `Slow test_ilp_dominates_lr;
           Alcotest.test_case "LP bound" `Quick test_lp_bound_dominates;
           Alcotest.test_case "Theorem 1 feasibility" `Slow test_theorem1_feasibility;
+          Alcotest.test_case "stops at the budget's deadline" `Quick
+            test_ilp_stops_at_deadline;
         ] );
       ( "pin_access",
         [
