@@ -187,18 +187,20 @@ let print_rows rows =
             else Some (k :: List.map (fun r -> value r k) flat))
           fields))
 
-let quality_json routability via_count wirelength cpu =
+let quality_json ?(extra = []) routability via_count wirelength cpu =
   Obs.Json.(
     Obj
-      [
-        ("routability", Num routability);
-        ("via_count", num_int via_count);
-        ("wirelength", num_int wirelength);
-        ("cpu", Num cpu);
-      ])
+      ([
+         ("routability", Num routability);
+         ("via_count", num_int via_count);
+         ("wirelength", num_int wirelength);
+         ("cpu", Num cpu);
+       ]
+      @ extra))
 
-let summary_json (s : Eval.summary) =
-  quality_json s.Eval.routability s.Eval.via_count s.Eval.wirelength s.Eval.cpu
+let summary_json ?extra (s : Eval.summary) =
+  quality_json ?extra s.Eval.routability s.Eval.via_count s.Eval.wirelength
+    s.Eval.cpu
 
 (* --------------------------------------------------------------- *)
 (* Table 2                                                          *)
@@ -206,6 +208,22 @@ let summary_json (s : Eval.summary) =
 
 let circuit_row id flows =
   Obs.Json.[ ("id", Str id); ("flows", Obj flows) ]
+
+(* The PAO bytes behind a CPR row, which the bench gate compares
+   exactly: the objective and the LR iterations summed over the panel
+   reports. *)
+let pao_fields (flow : Router.Flow.t) =
+  match flow.Router.Flow.pao with
+  | None -> []
+  | Some pao ->
+    Obs.Json.
+      [
+        ("pao_objective", Num pao.PA.objective);
+        ( "lr_iterations",
+          num_int
+            (List.fold_left (fun k r -> k + r.PA.lr_iterations) 0
+               pao.PA.reports) );
+      ]
 
 let table2 () =
   section "Table 2 — routing quality: [12] sequential / [21] w/o PAO / CPR";
@@ -221,15 +239,16 @@ let table2 () =
                (List.map Audit.Flow_audit.issue_to_string issues));
           (tag, Eval.of_flow ~name:tag flow)
         in
+        let cpr = Router.Cpr.run design in
         let flows =
           [
             audited "seq" (Router.Sequential.run design);
             audited "ncr" (Router.Baseline_ncr.run design);
-            audited "cpr" (Router.Cpr.run design);
+            audited "cpr" cpr;
           ]
         in
         pf "  %s done@." id;
-        (id, flows))
+        (id, flows, pao_fields cpr))
       paper_table2
   in
   let paper p = quality_json p.rout p.via p.wl p.cpu in
@@ -241,8 +260,9 @@ let table2 () =
        paper_table2);
   (* ratio row vs CPR, as in the paper's last line *)
   let total flow f =
-    List.fold_left (fun acc (_, flows) -> acc +. f (List.assoc flow flows)) 0.0
-      measured
+    List.fold_left
+      (fun acc (_, flows, _) -> acc +. f (List.assoc flow flows))
+      0.0 measured
   in
   let ratio flow f = total flow f /. total "cpr" f in
   pf "@.Average ratios over CPR (paper: seq 0.985/1.238/1.160/12.69, ncr 0.962/1.108/0.998/3.26)@.";
@@ -256,8 +276,12 @@ let table2 () =
     [ "seq"; "ncr" ];
   pf "@.Measured at scale %.2f:@." scale;
   List.map
-    (fun (id, flows) ->
-      circuit_row id (List.map (fun (tag, s) -> (tag, summary_json s)) flows))
+    (fun (id, flows, pao) ->
+      circuit_row id
+        (List.map
+           (fun (tag, s) ->
+             (tag, summary_json ~extra:(if tag = "cpr" then pao else []) s))
+           flows))
     measured
 
 (* --------------------------------------------------------------- *)

@@ -46,6 +46,10 @@ let of_exn = function
   | Solver.Milp.Infeasible ->
     Some
       (Solver_failure { solver = "milp"; reason = "instance proved infeasible" })
+  | Solver.Milp.Stopped ->
+    Some
+      (Solver_failure
+         { solver = "milp"; reason = "stopped before any feasible assignment" })
   | _ -> None
 
 let protect f =
@@ -55,7 +59,8 @@ let protect f =
     (match of_exn e with Some t -> Result.Error t | None -> raise e)
 
 let recoverable = function
-  | Error _ | Solver.Milp.Infeasible | Interval_gen.Pin_unreachable _
-  | Failure _ | Invalid_argument _ | Not_found | Assert_failure _ ->
+  | Error _ | Solver.Milp.Infeasible | Solver.Milp.Stopped
+  | Interval_gen.Pin_unreachable _ | Failure _ | Invalid_argument _
+  | Not_found | Assert_failure _ ->
     true
   | _ -> false

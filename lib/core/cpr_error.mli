@@ -30,7 +30,8 @@ val infeasible : ?panel:int -> ('a, unit, string, 'b) format4 -> 'a
 val of_exn : exn -> t option
 (** Map this project's typed exceptions ([Error], {!Netlist.Design_io.Malformed},
     {!Netlist.Design.Invalid}, {!Interval_gen.Pin_unreachable},
-    {!Solver.Milp.Infeasible}) to a {!t}; [None] for anything else. *)
+    {!Solver.Milp.Infeasible}, {!Solver.Milp.Stopped}) to a {!t};
+    [None] for anything else. *)
 
 val protect : (unit -> 'a) -> ('a, t) result
 (** Run a thunk, catching exactly the exceptions {!of_exn} understands;

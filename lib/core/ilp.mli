@@ -5,8 +5,10 @@
     serving several pins is counted once per pin.  Constraint (1b): one
     interval per pin.  Constraint (1c): at most one interval per
     conflict clique.  Theorem 1 (feasibility through minimum intervals)
-    guarantees the solver never raises [Solver.Milp.Infeasible] on a
-    well-formed instance. *)
+    makes every well-formed instance feasible under the paper's
+    conflict relation (clearance 0).  A non-zero design-rule clearance
+    can make an instance infeasible (adjacent same-track pins), and
+    the finished search then raises [Solver.Milp.Infeasible]. *)
 
 type result = {
   solution : Solution.t;
@@ -34,4 +36,7 @@ val solve :
     nodes are the work unit, spent back into the budget); a caller that
     wants a time cap alone passes [Budget.start ~seconds ()].  Under a
     limit the result may carry [proven_optimal = false] — the anytime
-    contract still returns the best feasible incumbent. *)
+    contract still returns the best feasible incumbent.  A limit that
+    stops the search before it has any incumbent raises
+    [Solver.Milp.Stopped], which says nothing about feasibility; a
+    [warm_start] rules it out. *)

@@ -48,7 +48,7 @@ let dual_bound r =
    allocates nothing. *)
 type scratch = {
   best_single : int array;  (* per slot, its top-ranked one-pin candidate *)
-  order : int array;  (* the surviving candidates, then sorted *)
+  order : int array;  (* the surviving multi-pin candidates, then sorted *)
   tmp : int array;  (* merge buffer *)
   assignment : int array;
   multi : int array;  (* ids of the intervals serving several pins *)
@@ -61,24 +61,33 @@ let scratch (problem : Problem.t) =
       (List.filter (fun id -> npins.(id) > 1) (List.init (Array.length npins) Fun.id))
   in
   let num_pins = Problem.num_pins problem in
-  let room = num_pins + Array.length multi in
   {
     best_single = Array.make num_pins (-1);
-    order = Array.make room 0;
-    tmp = Array.make room 0;
+    order = Array.make (Array.length multi) 0;
+    tmp = Array.make (Array.length multi) 0;
     assignment = Array.make num_pins (-1);
     multi;
   }
 
-(* In-place merge sort of [a.(lo) .. a.(hi-1)] under the strict order
-   [before]; [tmp] is as long as [a].  The order is total, so the
-   result is the unique sorted permutation whatever the algorithm. *)
-let rec sort_range before a tmp lo hi =
+(* The greedy's rank: [a] comes strictly before [b] by non-increasing
+   gain, ties broken by same-net pins served (prefer intra-panel
+   connections), then id for determinism.  A total order. *)
+let before gains npins a b =
+  let c = Float.compare gains.(b) gains.(a) in
+  if c <> 0 then c < 0
+  else
+    let c = Int.compare npins.(b) npins.(a) in
+    if c <> 0 then c < 0 else a < b
+
+(* In-place merge sort of [a.(lo) .. a.(hi-1)] under [before]; [tmp] is
+   as long as [a].  The order is total, so the result is the unique
+   sorted permutation whatever the algorithm. *)
+let rec sort_range gains npins a tmp lo hi =
   if hi - lo <= 16 then
     for i = lo + 1 to hi - 1 do
       let x = a.(i) in
       let j = ref (i - 1) in
-      while !j >= lo && before x a.(!j) do
+      while !j >= lo && before gains npins x a.(!j) do
         a.(!j + 1) <- a.(!j);
         decr j
       done;
@@ -86,12 +95,13 @@ let rec sort_range before a tmp lo hi =
     done
   else begin
     let mid = (lo + hi) / 2 in
-    sort_range before a tmp lo mid;
-    sort_range before a tmp mid hi;
+    sort_range gains npins a tmp lo mid;
+    sort_range gains npins a tmp mid hi;
     Array.blit a lo tmp lo (hi - lo);
     let i = ref lo and j = ref mid in
     for k = lo to hi - 1 do
-      if !i < mid && (!j >= hi || not (before tmp.(!j) tmp.(!i))) then begin
+      if !i < mid && (!j >= hi || not (before gains npins tmp.(!j) tmp.(!i)))
+      then begin
         a.(k) <- tmp.(!i);
         incr i
       end
@@ -102,80 +112,68 @@ let rec sort_range before a tmp lo hi =
     done
   end
 
-(* The greedy visits intervals by non-increasing gain, ties broken by
-   same-net pins served (prefer intra-panel connections), then id for
-   determinism.  Only a slot's top-ranked one-pin candidate [s_p] can
-   ever take it alone: every other one-pin candidate of the slot comes
-   after [s_p], by which time the slot is taken.  Likewise a multi-pin
-   interval ranked after [s_p] for any of its slots finds that slot
-   taken.  So the greedy over the survivors — each slot's [s_p] plus
-   the multi-pin intervals ranked ahead of [s_p] on every slot they
-   serve — makes exactly the choices of the greedy over all
-   intervals. *)
+(* The greedy visits intervals in [before] order.  Only a slot's
+   top-ranked one-pin candidate [s_p] can ever take it alone: every
+   other one-pin candidate of the slot comes after [s_p], by which time
+   the slot is taken.  Likewise a multi-pin interval ranked after [s_p]
+   for any of its slots finds that slot taken.  So the greedy over the
+   survivors — each slot's [s_p] plus the multi-pin intervals ranked
+   ahead of [s_p] on every slot they serve — makes exactly the choices
+   of the greedy over all intervals.  Among the survivors the singles
+   never compete: [s_p] is the only one on slot [p], and every
+   surviving multi-pin interval that serves [p] ranks ahead of it.  So
+   [p] ends with [s_p] exactly when no multi-pin survivor took it, and
+   only the multi-pin survivors need ranking. *)
 let max_gains_into ws (problem : Problem.t) ~gains =
   let npins = problem.Problem.npins in
   let slot_start = problem.Problem.slot_start in
   let slot_ids = problem.Problem.slot_ids in
-  let before a b =
-    let c = Float.compare gains.(b) gains.(a) in
-    if c <> 0 then c < 0
-    else
-      let c = Int.compare npins.(b) npins.(a) in
-      if c <> 0 then c < 0 else a < b
-  in
   let best = ws.best_single in
   Array.fill best 0 (Array.length best) (-1);
   for id = 0 to Array.length npins - 1 do
     if npins.(id) = 1 then begin
       let slot = slot_ids.(slot_start.(id)) in
       let b = best.(slot) in
-      if b < 0 || before id b then best.(slot) <- id
+      if b < 0 || before gains npins id b then best.(slot) <- id
     end
   done;
-  let order = ws.order in
+  let order = ws.order and multi = ws.multi in
   let len = ref 0 in
-  Array.iter
-    (fun id ->
-      if id >= 0 then begin
-        order.(!len) <- id;
-        incr len
-      end)
-    best;
-  Array.iter
-    (fun id ->
-      let ok = ref true and k = ref slot_start.(id) in
-      while !ok && !k < slot_start.(id + 1) do
-        let b = best.(slot_ids.(!k)) in
-        if b >= 0 && not (before id b) then ok := false;
-        incr k
-      done;
-      if !ok then begin
-        order.(!len) <- id;
-        incr len
-      end)
-    ws.multi;
-  sort_range before order ws.tmp 0 !len;
+  for i = 0 to Array.length multi - 1 do
+    let id = multi.(i) in
+    let ok = ref true and k = ref slot_start.(id) in
+    while !ok && !k < slot_start.(id + 1) do
+      let b = best.(slot_ids.(!k)) in
+      if b >= 0 && not (before gains npins id b) then ok := false;
+      incr k
+    done;
+    if !ok then begin
+      order.(!len) <- id;
+      incr len
+    end
+  done;
+  sort_range gains npins order ws.tmp 0 !len;
   let assignment = ws.assignment in
   Array.fill assignment 0 (Array.length assignment) (-1);
-  let remaining = ref (Array.length assignment) in
-  let i = ref 0 in
-  while !remaining > 0 && !i < !len do
-    let id = order.(!i) in
+  for i = 0 to !len - 1 do
+    let id = order.(i) in
     let lo = slot_start.(id) and hi = slot_start.(id + 1) in
     let free = ref true and k = ref lo in
     while !free && !k < hi do
       if assignment.(slot_ids.(!k)) >= 0 then free := false;
       incr k
     done;
-    if !free then begin
+    if !free then
       for k = lo to hi - 1 do
         assignment.(slot_ids.(k)) <- id
-      done;
-      remaining := !remaining - (hi - lo)
-    end;
-    incr i
+      done
   done;
-  assert (!remaining = 0)
+  for slot = 0 to Array.length assignment - 1 do
+    if assignment.(slot) < 0 then begin
+      assert (best.(slot) >= 0);
+      assignment.(slot) <- best.(slot)
+    end
+  done
 
 let max_gains (problem : Problem.t) ~gains =
   let ws = scratch problem in
@@ -229,15 +227,6 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited ())
   let iterations = ref 0 in
   let k = ref 0 in
   let since_best = ref 0 in
-  (* the step of clique [m] at iteration [k]: every factor but
-     [common_len.(m)] is fixed for the whole iteration *)
-  let step_of k =
-    match config.constant_step with
-    | Some t -> fun m -> t *. common_len.(m)
-    | None ->
-      let denom = Float.pow (float_of_int k) config.alpha in
-      fun m -> common_len.(m) /. denom
-  in
   let stalled () =
     match config.plateau_exit with
     | Some limit -> !since_best >= limit
@@ -258,54 +247,54 @@ let solve ?(config = default_config) ?(budget = Budget.unlimited ())
     let assignment = ws.assignment in
     Array.fill chosen 0 n false;
     Array.fill counts 0 (Array.length counts) 0;
-    Array.iter
-      (fun id ->
-        if not chosen.(id) then begin
-          chosen.(id) <- true;
-          for k = clique_start.(id) to clique_start.(id + 1) - 1 do
-            let m = clique_ids.(k) in
-            counts.(m) <- counts.(m) + 1
-          done
-        end)
-      assignment;
+    for slot = 0 to Array.length assignment - 1 do
+      let id = assignment.(slot) in
+      if not chosen.(id) then begin
+        chosen.(id) <- true;
+        for k = clique_start.(id) to clique_start.(id + 1) - 1 do
+          let m = clique_ids.(k) in
+          counts.(m) <- counts.(m) + 1
+        done
+      end
+    done;
     (* penalize: walk every clique in order, move multipliers along the
-       subgradient (Eq. 3) *)
-    let step = step_of !k in
+       subgradient (Eq. 3); the step of clique [m] is [common_len.(m)]
+       times a factor fixed for the whole iteration *)
+    let denom = Float.pow (float_of_int !k) config.alpha in
     let vio = ref 0 in
-    Array.iteri
-      (fun m (clique : Conflict.clique) ->
-        let cnt = counts.(m) in
-        let cap = clique.Conflict.cap in
-        let g = float_of_int (cnt - cap) in
-        if cnt > cap then incr vio;
-        let update =
-          if config.full_subgradient then cnt > cap || lambda.(m) > 0.0
-          else cnt > cap
+    for m = 0 to Array.length cliques - 1 do
+      let cnt = counts.(m) and cap = cliques.(m).Conflict.cap in
+      if cnt > cap then incr vio;
+      if cnt > cap || (config.full_subgradient && lambda.(m) > 0.0) then begin
+        let s =
+          match config.constant_step with
+          | Some t -> t *. common_len.(m)
+          | None -> common_len.(m) /. denom
         in
-        if update then begin
-          let s = step m in
-          Obs.Metrics.record step_size s;
-          let lam' = Float.max 0.0 (lambda.(m) +. (s *. g)) in
-          let delta = lam' -. lambda.(m) in
-          if delta <> 0.0 then begin
-            lambda.(m) <- lam';
-            Array.iter
-              (fun id -> penalties.(id) <- penalties.(id) +. delta)
-              clique.Conflict.members
-          end
-        end)
-      cliques;
-    let relaxed =
-      let sel = ref 0.0 in
-      Array.iteri (fun id c -> if c then sel := !sel +. gains.(id)) chosen;
-      (* sum of lambda_m * cap_m; cap = 1 keeps the original sum *)
-      let acc = ref !sel in
-      Array.iteri
-        (fun m lam ->
-          acc := !acc +. (lam *. float_of_int cliques.(m).Conflict.cap))
-        lambda;
-      !acc
-    in
+        Obs.Metrics.record step_size s;
+        let g = float_of_int (cnt - cap) in
+        let lam' = Float.max 0.0 (lambda.(m) +. (s *. g)) in
+        let delta = lam' -. lambda.(m) in
+        if delta <> 0.0 then begin
+          lambda.(m) <- lam';
+          let members = cliques.(m).Conflict.members in
+          for i = 0 to Array.length members - 1 do
+            penalties.(members.(i)) <- penalties.(members.(i)) +. delta
+          done
+        end
+      end
+    done;
+    (* the selected gains, then the sum of lambda_m * cap_m (cap = 1
+       keeps the original sum) *)
+    let relaxed = ref 0.0 in
+    for id = 0 to n - 1 do
+      if chosen.(id) then relaxed := !relaxed +. gains.(id)
+    done;
+    for m = 0 to Array.length lambda - 1 do
+      let cap = float_of_int cliques.(m).Conflict.cap in
+      relaxed := !relaxed +. (lambda.(m) *. cap)
+    done;
+    let relaxed = !relaxed in
     Obs.Metrics.record violations (float_of_int !vio);
     history :=
       { iteration = !k; violations = !vio; relaxed_objective = relaxed }

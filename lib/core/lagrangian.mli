@@ -89,4 +89,14 @@ val max_gains : Problem.t -> gains:float array -> int array
     slot, the selected interval id.  Intervals are scanned by
     non-increasing gain, ties broken by the number of same-net pins
     served; an interval is selected only if all its pins are still
-    unassigned.  Exposed for tests and benches. *)
+    unassigned.  Exposed for tests and benches.
+
+    The choices are exactly those of that scan, but only part of it is
+    ranked.  Per slot, only the top-ranked one-pin candidate can ever
+    be selected, since the slot is taken by the time any other comes
+    up; and a multi-pin interval ranked after it on one of its slots
+    finds that slot taken.  The top singles never compete with each
+    other (one per slot), and every remaining multi-pin interval ranks
+    ahead of the top single of each slot it serves.  So the greedy
+    ranks and scans only those multi-pin intervals, then gives every
+    slot they left free its top single. *)

@@ -14,6 +14,7 @@ type stats = {
 type solution = { objective : float; values : bool array; stats : stats }
 
 exception Infeasible
+exception Stopped
 
 let objective_of p values =
   let total = ref 0.0 in
@@ -323,7 +324,9 @@ let branch_and_bound ?(should_stop = fun () -> false) ?(node_limit = max_int)
     done;
     if pick_branch_row () < 0 then record_solution ()
   end;
-  if !incumbent = neg_infinity then raise Infeasible;
+  (* only a finished search proves infeasibility *)
+  if !incumbent = neg_infinity then
+    raise (if !limited then Stopped else Infeasible);
   {
     objective = !incumbent;
     values = Array.copy best_values;

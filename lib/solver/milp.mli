@@ -39,6 +39,12 @@ type stats = {
 type solution = { objective : float; values : bool array; stats : stats }
 
 exception Infeasible
+(** The finished search proved that no assignment satisfies every row. *)
+
+exception Stopped
+(** A limit stopped the search before it reached a feasible assignment,
+    and the greedy dive from the root dead-ended as well: the instance
+    may still be feasible. *)
 
 val solve :
   ?should_stop:(unit -> bool) ->
@@ -51,6 +57,7 @@ val solve :
     [node_limit] nodes (default unlimited) or when [should_stop]
     (default never), polled every 256 nodes, answers [true].
     @raise Infeasible when some [Choose_one] row cannot be satisfied.
+    @raise Stopped when the search ended early with no incumbent.
     @raise Invalid_argument on malformed input (variable out of range,
     variable in no [Choose_one] row, duplicate variable in a row,
     [At_most] capacity below 1). *)

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
 """Bench regression gate: diff BENCH.json against the committed baseline.
 
-Gates only the deterministic quality metrics (routability, via count,
-wirelength) per circuit and flow -- the whole pipeline is bit-identical
-across runs and machines, so these should only drift when the code
-changes them.  Every other invariant is checked by bench/main.exe where
-it computes the value; a failed check makes the bench itself exit 1.
+Gates only deterministic fields per circuit -- the whole pipeline is
+bit-identical across runs and machines, so these should only drift when
+the code changes them.  Every other invariant is checked by
+bench/main.exe where it computes the value; a failed check makes the
+bench itself exit 1.
 
-A metric fails the gate when it moves in the *worse* direction (lower
-routability, more vias, more wirelength) by more than RTOL.
-Improvements are reported as notes.  The baseline is one committed file
-at one scale, so a BENCH.json recorded at another scale is refused
-before any diff.
+A quality metric (routability, via count, wirelength; every flow) fails
+the gate when it moves in the *worse* direction (lower routability,
+more vias, more wirelength) by more than RTOL; improvements are
+reported as notes.  The PAO bytes of the CPR flow (its objective and
+summed LR iterations) fail on any move at all, like a golden-file diff.
+The baseline is one committed file at one scale, so a BENCH.json
+recorded at another scale is refused before any diff.
 
 Usage:
     scripts/bench_gate.py [--current BENCH.json]
@@ -29,6 +31,8 @@ FLOWS = ("seq", "ncr", "cpr")
 METRICS = {"routability": +1, "via_count": -1, "wirelength": -1}
 # relative move in the worse direction before a metric fails
 RTOL = 0.01
+# fields of the cpr flow that must match the baseline exactly
+EXACT = ("pao_objective", "lr_iterations")
 
 
 def load(path):
@@ -79,6 +83,11 @@ def main():
                     failures.append(tag)
                 else:
                     notes.append(tag)
+        for field in EXACT:
+            b = base_flows["cpr"].get(field)
+            c = cur[cid]["cpr"].get(field)
+            if b is None or b != c:
+                failures.append(f"{cid}.cpr.{field}: {b} -> {c} (must not move)")
 
     for cid in sorted(set(cur) - set(base)):
         notes.append(f"{cid}: new circuit, not in baseline")
@@ -88,17 +97,17 @@ def main():
         for n in notes:
             print(f"  note  {n}")
     if failures:
-        print("bench gate: QUALITY REGRESSION vs committed baseline:", file=sys.stderr)
+        print("bench gate: FAILED against the committed baseline:", file=sys.stderr)
         for f in failures:
             print(f"  FAIL  {f}", file=sys.stderr)
         print(
-            "If the regression is intended, regenerate bench/BASELINE.json "
+            "If the change is intended, regenerate bench/BASELINE.json "
             "(see .github/workflows/README.md) and commit it with an "
             "explanation.",
             file=sys.stderr,
         )
         return 1
-    print(f"bench gate: OK ({len(base)} circuits, rtol {RTOL})")
+    print(f"bench gate: OK ({len(base)} circuits, rtol {RTOL}, PAO exact)")
     return 0
 
 

@@ -115,6 +115,30 @@ let test_ilp_stops_at_deadline () =
   check "the deadline ends the search" false cut.Ilp.proven_optimal;
   check_int "at the third poll" 768 cut.Ilp.nodes
 
+(* A limit that stops the search before its first feasible leaf proves
+   nothing.  ecc@0.04 panel 2 is feasible (LR finds a conflict-free
+   assignment), but 20,000 nodes reach no leaf there and the greedy
+   dive dead-ends: the search must report itself stopped, an outcome
+   the degradation ladder absorbs, never [Infeasible]. *)
+let test_ilp_stopped_is_not_infeasible () =
+  let d = Workloads.Suite.design ~scale:0.04 (Workloads.Suite.find "ecc") in
+  let problem = P.build_panel cfg d ~panel:2 in
+  let lr = Pinaccess.Lagrangian.solve problem in
+  check "feasible: LR is conflict-free" true
+    (Sol.is_conflict_free lr.Pinaccess.Lagrangian.solution);
+  match
+    Ilp.solve ~budget:(Pinaccess.Budget.start ~work_units:20_000 ()) problem
+  with
+  | r -> check "an incumbent is conflict-free" true (Sol.is_conflict_free r.Ilp.solution)
+  | exception Solver.Milp.Infeasible ->
+    Alcotest.fail "a stopped search raised Infeasible"
+  | exception (Solver.Milp.Stopped as e) ->
+    check "the ladder absorbs it" true (Pinaccess.Cpr_error.recoverable e);
+    check "a solver failure" true
+      (match Pinaccess.Cpr_error.of_exn e with
+      | Some (Pinaccess.Cpr_error.Solver_failure _) -> true
+      | _ -> false)
+
 let test_pin_access_top_level () =
   let d = fig3_design () in
   let lr = PA.optimize ~kind:PA.Lr d in
@@ -155,6 +179,8 @@ let () =
           Alcotest.test_case "Theorem 1 feasibility" `Slow test_theorem1_feasibility;
           Alcotest.test_case "stops at the budget's deadline" `Quick
             test_ilp_stops_at_deadline;
+          Alcotest.test_case "stopped is not infeasible" `Quick
+            test_ilp_stopped_is_not_infeasible;
         ] );
       ( "pin_access",
         [

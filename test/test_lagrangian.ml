@@ -231,15 +231,52 @@ let multi_pin problem =
     (fun iv -> List.length iv.Pinaccess.Access_interval.pins > 1)
     problem.P.intervals
 
-(* panels with multi-pin intervals, small to mid-size *)
+(* An earlier multi-pin interval (0) takes a slot of a later one (1):
+   the later one is rejected, and its other slot falls back to that
+   slot's best single (4).  Slot 3 has no single candidate at all and
+   is served by a multi-pin interval (5). *)
+let test_max_gains_rejected_multi () =
+  let d =
+    B.design ~width:20 ~height:10
+      ~nets:[ ("a", List.map (fun x -> B.pin_at x 3) [ 2; 4; 6; 8; 10 ]) ]
+      ()
+  in
+  let iv id pins lo hi kind =
+    Pinaccess.Access_interval.make ~id ~net:0 ~pins ~track:3
+      ~span:(I.make ~lo ~hi) ~kind
+  in
+  let single = Pinaccess.Access_interval.Minimum
+  and multi = Pinaccess.Access_interval.Regular in
+  let problem =
+    P.of_intervals cfg d
+      [|
+        iv 0 [ 0; 1 ] 2 4 multi;
+        iv 1 [ 1; 2 ] 4 6 multi;
+        iv 2 [ 0 ] 2 2 single;
+        iv 3 [ 1 ] 4 4 single;
+        iv 4 [ 2 ] 6 6 single;
+        iv 5 [ 3; 4 ] 8 10 multi;
+        iv 6 [ 4 ] 10 10 single;
+      |]
+  in
+  let gains = [| 10.0; 9.0; 1.0; 1.0; 2.0; 5.0; 1.0 |] in
+  let expected = [| 0; 0; 4; 5; 5 |] in
+  Alcotest.(check (array int)) "greedy" expected (LR.max_gains problem ~gains);
+  Alcotest.(check (array int)) "full-sort reference" expected
+    (reference_max_gains problem ~gains)
+
+(* panels with multi-pin intervals, small to mid-size, plus one mega
+   panel with hundreds of multi-pin survivors per call *)
 let property_pool =
   lazy
     (let suite id scale = Workloads.Suite.design ~scale (Workloads.Suite.find id) in
      let ecc = suite "ecc" 0.05 and div = suite "div" 0.05 in
+     let mega = Workloads.Suite.design ~scale:0.02 Workloads.Suite.mega in
      let pool =
        P.build_panel cfg (fig3_design ()) ~panel:0
        :: List.map (fun panel -> P.build_panel cfg ecc ~panel) [ 0; 1; 2 ]
        @ List.map (fun panel -> P.build_panel cfg div ~panel) [ 0; 3 ]
+       @ [ P.build_panel cfg mega ~panel:20 ]
      in
      Array.of_list (List.filter multi_pin pool))
 
@@ -470,5 +507,7 @@ let () =
         [
           Alcotest.test_case "golden result digests" `Quick test_golden_digests;
           QCheck_alcotest.to_alcotest prop_max_gains_matches_reference;
+          Alcotest.test_case "maxGains rejected multi" `Quick
+            test_max_gains_rejected_multi;
         ] );
     ]
