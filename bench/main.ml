@@ -796,7 +796,9 @@ let mega_exp () =
    panels; the wall of [Eco.Engine.apply] is then compared against a
    full [PA.optimize] of the same post-edit design, on the same clock.
    The >=3x factor is the expected shape, not a check, to keep the
-   smoke run flake-free on loaded runners. *)
+   smoke run flake-free on loaded runners.  The final PAO objective,
+   the hit rate and the warm-start count are the stream's bytes, which
+   [scripts/bench_gate.py] holds to the baseline exactly. *)
 let eco_exp () =
   section "ECO — incremental re-optimization at 5% dirty panels";
   pf "(each step moves pins in ~5%% of the panels; incremental = panel@.";
@@ -844,6 +846,7 @@ let eco_exp () =
           ("speedup", Num speedup);
           ("hit_rate", Num hit_rate);
           ("warm_started", num_int !warm);
+          ("pao_objective", Num (Eco.Engine.pao engine).PA.objective);
         ])
     (circuits ())
 

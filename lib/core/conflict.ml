@@ -7,91 +7,120 @@ type clique = {
   common : Geometry.Interval.t;
 }
 
-(* Sweep one track's intervals (sorted by left edge).  A maximal clique
-   of an interval graph is the active set at the smallest right edge of
-   its members; emitting at each distinct "some interval ends next"
-   point after at least one new interval started yields every maximal
-   clique exactly once.  Intervals are inflated by [clearance] on the
-   right so the selection keeps line-end-cut room. *)
-let sweep_track ~clearance ~track intervals =
-  let eff_hi (iv : Access_interval.t) = I.hi iv.span + clearance in
-  let sorted =
-    List.sort
-      (fun (a : Access_interval.t) b -> I.compare a.span b.span)
-      intervals
-  in
-  let ends =
-    List.sort_uniq Int.compare
-      (List.map (fun iv -> eff_hi iv) intervals)
-  in
-  let cliques = ref [] in
-  let active = ref [] in
-  let pending = ref sorted in
-  let fresh = ref false in
-  List.iter
-    (fun x ->
+(* Sweep one track's intervals, the positions [order.(first) ..
+   order.(stop - 1)] of [intervals] sorted by left edge.  A maximal
+   clique of an interval graph is the active set at the smallest right
+   edge of its members; emitting at each distinct "some interval ends
+   next" point after at least one new interval started yields every
+   maximal clique exactly once.  Intervals are inflated by [clearance]
+   on the right so the selection keeps line-end-cut room.  The active
+   set lives in one array kept in ascending id order; intervals that
+   ended are dropped from it only when a clique is emitted, whose
+   members are then a copy of it. *)
+let sweep_track ~clearance intervals order ~first ~stop emit =
+  let eff_hi pos = I.hi intervals.(pos).Access_interval.span + clearance in
+  let id pos = intervals.(pos).Access_interval.id in
+  let track = intervals.(order.(first)).Access_interval.track in
+  let n = stop - first in
+  let ends = Array.init n (fun k -> eff_hi order.(first + k)) in
+  Array.stable_sort Int.compare ends;
+  let active = Array.make n 0 and nactive = ref 0 in
+  let next = ref first and fresh = ref false in
+  for e = 0 to n - 1 do
+    let x = ends.(e) in
+    if e = 0 || x <> ends.(e - 1) then begin
       (* admit intervals starting at or before x *)
-      let rec admit () =
-        match !pending with
-        | (iv : Access_interval.t) :: rest when I.lo iv.span <= x ->
-          pending := rest;
-          if eff_hi iv >= x then begin
-            active := iv :: !active;
-            fresh := true
-          end;
-          admit ()
-        | _ -> ()
-      in
-      admit ();
-      (* retire intervals ending before x *)
-      active := List.filter (fun iv -> eff_hi iv >= x) !active;
-      if !fresh && !active <> [] then begin
-        let members =
-          !active
-          |> List.map (fun (iv : Access_interval.t) -> iv.id)
-          |> List.sort Int.compare
-          |> Array.of_list
-        in
-        let lo =
-          List.fold_left
-            (fun acc (iv : Access_interval.t) -> max acc (I.lo iv.span))
-            min_int !active
-        in
-        cliques :=
-          { track; cap = 1; members; common = I.make ~lo ~hi:x } :: !cliques;
+      while
+        !next < stop && I.lo intervals.(order.(!next)).Access_interval.span <= x
+      do
+        let pos = order.(!next) in
+        incr next;
+        if eff_hi pos >= x then begin
+          let j = ref !nactive in
+          while !j > 0 && id active.(!j - 1) > id pos do
+            active.(!j) <- active.(!j - 1);
+            decr j
+          done;
+          active.(!j) <- pos;
+          incr nactive;
+          fresh := true
+        end
+      done;
+      if !fresh then begin
+        (* retire intervals ending before x; the fresh ones stay *)
+        let kept = ref 0 and lo = ref min_int in
+        for k = 0 to !nactive - 1 do
+          let pos = active.(k) in
+          if eff_hi pos >= x then begin
+            active.(!kept) <- pos;
+            incr kept;
+            lo := max !lo (I.lo intervals.(pos).Access_interval.span)
+          end
+        done;
+        nactive := !kept;
+        let members = Array.init !kept (fun k -> id active.(k)) in
+        emit { track; cap = 1; members; common = I.make ~lo:!lo ~hi:x };
         fresh := false
-      end)
-    ends;
-  List.rev !cliques
+      end
+    end
+  done
 
-let by_track intervals =
-  let table = Hashtbl.create 64 in
-  Array.iter
-    (fun (iv : Access_interval.t) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt table iv.track) in
-      Hashtbl.replace table iv.track (iv :: cur))
-    intervals;
-  table
+(* Sweep every track of [positions] (any order) in ascending track
+   order; the generator's output is already sorted, so the sort is
+   skipped for it. *)
+let sweep_tracks ~clearance intervals positions emit =
+  let compare a b =
+    let ia = intervals.(a) and ib = intervals.(b) in
+    let c = Int.compare ia.Access_interval.track ib.Access_interval.track in
+    if c <> 0 then c
+    else
+      let c =
+        Int.compare (I.lo ia.Access_interval.span) (I.lo ib.Access_interval.span)
+      in
+      if c <> 0 then c else Int.compare a b
+  in
+  let n = Array.length positions in
+  let sorted = ref true in
+  for k = 1 to n - 1 do
+    if compare positions.(k - 1) positions.(k) > 0 then sorted := false
+  done;
+  if not !sorted then Array.sort compare positions;
+  let first = ref 0 in
+  while !first < n do
+    let track = intervals.(positions.(!first)).Access_interval.track in
+    let stop = ref (!first + 1) in
+    while
+      !stop < n && intervals.(positions.(!stop)).Access_interval.track = track
+    do
+      incr stop
+    done;
+    sweep_track ~clearance intervals positions ~first:!first ~stop:!stop emit;
+    first := !stop
+  done
+
+let collect sweep =
+  let out = ref [] in
+  sweep (fun c -> out := c :: !out);
+  Array.of_list (List.rev !out)
 
 let detect ?(clearance = 0) intervals =
   Array.iteri
     (fun i (iv : Access_interval.t) ->
       if iv.id <> i then invalid_arg "Conflict.detect: ids must be dense")
     intervals;
-  let table = by_track intervals in
-  let tracks = Hashtbl.fold (fun tr _ acc -> tr :: acc) table [] in
-  List.sort Int.compare tracks
-  |> List.concat_map (fun track ->
-         sweep_track ~clearance ~track (Hashtbl.find table track)
-         |> List.filter (fun c -> Array.length c.members >= 2))
-  |> Array.of_list
+  collect (fun emit ->
+      sweep_tracks ~clearance intervals
+        (Array.init (Array.length intervals) Fun.id)
+        (fun c -> if Array.length c.members >= 2 then emit c))
 
 let cliques_of_track ?(clearance = 0) intervals ~track =
-  let on_track =
-    Array.to_list intervals
-    |> List.filter (fun (iv : Access_interval.t) -> iv.track = track)
-  in
-  Array.of_list (sweep_track ~clearance ~track on_track)
+  let on_track = ref [] in
+  Array.iteri
+    (fun pos (iv : Access_interval.t) ->
+      if iv.track = track then on_track := pos :: !on_track)
+    intervals;
+  collect
+    (sweep_tracks ~clearance intervals (Array.of_list (List.rev !on_track)))
 
 (* Color cliques: maximal sets of intervals that pairwise conflict
    under the TPL color relation (tracks within the window, x-spans

@@ -24,7 +24,8 @@ type clique = {
 
 val detect : ?clearance:int -> Access_interval.t array -> clique array
 (** All maximal cliques of size >= 2 across every track, emitted in
-    sweep order.  Input intervals must carry ids equal to their array
+    sweep order (tracks ascending, then by right edge).  Input
+    intervals, in any order, must carry ids equal to their array
     index.
 
     [clearance] (default 0) makes the conflict relation design-rule

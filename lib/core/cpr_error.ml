@@ -43,10 +43,10 @@ let of_exn = function
              Printf.sprintf
                "pin %d unreachable: its primary track is blocked" pid;
          })
-  | Solver.Milp.Infeasible ->
+  | Solver.Milp.Infeasible _ ->
     Some
       (Solver_failure { solver = "milp"; reason = "instance proved infeasible" })
-  | Solver.Milp.Stopped ->
+  | Solver.Milp.Stopped _ ->
     Some
       (Solver_failure
          { solver = "milp"; reason = "stopped before any feasible assignment" })
@@ -59,7 +59,7 @@ let protect f =
     (match of_exn e with Some t -> Result.Error t | None -> raise e)
 
 let recoverable = function
-  | Error _ | Solver.Milp.Infeasible | Solver.Milp.Stopped
+  | Error _ | Solver.Milp.Infeasible _ | Solver.Milp.Stopped _
   | Interval_gen.Pin_unreachable _ | Failure _ | Invalid_argument _
   | Not_found | Assert_failure _ ->
     true

@@ -37,14 +37,26 @@ let solve ?warm_start ?(root_lp = false) ?(budget = Budget.unlimited ())
   let warm_start = Option.map Solution.chosen warm_start in
   (* the search runs on whatever the budget has left: it polls the
      budget's deadline, and branch-and-bound nodes are the work unit *)
-  let sol =
-    Solver.Milp.solve
-      ~should_stop:(fun () -> Budget.exhausted budget)
-      ?node_limit:(Budget.remaining_work budget)
-      ?warm_start ~root_lp milp
+  let charge nodes =
+    Budget.spend budget nodes;
+    Obs.Metrics.add m_nodes nodes
   in
-  Budget.spend budget sol.Solver.Milp.stats.Solver.Milp.nodes;
-  Obs.Metrics.add m_nodes sol.Solver.Milp.stats.Solver.Milp.nodes;
+  let sol =
+    match
+      Solver.Milp.solve
+        ~should_stop:(fun () -> Budget.exhausted budget)
+        ?node_limit:(Budget.remaining_work budget)
+        ?warm_start ~root_lp milp
+    with
+    | sol -> sol
+    | exception
+        ((Solver.Milp.Infeasible { nodes } | Solver.Milp.Stopped { nodes }) as e)
+      ->
+      (* a search that ends without an answer is charged all the same *)
+      charge nodes;
+      raise e
+  in
+  charge sol.Solver.Milp.stats.Solver.Milp.nodes;
   let solution = Solution.of_chosen problem ~chosen:sol.Solver.Milp.values in
   assert (Solution.is_conflict_free solution);
   {

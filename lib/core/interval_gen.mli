@@ -53,12 +53,20 @@ exception Pin_unreachable of Netlist.Pin.id
 
 val generate_pin :
   config -> Netlist.Design.t -> Netlist.Pin.t -> (Netlist.Pin.id list * int * Geometry.Interval.t * Access_interval.kind) list
-(** Raw candidates for one pin as [(pins_served, track, span, kind)];
-    exposed for unit tests.  Candidates of several pins must still be
-    deduplicated by [generate_panel]. *)
+(** Raw candidates for one pin as [(pins_served, track, span, kind)]:
+    the minimum interval of every free track, then each free track's
+    regular candidates in (left, right) edge order; [pins_served] is in
+    column order.  Exposed for unit tests and the library checker.
+    Candidates of several pins must still be deduplicated by
+    [generate_panel], which runs the same kernel. *)
 
 val generate_panel :
   config -> Netlist.Design.t -> panel:int -> Access_interval.t array
 (** All access intervals of a panel, deduplicated ([(net, track, span)]
-    identifies an interval; the pin lists of duplicates are merged),
-    with dense ids [0..n-1]. *)
+    identifies an interval, a minimum one when any duplicate is), with
+    dense ids [0..n-1] in (track, lo, hi, net) order.  An interval's
+    pins are in column order, or in ascending id order when several
+    candidates merged into it.  Each pin records its candidate count in
+    the [pao.intervals_per_pin] histogram, in the panel's pin order, up
+    to the first pin whose primary track is blocked, which raises
+    {!Pin_unreachable}. *)

@@ -77,22 +77,31 @@ let minimum_solution (problem : Problem.t) =
 
 (* One tier attempt: (solution, lr_iterations, complete, tier) where
    [complete] means the tier ran to its own finish rather than being
-   cut short by the budget. *)
-let ilp_tier config ~budget (problem : Problem.t) =
+   cut short by the budget.  [lr_run] receives the LR solve of
+   [problem] that seeds the incumbent. *)
+let ilp_tier config ~budget ~lr_run (problem : Problem.t) =
   Obs.Trace.with_span "pao.tier.ilp" @@ fun () ->
   Fault.trip Fault.Ilp;
   (* the LR solution seeds the incumbent *)
-  let warm_start_of p =
+  let lr_of p =
     match Lagrangian.solve ~config:config.lr ~budget p with
-    | lr when Solution.is_conflict_free lr.Lagrangian.solution ->
-      Some lr.Lagrangian.solution
-    | _ -> None
+    | lr -> Some lr
     | exception e when Cpr_error.recoverable e -> None
   in
-  let solve p = Ilp.solve ~budget ?warm_start:(warm_start_of p) p in
+  let solve p lr =
+    let warm_start =
+      match lr with
+      | Some lr when Solution.is_conflict_free lr.Lagrangian.solution ->
+        Some lr.Lagrangian.solution
+      | Some _ | None -> None
+    in
+    Ilp.solve ~budget ?warm_start p
+  in
   let r =
-    try solve problem
-    with Solver.Milp.Infeasible ->
+    let lr = lr_of problem in
+    lr_run := lr;
+    try solve problem lr
+    with Solver.Milp.Infeasible _ ->
       (* the design-rule clearance can make strict feasibility
          impossible (adjacent same-track pins); fall back to the
          paper's original conflict relation for this instance *)
@@ -103,14 +112,20 @@ let ilp_tier config ~budget (problem : Problem.t) =
         Problem.of_intervals relaxed problem.Problem.design
           problem.Problem.intervals
       in
-      solve problem0
+      solve problem0 (lr_of problem0)
   in
   (r.Ilp.solution, 0, r.Ilp.proven_optimal, Tier_ilp)
 
-let lr_tier ?warm_start config ~budget (problem : Problem.t) =
+(* [solved]: this very solve, already run (and metered) by the ILP
+   tier, which the rung serves instead of repeating it *)
+let lr_tier ?warm_start ?solved config ~budget (problem : Problem.t) =
   Obs.Trace.with_span "pao.tier.lr" @@ fun () ->
   Fault.trip Fault.Lr;
-  let r = Lagrangian.solve ~config:config.lr ~budget ?warm_start problem in
+  let r =
+    match solved with
+    | Some r -> r
+    | None -> Lagrangian.solve ~config:config.lr ~budget ?warm_start problem
+  in
   (r.Lagrangian.solution, r.Lagrangian.iterations,
    not r.Lagrangian.budget_expired, Tier_lr, r.Lagrangian.multipliers)
 
@@ -125,11 +140,16 @@ let solve_problem ?warm_start config ~budget kind ~panel
     else
       match kind with
       | Ilp ->
+        let lr_run = ref None in
         [
           (fun () ->
-            let s, it, c, t = ilp_tier config ~budget problem in
+            let s, it, c, t = ilp_tier config ~budget ~lr_run problem in
             (s, it, c, t, [||]));
-          (fun () -> lr_tier ?warm_start config ~budget problem);
+          (fun () ->
+            (* without an ECO warm start the LR rung would repeat the
+               ILP tier's seeding solve exactly *)
+            let solved = if warm_start = None then !lr_run else None in
+            lr_tier ?warm_start ?solved config ~budget problem);
           (fun _ -> minimum_tier problem);
         ]
       | Lr ->

@@ -30,28 +30,64 @@ let csr rows ~length ~fill =
   (start, ids)
 
 let of_intervals config design intervals =
-  let pin_set = Hashtbl.create 256 in
-  Array.iter
-    (fun (iv : Access_interval.t) ->
-      List.iter (fun pid -> Hashtbl.replace pin_set pid ()) iv.pins)
-    intervals;
-  let pin_ids =
-    Hashtbl.fold (fun pid () acc -> pid :: acc) pin_set []
-    |> List.sort Int.compare |> Array.of_list
+  let n = Array.length intervals in
+  let npins =
+    Array.map (fun (iv : Access_interval.t) -> List.length iv.pins) intervals
   in
-  let pin_slot = Hashtbl.create (Array.length pin_ids) in
-  Array.iteri (fun slot pid -> Hashtbl.add pin_slot pid slot) pin_ids;
-  let candidates = Array.make (Array.length pin_ids) [] in
+  (* Number the pins by first appearance, one hash probe per pin
+     reference, then rank the distinct ones: [pin_ids] ascending, and
+     [slot_ids] (laid out as the interval-ordered references) through
+     the first-appearance number. *)
+  let slot_start = Array.make (n + 1) 0 in
+  Array.iteri (fun i k -> slot_start.(i + 1) <- slot_start.(i) + k) npins;
+  let slot_ids = Array.make slot_start.(n) 0 in
+  let first_seen = Hashtbl.create 256 and seen = ref [] and distinct = ref 0 in
+  let k = ref 0 in
   Array.iter
     (fun (iv : Access_interval.t) ->
       List.iter
         (fun pid ->
-          let slot = Hashtbl.find pin_slot pid in
-          candidates.(slot) <- iv.id :: candidates.(slot))
+          let number =
+            match Hashtbl.find_opt first_seen pid with
+            | Some number -> number
+            | None ->
+              let number = !distinct in
+              Hashtbl.add first_seen pid number;
+              seen := pid :: !seen;
+              incr distinct;
+              number
+          in
+          slot_ids.(!k) <- number;
+          incr k)
         iv.pins)
     intervals;
+  let distinct = !distinct in
+  let ranked = Array.make distinct 0 in
+  List.iteri
+    (fun i pid -> ranked.(i) <- (pid * distinct) + (distinct - 1 - i))
+    !seen;
+  Array.stable_sort Int.compare ranked;
+  let pin_ids = Array.map (fun r -> r / distinct) ranked in
+  let slot_of_number = Array.make distinct 0 in
+  Array.iteri (fun slot r -> slot_of_number.(r mod distinct) <- slot) ranked;
+  Array.iteri (fun k number -> slot_ids.(k) <- slot_of_number.(number)) slot_ids;
+  let pin_slot = Hashtbl.create distinct in
+  Array.iteri (fun slot pid -> Hashtbl.add pin_slot pid slot) pin_ids;
+  (* per slot, the intervals serving it, ascending: the slot table
+     transposed in interval order *)
   let pin_candidates =
-    Array.map (fun ids -> Array.of_list (List.sort Int.compare ids)) candidates
+    let count = Array.make (Array.length pin_ids) 0 in
+    Array.iter (fun slot -> count.(slot) <- count.(slot) + 1) slot_ids;
+    let rows = Array.map (fun c -> Array.make c 0) count in
+    let fill = Array.make (Array.length pin_ids) 0 in
+    for i = 0 to n - 1 do
+      for k = slot_start.(i) to slot_start.(i + 1) - 1 do
+        let slot = slot_ids.(k) in
+        rows.(slot).(fill.(slot)) <- i;
+        fill.(slot) <- fill.(slot) + 1
+      done
+    done;
+    rows
   in
   let cliques =
     let access =
@@ -64,18 +100,6 @@ let of_intervals config design intervals =
   in
   let profits =
     Array.map (Objective.profit config.Interval_gen.weighting) intervals
-  in
-  let n = Array.length intervals in
-  let npins =
-    Array.map (fun (iv : Access_interval.t) -> List.length iv.pins) intervals
-  in
-  (* per interval, the slots of its pins in [pins] order *)
-  let slot_start, slot_ids =
-    csr n ~length:(Array.get npins) ~fill:(fun push ->
-        Array.iter
-          (fun (iv : Access_interval.t) ->
-            List.iter (fun pid -> push iv.id (Hashtbl.find pin_slot pid)) iv.pins)
-          intervals)
   in
   (* per interval, the indices of the cliques containing it, ascending *)
   let clique_start, clique_ids =

@@ -91,6 +91,34 @@ val apply_all : Netlist.Design.t -> t list -> Netlist.Design.t
 (** Apply a batch left to right with a single rebuild at the end.
     @raise Invalid with the offending delta's [index]. *)
 
+(** {2 The spec a batch edits}
+
+    A design decomposes into the spec {!Netlist.Builder} consumes: named
+    nets of pin shapes plus blockages.  Deltas edit the spec, and only a
+    rebuild re-validates it and re-densifies ids, so a batch can be
+    applied, and read back, on the spec alone. *)
+
+type spec = {
+  name : string;
+  width : int;
+  height : int;
+  row_height : int;
+  nets : (string * Netlist.Builder.pin_spec list) list;
+      (** in net-id order, each net's pins in pin-id order *)
+  blockages : Netlist.Blockage.t list;
+}
+
+val spec_of_design : Netlist.Design.t -> spec
+
+val apply_spec : ?index:int -> spec -> t -> spec
+(** One delta on the spec, with every check {!apply} makes short of the
+    rebuild; a spec that went through them rebuilds without error.
+    @raise Invalid as {!apply} would, carrying [index]. *)
+
+val rebuild : ?index:int -> spec -> Netlist.Design.t
+(** The design of a spec.  @raise Invalid when {!Netlist.Design.create}
+    rejects it. *)
+
 val apply_config :
   Pinaccess.Interval_gen.config -> t -> Pinaccess.Interval_gen.config
 (** Fold rule-deck deltas ([Set_clearance]) into an interval-generation

@@ -32,9 +32,11 @@ type t = {
 
 val compute :
   before:Netlist.Design.t -> Delta.t list -> Netlist.Design.t * t
-(** Replay the batch delta by delta (so location references resolve
-    against the design state they were written for), returning the
-    edited design and the dirty set.
+(** Apply the batch in one pass over the design's spec, marking each
+    delta on the spec before and after it (so location references
+    resolve against the state they were written for), then rebuild the
+    design once; returns the edited design and the dirty set.  An empty
+    batch returns [before] itself.
     @raise Delta.Invalid as {!Delta.apply_all} would, with the
     offending delta's index. *)
 

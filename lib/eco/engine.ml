@@ -78,11 +78,10 @@ let solve_pao_stage ~cache ~(config : config) ~prev_key
   let in_flight = Hashtbl.create 16 in (* key -> () *)
   let prev_entries = Hashtbl.create 16 in (* miss panel -> previous entry *)
   let misses_rev = ref [] in
+  let key = Panel_cache.key ~config:config.pao ~kind:config.kind in
   for panel = 0 to num_panels - 1 do
     if Design.pins_of_panel design panel <> [] then begin
-      let key =
-        Panel_cache.key ~config:config.pao ~kind:config.kind design ~panel
-      in
+      let key = key design ~panel in
       keys.(panel) <- key;
       if not (Hashtbl.mem in_flight key) then
         match Panel_cache.find cache key with

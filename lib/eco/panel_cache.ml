@@ -137,86 +137,122 @@ let canonical_pins design ~panel =
     pins;
   pins
 
+(* [v] in decimal, the text [string_of_int] gives *)
+let rec add_int buf v =
+  if v < 0 then Buffer.add_string buf (string_of_int v)
+  else begin
+    if v >= 10 then add_int buf (v / 10);
+    Buffer.add_char buf (Char.chr (48 + (v mod 10)))
+  end
+
 (* The digest covers, in a canonical order, every input of the panel's
    assignment problem: rule deck + solver config, die width, pins with
    panel-local net indices (names excluded on purpose), full net
    bounding boxes (interval generation clips to them), and the M2
-   blockage spans on the panel's tracks. *)
-let key ~(config : PA.config) ~kind design ~panel =
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let gen = config.PA.gen in
-  add "gen:%s,%s,%d,%d,%s,%s;"
-    (Pinaccess.Objective.weighting_to_string gen.Pinaccess.Interval_gen.weighting)
-    (match gen.Pinaccess.Interval_gen.m2_bbox_margin with
-    | None -> "full-bbox"
-    | Some k -> string_of_int k)
-    gen.Pinaccess.Interval_gen.max_per_pin gen.Pinaccess.Interval_gen.clearance
-    (match gen.Pinaccess.Interval_gen.min_window with
-    | None -> "no-window"
-    | Some w -> string_of_int w)
-    (* the TPL deck changes the clique set (color cliques fold into the
-       pricing), so distinct decks must miss each other's entries *)
-    (match gen.Pinaccess.Interval_gen.tpl with
-    | None -> "no-tpl"
-    | Some p -> Solver.Color_graph.params_to_string p);
-  let lr = config.PA.lr in
-  add "kind:%s;lr:%d,%h,%s,%b,%s;"
-    (PA.solver_kind_to_string kind)
-    lr.Pinaccess.Lagrangian.max_iterations lr.Pinaccess.Lagrangian.alpha
-    (match lr.Pinaccess.Lagrangian.constant_step with
-    | None -> "decay"
-    | Some s -> Printf.sprintf "%h" s)
-    lr.Pinaccess.Lagrangian.full_subgradient
-    (match lr.Pinaccess.Lagrangian.plateau_exit with
-    | None -> "none"
-    | Some p -> string_of_int p);
-  add "die:%d,%d;" (Design.width design) (Design.row_height design);
-  let pins = canonical_pins design ~panel in
-  (* panel-local net indices by first appearance in canonical order *)
-  let local = Hashtbl.create 16 in
-  let local_of net =
-    match Hashtbl.find_opt local net with
-    | Some i -> i
-    | None ->
-      let i = Hashtbl.length local in
-      Hashtbl.add local net i;
-      i
+   blockage spans on the panel's tracks.  The deck and solver prefix is
+   formatted once, when [key] is applied to [config] and [kind]; the
+   per-panel text is written number by number, the same bytes
+   [Printf]'s [%d] would produce. *)
+let key ~(config : PA.config) ~kind =
+  let gen = config.PA.gen and lr = config.PA.lr in
+  let prefix =
+    Printf.sprintf "gen:%s,%s,%d,%d,%s,%s;kind:%s;lr:%d,%h,%s,%b,%s;"
+      (Pinaccess.Objective.weighting_to_string
+         gen.Pinaccess.Interval_gen.weighting)
+      (match gen.Pinaccess.Interval_gen.m2_bbox_margin with
+      | None -> "full-bbox"
+      | Some k -> string_of_int k)
+      gen.Pinaccess.Interval_gen.max_per_pin
+      gen.Pinaccess.Interval_gen.clearance
+      (match gen.Pinaccess.Interval_gen.min_window with
+      | None -> "no-window"
+      | Some w -> string_of_int w)
+      (* the TPL deck changes the clique set (color cliques fold into the
+         pricing), so distinct decks must miss each other's entries *)
+      (match gen.Pinaccess.Interval_gen.tpl with
+      | None -> "no-tpl"
+      | Some p -> Solver.Color_graph.params_to_string p)
+      (PA.solver_kind_to_string kind)
+      lr.Pinaccess.Lagrangian.max_iterations lr.Pinaccess.Lagrangian.alpha
+      (match lr.Pinaccess.Lagrangian.constant_step with
+      | None -> "decay"
+      | Some s -> Printf.sprintf "%h" s)
+      lr.Pinaccess.Lagrangian.full_subgradient
+      (match lr.Pinaccess.Lagrangian.plateau_exit with
+      | None -> "none"
+      | Some p -> string_of_int p)
   in
-  Array.iter
-    (fun (p : Pin.t) ->
-      add "p:%d,%d,%d,%d;" p.Pin.x (I.lo p.Pin.tracks) (I.hi p.Pin.tracks)
-        (local_of p.Pin.net))
-    pins;
-  (* each present net's full bbox, in local-index order *)
-  let by_local =
-    Hashtbl.fold (fun net idx acc -> (idx, net) :: acc) local []
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-  in
-  List.iter
-    (fun (idx, net) ->
-      let bbox = Design.net_bbox design net in
-      add "n:%d,%d,%d,%d,%d;" idx
-        (I.lo (Geometry.Rect.xs bbox))
-        (I.hi (Geometry.Rect.xs bbox))
-        (I.lo (Geometry.Rect.ys bbox))
-        (I.hi (Geometry.Rect.ys bbox)))
-    by_local;
-  let tracks = Design.panel_tracks design panel in
-  for track = I.lo tracks to I.hi tracks do
-    List.iter
-      (fun span -> add "b:%d,%d,%d;" track (I.lo span) (I.hi span))
-      (Design.m2_blockages_on_track design track)
-  done;
-  Digest.to_hex (Digest.string (Buffer.contents buf))
+  fun design ~panel ->
+    let buf = Buffer.create 512 in
+    Buffer.add_string buf prefix;
+    (* [tag] then the numbers comma-separated, closed by ';' *)
+    let record tag numbers =
+      Buffer.add_string buf tag;
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          add_int buf v)
+        numbers;
+      Buffer.add_char buf ';'
+    in
+    record "die:" [ Design.width design; Design.row_height design ];
+    let pins = canonical_pins design ~panel in
+    (* panel-local net indices by first appearance in canonical order *)
+    let local = Hashtbl.create 16 and nets = ref [] in
+    let local_of net =
+      match Hashtbl.find_opt local net with
+      | Some i -> i
+      | None ->
+        let i = Hashtbl.length local in
+        Hashtbl.add local net i;
+        nets := net :: !nets;
+        i
+    in
+    Array.iter
+      (fun (p : Pin.t) ->
+        record "p:"
+          [ p.Pin.x; I.lo p.Pin.tracks; I.hi p.Pin.tracks; local_of p.Pin.net ])
+      pins;
+    (* each present net's full bbox, in local-index order *)
+    List.iteri
+      (fun idx net ->
+        let bbox = Design.net_bbox design net in
+        record "n:"
+          [
+            idx;
+            I.lo (Geometry.Rect.xs bbox);
+            I.hi (Geometry.Rect.xs bbox);
+            I.lo (Geometry.Rect.ys bbox);
+            I.hi (Geometry.Rect.ys bbox);
+          ])
+      (List.rev !nets);
+    let tracks = Design.panel_tracks design panel in
+    for track = I.lo tracks to I.hi tracks do
+      List.iter
+        (fun span -> record "b:" [ track; I.lo span; I.hi span ])
+        (Design.m2_blockages_on_track design track)
+    done;
+    Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let entry_of_solution ~(problem : Problem.t) ~assignments
     ~(report : PA.panel_report) ~multipliers design ~panel =
   let pins = canonical_pins design ~panel in
+  (* each pin's assigned interval, by its problem slot *)
+  let assigned = Array.make (Problem.num_pins problem) None in
+  List.iter
+    (fun (pid, iv) ->
+      match Hashtbl.find_opt problem.Problem.pin_slot pid with
+      | Some slot when assigned.(slot) = None -> assigned.(slot) <- Some iv
+      | Some _ | None -> ())
+    assignments;
   let slots =
     Array.map
       (fun (p : Pin.t) ->
-        match List.assoc_opt p.Pin.id assignments with
+        match
+          Option.bind
+            (Hashtbl.find_opt problem.Problem.pin_slot p.Pin.id)
+            (Array.get assigned)
+        with
         | Some (iv : AI.t) ->
           {
             track = iv.AI.track;

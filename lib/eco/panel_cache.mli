@@ -53,7 +53,10 @@ val key :
   Netlist.Design.t ->
   panel:int ->
   string
-(** Content digest of the panel's assignment problem. *)
+(** Content digest of the panel's assignment problem.  Apply it to
+    [config] and [kind] once and the result to each panel: the rule-deck
+    and solver part of the digested text is formatted at that first
+    application. *)
 
 val find : t -> string -> entry option
 (** Bumps the hit/miss counters. *)

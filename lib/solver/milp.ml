@@ -13,8 +13,8 @@ type stats = {
 
 type solution = { objective : float; values : bool array; stats : stats }
 
-exception Infeasible
-exception Stopped
+exception Infeasible of { nodes : int }
+exception Stopped of { nodes : int }
 
 let objective_of p values =
   let total = ref 0.0 in
@@ -291,7 +291,7 @@ let branch_and_bound ?(should_stop = fun () -> false) ?(node_limit = max_int)
         if !v >= 0 then ok := set_one !v else ok := false
       end)
     choose;
-  if not !ok then raise Infeasible;
+  if not !ok then raise (Infeasible { nodes = 0 });
   let lp_closes_gap =
     match lp_bound with
     | Some b -> !incumbent >= b -. 1e-6
@@ -326,7 +326,9 @@ let branch_and_bound ?(should_stop = fun () -> false) ?(node_limit = max_int)
   end;
   (* only a finished search proves infeasibility *)
   if !incumbent = neg_infinity then
-    raise (if !limited then Stopped else Infeasible);
+    raise
+      (if !limited then Stopped { nodes = !nodes }
+       else Infeasible { nodes = !nodes });
   {
     objective = !incumbent;
     values = Array.copy best_values;
@@ -340,6 +342,11 @@ let branch_and_bound ?(should_stop = fun () -> false) ?(node_limit = max_int)
 
 let solve ?should_stop ?node_limit ?warm_start ?root_lp p =
   Obs.Trace.with_span "milp.solve" @@ fun () ->
-  let sol = branch_and_bound ?should_stop ?node_limit ?warm_start ?root_lp p in
-  Obs.Metrics.add m_nodes sol.stats.nodes;
-  sol
+  match branch_and_bound ?should_stop ?node_limit ?warm_start ?root_lp p with
+  | sol ->
+    Obs.Metrics.add m_nodes sol.stats.nodes;
+    sol
+  | exception ((Infeasible { nodes } | Stopped { nodes }) as e) ->
+    (* a search without an answer still did its nodes' work *)
+    Obs.Metrics.add m_nodes nodes;
+    raise e

@@ -38,13 +38,15 @@ type stats = {
 
 type solution = { objective : float; values : bool array; stats : stats }
 
-exception Infeasible
-(** The finished search proved that no assignment satisfies every row. *)
+exception Infeasible of { nodes : int }
+(** The finished search proved that no assignment satisfies every row;
+    [nodes] is the work it took, as {!stats} would count it. *)
 
-exception Stopped
+exception Stopped of { nodes : int }
 (** A limit stopped the search before it reached a feasible assignment,
     and the greedy dive from the root dead-ended as well: the instance
-    may still be feasible. *)
+    may still be feasible.  [nodes] is the work spent before it
+    stopped. *)
 
 val solve :
   ?should_stop:(unit -> bool) ->

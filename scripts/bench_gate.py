@@ -11,7 +11,10 @@ A quality metric (routability, via count, wirelength; every flow) fails
 the gate when it moves in the *worse* direction (lower routability,
 more vias, more wirelength) by more than RTOL; improvements are
 reported as notes.  The PAO bytes of the CPR flow (its objective and
-summed LR iterations) fail on any move at all, like a golden-file diff.
+summed LR iterations) fail on any move at all, like a golden-file diff,
+and so do the ECO rows' bytes (the edit stream's final PAO objective,
+the panel cache's hit rate and the warm-started solve count) whenever
+the run includes the eco experiment.
 The baseline is one committed file at one scale, so a BENCH.json
 recorded at another scale is refused before any diff.
 
@@ -33,6 +36,8 @@ METRICS = {"routability": +1, "via_count": -1, "wirelength": -1}
 RTOL = 0.01
 # fields of the cpr flow that must match the baseline exactly
 EXACT = ("pao_objective", "lr_iterations")
+# fields of each eco row that must match the baseline exactly
+ECO_EXACT = ("pao_objective", "hit_rate", "warm_started")
 
 
 def load(path):
@@ -92,6 +97,20 @@ def main():
     for cid in sorted(set(cur) - set(base)):
         notes.append(f"{cid}: new circuit, not in baseline")
 
+    if "eco" in (cur_doc.get("experiments") or []):
+        base_eco = {r["id"]: r for r in base_doc.get("eco") or []}
+        if not base_eco:
+            failures.append(f"eco: no rows in {args.baseline}")
+        cur_eco = {r["id"]: r for r in cur_doc.get("eco") or []}
+        for rid, b_row in sorted(base_eco.items()):
+            c_row = cur_eco.get(rid, {})
+            for field in ECO_EXACT:
+                b, c = b_row.get(field), c_row.get(field)
+                if b is None or b != c:
+                    failures.append(f"eco.{rid}.{field}: {b} -> {c} (must not move)")
+    else:
+        notes.append("eco experiment not run: its rows are not checked")
+
     if notes:
         print("bench gate: drift within tolerance / improvements:")
         for n in notes:
@@ -107,7 +126,7 @@ def main():
             file=sys.stderr,
         )
         return 1
-    print(f"bench gate: OK ({len(base)} circuits, rtol {RTOL}, PAO exact)")
+    print(f"bench gate: OK ({len(base)} circuits, rtol {RTOL}, PAO and ECO exact)")
     return 0
 
 

@@ -261,6 +261,177 @@ let test_dirty_rule_change () =
   let _, d = Dirty.compute ~before:(multi_panel ()) [] in
   check "an empty batch is clean" true (Dirty.clean d)
 
+(* The per-delta replay that one-pass marking replaced, kept as the
+   oracle: every delta is marked on the design it meets and on the
+   design it produces, with one rebuild per delta. *)
+module Dirty_reference = struct
+  module Rect = Geometry.Rect
+  module Pin = Netlist.Pin
+  module Net = Netlist.Net
+
+  let mark_panel ~panels design p =
+    if p >= 0 && p < Design.num_panels design then Hashtbl.replace panels p ()
+
+  let mark_track ~panels design track =
+    mark_panel ~panels design (Design.panel_of_track design track)
+
+  let mark_net_by_name ~panels design name =
+    Array.iter
+      (fun (n : Net.t) ->
+        if n.Net.name = name then
+          List.iter
+            (fun pid ->
+              mark_track ~panels design (Pin.primary_track (Design.pin design pid)))
+            n.Net.pins)
+      (Design.nets design)
+
+  let net_name_of_pin design { Delta.at_x; at_track } =
+    let found = ref None in
+    Array.iter
+      (fun (p : Pin.t) ->
+        if p.Pin.x = at_x && Pin.covers_track p at_track then
+          found := Some (Design.net design p.Pin.net).Net.name)
+      (Design.pins design);
+    !found
+
+  let mark_shape ~panels design ({ Delta.x = _; tracks } : Delta.pin_shape) =
+    mark_track ~panels design (I.lo tracks)
+
+  let compute ~before deltas =
+    let panels = Hashtbl.create 16 and rects = ref [] in
+    let mark_blockage design (b : Blockage.t) =
+      match b.Blockage.layer with
+      | Blockage.M2 -> mark_track ~panels design b.Blockage.track
+      | Blockage.M3 ->
+        rects :=
+          Rect.make ~xs:(I.point b.Blockage.track) ~ys:b.Blockage.span
+          :: !rects
+    in
+    let mark_delta design delta =
+      match delta with
+      | Delta.Add_pin { net; shape } ->
+        mark_net_by_name ~panels design net;
+        mark_shape ~panels design shape
+      | Delta.Remove_pin r -> (
+        mark_track ~panels design r.Delta.at_track;
+        match net_name_of_pin design r with
+        | Some name -> mark_net_by_name ~panels design name
+        | None -> ())
+      | Delta.Move_pin { from_; shape } -> (
+        mark_track ~panels design from_.Delta.at_track;
+        mark_shape ~panels design shape;
+        match net_name_of_pin design from_ with
+        | Some name -> mark_net_by_name ~panels design name
+        | None -> ())
+      | Delta.Add_net { name; pins } ->
+        mark_net_by_name ~panels design name;
+        List.iter (mark_shape ~panels design) pins
+      | Delta.Remove_net name -> mark_net_by_name ~panels design name
+      | Delta.Add_blockage b | Delta.Remove_blockage b -> mark_blockage design b
+      | Delta.Set_clearance _ ->
+        for p = 0 to Design.num_panels design - 1 do
+          Hashtbl.replace panels p ()
+        done
+    in
+    let after, _ =
+      List.fold_left
+        (fun (design, i) delta ->
+          mark_delta design delta;
+          let design' =
+            try Delta.apply design delta
+            with Delta.Invalid { reason; _ } ->
+              raise (Delta.Invalid { index = Some i; reason })
+          in
+          mark_delta design' delta;
+          (design', i + 1))
+        (before, 0) deltas
+    in
+    let dirty_panels =
+      Hashtbl.fold (fun p () acc -> p :: acc) panels [] |> List.sort Int.compare
+    in
+    let band p =
+      Rect.make
+        ~xs:(I.make ~lo:0 ~hi:(Design.width after - 1))
+        ~ys:(Design.panel_tracks after p)
+    in
+    (after, (dirty_panels, List.map band dirty_panels @ !rects))
+end
+
+(* the outcome of a batch, comparable across the two implementations *)
+let dirty_outcome compute before batch =
+  match compute ~before batch with
+  | after, dirt -> Ok (Netlist.Design_io.to_string after, dirt)
+  | exception Delta.Invalid { index; reason } -> Error (index, reason)
+
+let same_dirt before batch =
+  let one_pass =
+    dirty_outcome
+      (fun ~before batch ->
+        let after, d = Dirty.compute ~before batch in
+        (after, (d.Dirty.panels, d.Dirty.rects)))
+      before batch
+  in
+  one_pass = dirty_outcome Dirty_reference.compute before batch
+
+let test_dirty_matches_replay () =
+  List.iter
+    (fun (name, design, seed) ->
+      let stream =
+        Workloads.Eco_stream.random ~seed ~steps:40 ~edits_per_step:4 design
+      in
+      ignore
+        (List.fold_left
+           (fun (cur, i) batch ->
+             check (Printf.sprintf "%s batch %d" name i) true (same_dirt cur batch);
+             (Delta.apply_all cur batch, i + 1))
+           (design, 0) stream))
+    [ ("fig3", fig3_design (), 3L); ("ecc@0.05", ecc (), 11L); ("ecc@0.05", ecc (), 12L) ]
+
+let test_dirty_failures_match_replay () =
+  let design = fig3_design () in
+  let move ~x ~track ~to_x ~lo ~hi =
+    Delta.Move_pin
+      {
+        from_ = { Delta.at_x = x; at_track = track };
+        shape = { Delta.x = to_x; tracks = I.make ~lo ~hi };
+      }
+  in
+  let shape x lo hi = { Delta.x; tracks = I.make ~lo ~hi } in
+  let b = Blockage.make ~layer:Blockage.M2 ~track:5 ~span:(I.make ~lo:0 ~hi:3) in
+  let m3 = Blockage.make ~layer:Blockage.M3 ~track:11 ~span:(I.make ~lo:1 ~hi:4) in
+  List.iter
+    (fun (what, batch) -> check what true (same_dirt design batch))
+    [
+      ( "unknown net at index 2",
+        [
+          move ~x:9 ~track:3 ~to_x:10 ~lo:3 ~hi:3;
+          Delta.Add_blockage m3;
+          Delta.Add_pin { net = "nope"; shape = shape 1 1 1 };
+        ] );
+      ("overlapping add_pin", [ Delta.Add_pin { net = "a"; shape = shape 6 4 5 } ]);
+      ( "off-die pin",
+        [ Delta.Set_clearance 1; Delta.Add_pin { net = "b"; shape = shape 20 0 0 } ] );
+      ( "inexact remove_blockage",
+        [
+          Delta.Add_blockage b;
+          Delta.Remove_blockage
+            (Blockage.make ~layer:Blockage.M2 ~track:5 ~span:(I.make ~lo:0 ~hi:2));
+        ] );
+      ( "moving a net's only pin",
+        [
+          Delta.Add_net { name = "solo"; pins = [ shape 11 6 7 ] };
+          move ~x:11 ~track:7 ~to_x:12 ~lo:5 ~hi:5;
+          move ~x:2 ~track:7 ~to_x:1 ~lo:7 ~hi:8;
+        ] );
+      ( "a removed pin, then its location reused",
+        [
+          Delta.Remove_pin { Delta.at_x = 13; at_track = 2 };
+          Delta.Add_pin { net = "d"; shape = shape 13 1 2 };
+          Delta.Remove_blockage m3;
+        ] );
+      ("an empty batch", []);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Panel cache keys                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -605,6 +776,10 @@ let () =
           Alcotest.test_case "net bbox" `Quick test_dirty_follows_net_bbox;
           Alcotest.test_case "blockages" `Quick test_dirty_blockages;
           Alcotest.test_case "rule change" `Quick test_dirty_rule_change;
+          Alcotest.test_case "one pass = per-delta replay" `Quick
+            test_dirty_matches_replay;
+          Alcotest.test_case "failures = per-delta replay" `Quick
+            test_dirty_failures_match_replay;
         ] );
       ( "cache",
         [

@@ -130,14 +130,64 @@ let test_ilp_stopped_is_not_infeasible () =
     Ilp.solve ~budget:(Pinaccess.Budget.start ~work_units:20_000 ()) problem
   with
   | r -> check "an incumbent is conflict-free" true (Sol.is_conflict_free r.Ilp.solution)
-  | exception Solver.Milp.Infeasible ->
+  | exception Solver.Milp.Infeasible _ ->
     Alcotest.fail "a stopped search raised Infeasible"
-  | exception (Solver.Milp.Stopped as e) ->
+  | exception (Solver.Milp.Stopped _ as e) ->
     check "the ladder absorbs it" true (Pinaccess.Cpr_error.recoverable e);
     check "a solver failure" true
       (match Pinaccess.Cpr_error.of_exn e with
       | Some (Pinaccess.Cpr_error.Solver_failure _) -> true
       | _ -> false)
+
+(* The same instance: the stopped search's nodes are work done, so the
+   budget and both node counters see them. *)
+let test_ilp_stopped_search_is_charged () =
+  let d = Workloads.Suite.design ~scale:0.04 (Workloads.Suite.find "ecc") in
+  let problem = P.build_panel cfg d ~panel:2 in
+  let budget = Pinaccess.Budget.start ~work_units:20_000 () in
+  let ilp_nodes = Obs.Metrics.counter "ilp.nodes"
+  and milp_nodes = Obs.Metrics.counter "milp.nodes" in
+  let ilp0 = Obs.Metrics.value ilp_nodes
+  and milp0 = Obs.Metrics.value milp_nodes in
+  match Ilp.solve ~budget problem with
+  | _ -> Alcotest.fail "20,000 nodes reach no leaf here"
+  | exception Solver.Milp.Stopped { nodes } ->
+    check_int "stopped at the allowance" 20_000 nodes;
+    check_int "the budget is charged" nodes
+      (Pinaccess.Budget.work_spent budget);
+    check_int "ilp.nodes moves" nodes (Obs.Metrics.value ilp_nodes - ilp0);
+    check_int "milp.nodes moves" nodes (Obs.Metrics.value milp_nodes - milp0)
+
+(* Fuzz seed 12648430, case 107: panel 1's LR assignment is not
+   conflict-free, so it cannot seed the ILP incumbent, and a 20,000
+   work-unit budget stops that ILP search before it finds one.  The
+   ladder then serves the LR rung from the ILP tier's seeding solve
+   instead of running the same solve again. *)
+let test_ladder_reuses_the_seeding_lr () =
+  let d =
+    Workloads.Generator.generate
+      (Workloads.Generator.random_params ~max_nets:24
+         ~seed:4190574569963192643L ())
+  in
+  let lr_of panel = Pinaccess.Lagrangian.solve (P.build_panel cfg d ~panel) in
+  let lr0 = lr_of 0 and lr1 = lr_of 1 in
+  check "panel 1's LR is not conflict-free" false
+    (Sol.is_conflict_free lr1.Pinaccess.Lagrangian.solution);
+  let iterations = Obs.Metrics.counter "lr.iterations" in
+  let before = Obs.Metrics.value iterations in
+  let r =
+    PA.optimize ~budget:(Pinaccess.Budget.start ~work_units:20_000 ())
+      ~kind:PA.Ilp d
+  in
+  let report = List.find (fun (r : PA.panel_report) -> r.PA.panel = 1) r.PA.reports in
+  check "panel 1 is served by LR" true (report.PA.served_by = PA.Tier_lr);
+  check_int "from the seeding solve" lr1.Pinaccess.Lagrangian.iterations
+    report.PA.lr_iterations;
+  check "with its objective" true
+    (report.PA.objective = Sol.objective lr1.Pinaccess.Lagrangian.solution);
+  check_int "one LR solve per panel"
+    (lr0.Pinaccess.Lagrangian.iterations + lr1.Pinaccess.Lagrangian.iterations)
+    (Obs.Metrics.value iterations - before)
 
 let test_pin_access_top_level () =
   let d = fig3_design () in
@@ -181,11 +231,15 @@ let () =
             test_ilp_stops_at_deadline;
           Alcotest.test_case "stopped is not infeasible" `Quick
             test_ilp_stopped_is_not_infeasible;
+          Alcotest.test_case "a stopped search is charged" `Quick
+            test_ilp_stopped_search_is_charged;
         ] );
       ( "pin_access",
         [
           Alcotest.test_case "top level LR vs ILP" `Quick test_pin_access_top_level;
           Alcotest.test_case "combined panels" `Quick test_pin_access_combined;
           Alcotest.test_case "interval_of_pin" `Quick test_interval_of_pin;
+          Alcotest.test_case "ladder reuses the seeding LR" `Quick
+            test_ladder_reuses_the_seeding_lr;
         ] );
     ]

@@ -306,6 +306,191 @@ let prop_min_window_widens =
              end)
         (Design.pins d))
 
+(* ----------------------------------------------------------------- *)
+(* oracle: the flat panel build against the list-based reference      *)
+(* ----------------------------------------------------------------- *)
+
+module P = Pinaccess.Problem
+module Ref = Pao_reference
+
+(* A random one- or two-panel design built to hit what the flat kernel
+   reorganizes: same-net pins sharing a track, multi-track pins, M2
+   blockages on and beside pin columns, diff-net pins on both sides,
+   and a random rule deck (clearance 0-3, candidate cap 1-8 so the cap
+   path runs, window, bbox margin, TPL on and off). *)
+let oracle_gen =
+  QCheck.Gen.(
+    let* width = int_range 6 36 in
+    let* panels = int_range 1 2 in
+    let* nnets = int_range 1 6 in
+    let* nets =
+      list_repeat nnets
+        (let* npins = int_range 1 4 in
+         list_repeat npins
+           (let* x = int_range 0 (width - 1) in
+            let* panel = int_range 0 (panels - 1) in
+            let* lo = int_range 0 9 in
+            let* h = int_range 1 3 in
+            return (x, (panel * 10) + lo, (panel * 10) + min 9 (lo + h - 1))))
+    in
+    let* blockages =
+      list_size (int_range 0 5)
+        (let* track = int_range 0 ((panels * 10) - 1) in
+         let* lo = int_range 0 (width - 1) in
+         let* len = int_range 0 3 in
+         return (track, lo, min (width - 1) (lo + len)))
+    in
+    let* clearance = int_range 0 3 in
+    let* max_per_pin = int_range 1 8 in
+    let* min_window = opt (int_range 0 6) in
+    let* m2_bbox_margin = opt (int_range 0 6) in
+    let* tpl = bool in
+    return
+      ( (width, panels, nets, blockages),
+        {
+          cfg with
+          Gen.clearance;
+          max_per_pin;
+          min_window;
+          m2_bbox_margin;
+          tpl =
+            (if tpl then Some (Solver.Color_graph.default ~colors:3) else None);
+        } ))
+
+(* keep the first pin of every occupied grid, drop emptied nets *)
+let oracle_design (width, panels, nets, blockages) =
+  let taken = Hashtbl.create 32 in
+  let nets =
+    List.mapi
+      (fun i pins ->
+        ( Printf.sprintf "n%d" i,
+          List.filter_map
+            (fun (x, lo, hi) ->
+              let cells = List.init (hi - lo + 1) (fun k -> (x, lo + k)) in
+              if List.exists (Hashtbl.mem taken) cells then None
+              else begin
+                List.iter (fun c -> Hashtbl.replace taken c ()) cells;
+                Some (B.pin_span x ~lo ~hi)
+              end)
+            pins ))
+      nets
+    |> List.filter (fun (_, pins) -> pins <> [])
+  in
+  let blockages =
+    List.map
+      (fun (track, lo, hi) ->
+        Netlist.Blockage.make ~layer:Netlist.Blockage.M2 ~track
+          ~span:(I.make ~lo ~hi))
+      blockages
+  in
+  B.design ~width ~height:(panels * 10) ~nets ~blockages ()
+
+let m_per_pin = Obs.Metrics.histogram "pao.intervals_per_pin"
+
+(* the build's outcome with the [pao.intervals_per_pin] samples it took *)
+let observed build =
+  Obs.Metrics.reset ();
+  let outcome =
+    match build () with
+    | problem -> Ok problem
+    | exception Gen.Pin_unreachable pid -> Error pid
+  in
+  let s = Obs.Metrics.stats m_per_pin in
+  (outcome, (s.Obs.Metrics.count, s.Obs.Metrics.sum, s.Obs.Metrics.min, s.Obs.Metrics.max))
+
+let bindings (p : P.t) =
+  Hashtbl.fold (fun pid slot acc -> (pid, slot) :: acc) p.P.pin_slot []
+  |> List.sort compare
+
+(* [Problem.t] field by field; the design is the same value *)
+let same_problem (a : P.t) (b : P.t) =
+  a.P.design == b.P.design && a.P.config = b.P.config
+  && a.P.intervals = b.P.intervals && a.P.pin_ids = b.P.pin_ids
+  && bindings a = bindings b
+  && a.P.pin_candidates = b.P.pin_candidates
+  && a.P.cliques = b.P.cliques && a.P.profits = b.P.profits
+  && a.P.npins = b.P.npins && a.P.slot_start = b.P.slot_start
+  && a.P.slot_ids = b.P.slot_ids && a.P.clique_start = b.P.clique_start
+  && a.P.clique_ids = b.P.clique_ids
+
+let same_build config design ~panel =
+  let flat, flat_stats = observed (fun () -> P.build_panel config design ~panel)
+  and reference, ref_stats =
+    observed (fun () -> Ref.build_panel config design ~panel)
+  in
+  flat_stats = ref_stats
+  &&
+  match flat, reference with
+  | Ok a, Ok b -> same_problem a b
+  | Error a, Error b -> a = b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let prop_panel_build_matches_reference =
+  QCheck.Test.make ~name:"flat panel build = list-based reference" ~count:400
+    (QCheck.make
+       ~print:(fun ((w, panels, nets, blockages), (c : Gen.config)) ->
+         Printf.sprintf "width=%d panels=%d nets=%d blockages=%d clearance=%d cap=%d"
+           w panels (List.length nets) (List.length blockages) c.Gen.clearance
+           c.Gen.max_per_pin)
+       oracle_gen)
+    (fun (shape, config) ->
+      match oracle_design shape with
+      | exception Design.Invalid _ -> QCheck.assume_fail ()
+      | design ->
+        List.for_all
+          (fun panel -> same_build config design ~panel)
+          (List.init (Design.num_panels design) Fun.id)
+        && Array.for_all
+             (fun (p : Netlist.Pin.t) ->
+               let pin f =
+                 match f config design p with
+                 | c -> Ok c
+                 | exception Gen.Pin_unreachable pid -> Error pid
+               in
+               pin Gen.generate_pin = pin Ref.generate_pin)
+             (Design.pins design))
+
+(* the generator's real designs, under the default and the TPL deck *)
+let test_suite_panels_match_reference () =
+  List.iter
+    (fun (name, scale) ->
+      let d = Workloads.Suite.design ~scale (Workloads.Suite.find name) in
+      List.iter
+        (fun config ->
+          for panel = 0 to Design.num_panels d - 1 do
+            check
+              (Printf.sprintf "%s@%g panel %d" name scale panel)
+              true
+              (same_build config d ~panel)
+          done)
+        [ cfg; { cfg with Gen.tpl = Some (Solver.Color_graph.default ~colors:3) } ])
+    [ ("ecc", 0.05); ("div", 0.03) ]
+
+(* the sweep over hand-built arrays in no particular order *)
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~name:"flat sweep = list-based reference, any order"
+    ~count:300
+    QCheck.(
+      pair (int_range 0 3)
+        (list_of_size Gen.(int_range 1 14)
+           (triple (int_range 0 2) (int_range 0 20) (int_range 0 6))))
+    (fun (clearance, specs) ->
+      let intervals =
+        Array.of_list
+          (List.mapi
+             (fun id (track, lo, len) ->
+               AI.make ~id ~net:id ~pins:[ id ] ~track
+                 ~span:(I.make ~lo ~hi:(lo + len)) ~kind:AI.Regular)
+             specs)
+      in
+      Pinaccess.Conflict.detect ~clearance intervals
+      = Ref.detect ~clearance intervals
+      && List.for_all
+           (fun track ->
+             Pinaccess.Conflict.cliques_of_track ~clearance intervals ~track
+             = Ref.cliques_of_track ~clearance intervals ~track)
+           [ 0; 1; 2 ])
+
 let () =
   Alcotest.run "interval_gen"
     [
@@ -326,5 +511,12 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_degenerate_candidates_sound;
           QCheck_alcotest.to_alcotest prop_min_window_widens;
+        ] );
+      ( "oracle",
+        [
+          QCheck_alcotest.to_alcotest prop_panel_build_matches_reference;
+          Alcotest.test_case "suite panels" `Quick
+            test_suite_panels_match_reference;
+          QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
         ] );
     ]

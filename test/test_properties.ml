@@ -136,7 +136,7 @@ let prop_lr_le_ilp =
                   Pinaccess.Solution.objective sol
                   > ilp.Pinaccess.Ilp.objective +. 1e-6
                 then ok := false
-              | exception Solver.Milp.Infeasible -> ()
+              | exception Solver.Milp.Infeasible _ -> ()
             end
           end
         done;

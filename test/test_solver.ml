@@ -190,7 +190,7 @@ let test_milp_infeasible () =
   in
   check "infeasible raises" true
     (match Milp.solve p with
-    | exception Milp.Infeasible -> true
+    | exception Milp.Infeasible _ -> true
     | _ -> false)
 
 let test_milp_warm_start_and_lp () =
@@ -278,7 +278,7 @@ let prop_milp_matches_brute_force =
         expected > neg_infinity
         && Float.abs (s.Milp.objective -. expected) < 1e-6
         && Milp.check p s.Milp.values
-      | exception Milp.Infeasible -> expected = neg_infinity)
+      | exception Milp.Infeasible _ -> expected = neg_infinity)
 
 let prop_lp_bounds_milp =
   QCheck.Test.make ~name:"lp relaxation bounds milp" ~count:200 random_instance
@@ -303,7 +303,7 @@ let prop_lp_bounds_milp =
         (match s.Milp.stats.Milp.root_lp_bound with
         | Some b -> b >= s.Milp.objective -. 1e-6
         | None -> true)
-      | exception Milp.Infeasible -> true)
+      | exception Milp.Infeasible _ -> true)
 
 let test_milp_anytime () =
   (* node_limit 1 still returns a feasible solution via greedy dive *)
